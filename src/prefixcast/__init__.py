@@ -19,7 +19,6 @@ The package is organized by capability:
 __version__ = "0.1.0"
 
 from .source_coding import (
-    KRAFT_TOL,
     CodeLengthSet,
     Codeword,
     KraftViolation,
@@ -33,6 +32,7 @@ from .source_coding import (
     huffman_lengths,
     kraft_alphabet_monotonicity,
     kraft_sum,
+    prefix_violations,
     satisfies_kraft,
     shannon_entropy,
 )
@@ -111,7 +111,6 @@ from .fusion import (
 __all__ = [
     "__version__",
     # source coding
-    "KRAFT_TOL",
     "CodeLengthSet",
     "Codeword",
     "KraftViolation",
@@ -125,6 +124,7 @@ __all__ = [
     "huffman_lengths",
     "kraft_alphabet_monotonicity",
     "kraft_sum",
+    "prefix_violations",
     "satisfies_kraft",
     "shannon_entropy",
     # graphs

@@ -75,6 +75,7 @@ from .hierarchy import (
 from .multicast import plan_cost_audit, plan_multicast
 from .source_coding import (
     CodeLengthSet,
+    Codeword,
     arithmetic_progression_satisfies_kraft,
     code_from_lengths,
     consecutive_lengths_sum,
@@ -106,12 +107,6 @@ def fmt(x) -> str:
         return str(x)
     s = f"{float(x):.6f}".rstrip("0").rstrip(".")
     return s if s and s != "-0" else "0"
-
-
-def _digits_str(digits) -> str:
-    if all(d <= 9 for d in digits):
-        return "".join(str(d) for d in digits)
-    return ".".join(str(d) for d in digits)
 
 
 class Inputs:
@@ -276,12 +271,12 @@ def cmd_huffman(args, argv, inputs):
         table.append(
             {
                 "label": label,
-                "codeword": _digits_str(word.digits),
+                "codeword": str(word),
                 "length": word.length,
                 "probability": p,
             }
         )
-        rep.row(f"{label} {_digits_str(word.digits)} {word.length} {fmt(p)}")
+        rep.row(f"{label} {word} {word.length} {fmt(p)}")
     rep.result["code"] = table
     rep.field("expected_length", expected_length(code, pmf))
     rep.field("entropy_base_D", shannon_entropy(pmf, base=float(args.D)))
@@ -307,9 +302,9 @@ def cmd_code_from_lengths(args, argv, inputs):
     table = []
     for label, word in code.assignments.items():
         table.append(
-            {"label": label, "codeword": _digits_str(word.digits), "length": word.length}
+            {"label": label, "codeword": str(word), "length": word.length}
         )
-        rep.row(f"{label} {_digits_str(word.digits)} {word.length}")
+        rep.row(f"{label} {word} {word.length}")
     rep.result["code"] = table
     rep.field("kraft_sum", kraft_sum(code.length_set()))
     return rep
@@ -427,15 +422,16 @@ def cmd_assign_leaders(args, argv, inputs):
     table = []
     for label, p in pmf.entries:
         path = assignment.leaders[label]
+        digits = str(Codeword(path))
         table.append(
             {
                 "label": label,
-                "path": _digits_str(path),
+                "path": digits,
                 "depth": len(path),
                 "probability": p,
             }
         )
-        rep.row(f"{label} {_digits_str(path)} {len(path)} {fmt(p)}")
+        rep.row(f"{label} {digits} {len(path)} {fmt(p)}")
     rep.result["leaders"] = table
     rep.field("expected_depth", assignment.expected_depth())
     rep.field("entropy_bound", shannon_entropy(pmf, base=float(args.D)))
@@ -466,7 +462,7 @@ def cmd_plan_multicast(args, argv, inputs):
     rep.field("relaxed", plan.relaxed)
     table = []
     for label in sorted(plan.leader_digits, key=str):
-        digits = _digits_str(plan.leader_digits[label])
+        digits = str(Codeword(plan.leader_digits[label]))
         route = plan.leader_route[label]
         table.append(
             {

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .source_coding import ProbabilityMassFunction, shannon_entropy
 
@@ -77,8 +78,13 @@ class Graph:
             adj[v].append(u)
         return adj
 
+    # built on first use: enumerate_spanning_trees makes one Graph per tree
+    @cached_property
+    def _edge_set(self) -> frozenset:
+        return frozenset(self.edges)
+
     def has_edge(self, u, v) -> bool:
-        return _canonical_pair(u, v) in set(self.edges)
+        return _canonical_pair(u, v) in self._edge_set
 
 
 @dataclass(frozen=True)
@@ -107,12 +113,16 @@ class WeightedGraph:
     def graph(self) -> Graph:
         return Graph(self.vertices, tuple((u, v) for u, v, _ in self.edges))
 
+    # built on first use: most graphs, such as a parsed input, never look up a weight
+    @cached_property
+    def _weight(self) -> dict:
+        return {(u, v): w for u, v, w in self.edges}
+
     def weight_of(self, u, v) -> float:
-        pair = _canonical_pair(u, v)
-        for a, b, w in self.edges:
-            if (a, b) == pair:
-                return w
-        raise KeyError(f"no edge ({u!r}, {v!r})")
+        try:
+            return self._weight[_canonical_pair(u, v)]
+        except KeyError:
+            raise KeyError(f"no edge ({u!r}, {v!r})") from None
 
     def total_weight(self) -> float:
         return math.fsum(w for _, _, w in self.edges)
@@ -151,20 +161,19 @@ class VertexColoring:
     entries: tuple
 
     def __post_init__(self):
-        verts = [v for v, _ in self.entries]
-        if len(set(verts)) != len(verts):
+        entries = tuple(tuple(e) for e in self.entries)
+        index = dict(entries)
+        if len(index) != len(entries):
             raise ValueError("vertex colored twice")
-        object.__setattr__(self, "entries", tuple(tuple(e) for e in self.entries))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_dict(cls, mapping) -> "VertexColoring":
         return cls(tuple(mapping.items()))
 
     def color_of(self, v):
-        for vertex, color in self.entries:
-            if vertex == v:
-                return color
-        raise KeyError(v)
+        return self._index[v]
 
     def as_dict(self) -> dict:
         return dict(self.entries)

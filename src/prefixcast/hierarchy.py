@@ -18,6 +18,7 @@ from .source_coding import (
     ProbabilityMassFunction,
     huffman_code,
     kraft_sum,
+    prefix_violations,
 )
 
 
@@ -199,16 +200,13 @@ def verify_secure(assignment: LeaderAssignment) -> SecurityReport:
     A violating pair (a, b) means a's path is a proper prefix of b's, i.e.
     traffic addressed to b passes through a. Equal paths violate in both
     directions. The assignment is secure exactly when no pairs are found.
+    Pairs are found by the sorted scan of :func:`prefix_violations` and
+    listed in label order, by ancestor and then by descendant.
     """
-    items = sorted(assignment.leaders.items(), key=lambda kv: kv[0])
-    violations = []
-    for label_a, path_a in items:
-        for label_b, path_b in items:
-            if label_a == label_b:
-                continue
-            if len(path_a) <= len(path_b) and path_a == path_b[: len(path_a)]:
-                violations.append((label_a, label_b))
-    return SecurityReport(secure=not violations, violations=tuple(violations))
+    labels = sorted(assignment.leaders)
+    pairs = prefix_violations([assignment.leaders[label] for label in labels])
+    violations = tuple((labels[i], labels[j]) for i, j in pairs)
+    return SecurityReport(secure=not violations, violations=violations)
 
 
 def path_reliability(q: float, n_j: int) -> float:

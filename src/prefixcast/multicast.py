@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import WeightedGraph, _vkey, enumerate_spanning_trees, minimum_spanning_tree
 from .hierarchy import DaryTree, LeaderAssignment, SecurityReport, verify_secure
@@ -26,6 +27,7 @@ from .source_coding import (
     code_from_lengths,
     huffman_code,
     kraft_sum,
+    prefix_violations,
 )
 
 AUDIT_EXHAUSTIVE_LIMIT = 8
@@ -51,11 +53,12 @@ class EmbeddedDaryTree:
     vertex_at: dict  # digit path tuple -> vertex
     pruned: tuple    # vertices unreachable for placement, sorted
 
+    @cached_property
+    def _path_at(self) -> dict:
+        return {v: path for path, v in self.vertex_at.items()}
+
     def path_of(self, vertex) -> tuple:
-        for path, v in self.vertex_at.items():
-            if v == vertex:
-                return path
-        raise KeyError(vertex)
+        return self._path_at[vertex]
 
     def graph_path(self, vertex) -> tuple:
         """Vertex sequence from the root to ``vertex`` along tree edges."""
@@ -278,8 +281,9 @@ def plan_cost_audit(plan: MulticastPlan, g: WeightedGraph) -> PlanAudit:
 
     Checks that the reported carrier weight is the true minimum over all
     spanning trees (exhaustively, up to ``AUDIT_EXHAUSTIVE_LIMIT`` vertices),
-    that leader digit-paths are pairwise prefix-free, and that every route
-    walks MST edges from the root to its leader's vertex.
+    that no leader digit-path is a prefix of another (by
+    :func:`prefix_violations`), and that every route walks MST edges from
+    the root to its leader's vertex.
     """
     # exhaustive weight check, skipped above the enumeration budget
     weight_ok: bool | None = None
@@ -291,13 +295,7 @@ def plan_cost_audit(plan: MulticastPlan, g: WeightedGraph) -> PlanAudit:
                 best = w
         weight_ok = abs(plan.mst_weight - best) <= 1e-9
 
-    digit_paths = list(plan.leader_digits.values())
-    prefix_free = True
-    for i, a in enumerate(digit_paths):
-        for b in digit_paths[i + 1 :]:
-            k = min(len(a), len(b))
-            if a[:k] == b[:k]:
-                prefix_free = False
+    prefix_free = not prefix_violations(list(plan.leader_digits.values()))
 
     mst = minimum_spanning_tree(g)
     tree_pairs = {(u, v) for u, v, _ in mst.edges}

@@ -5,16 +5,19 @@ prefix-free code exactly when the Kraft sum ``sum(D**-n_i)`` is at most 1.
 This module computes that sum (directly and in closed form for consecutive
 and arithmetic-progression length sets), builds optimal D-ary Huffman codes
 from a probability mass function, and materializes codewords canonically so
-that equal inputs always produce byte-identical codes.
+that equal inputs always produce byte-identical codes. Kraft verdicts are
+decided in integer arithmetic; the float sum is for display and for the
+closed forms. Prefix-freeness is checked in one place,
+:func:`prefix_violations`, by a single scan over the sorted paths.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 
-KRAFT_TOL = 1e-12
 PMF_TOL = 1e-9
 
 
@@ -35,8 +38,8 @@ class ProbabilityMassFunction:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("probability mass function must have at least one entry")
-        labels = [label for label, _ in self.entries]
-        if len(set(labels)) != len(labels):
+        index = dict(self.entries)
+        if len(index) != len(self.entries):
             raise ValueError("duplicate labels in probability mass function")
         for label, p in self.entries:
             if not (p >= 0.0):
@@ -44,6 +47,7 @@ class ProbabilityMassFunction:
         total = math.fsum(p for _, p in self.entries)
         if abs(total - 1.0) > PMF_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_pairs(cls, pairs) -> "ProbabilityMassFunction":
@@ -57,10 +61,7 @@ class ProbabilityMassFunction:
         return tuple(label for label, _ in self.entries)
 
     def probability(self, label: str) -> float:
-        for lab, p in self.entries:
-            if lab == label:
-                return p
-        raise KeyError(label)
+        return self._index[label]
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.entries)
@@ -112,9 +113,9 @@ class Codeword:
 class PrefixCode:
     """A prefix-free assignment of codewords to labels.
 
-    Construction validates digit range, pairwise prefix-freeness, and the
-    Kraft inequality, so a ``PrefixCode`` value is a certificate that the
-    assignment is actually decodable.
+    Construction validates digit range, prefix-freeness (by
+    :func:`prefix_violations`), and the Kraft inequality, so a ``PrefixCode``
+    value is a certificate that the assignment is actually decodable.
     """
 
     alphabet_size: int
@@ -129,12 +130,15 @@ class PrefixCode:
             for d in word.digits:
                 if not (0 <= d < self.alphabet_size):
                     raise ValueError(f"digit {d} out of range for D={self.alphabet_size} in {label!r}")
-        words = list(self.assignments.items())
-        for i, (la, wa) in enumerate(words):
-            for lb, wb in words[i + 1 :]:
-                if wa.is_prefix_of(wb) or wb.is_prefix_of(wa):
-                    raise ValueError(f"codewords for {la!r} and {lb!r} are not prefix-free")
-        if kraft_sum(self.length_set()) > 1.0 + KRAFT_TOL:
+        clashes = prefix_violations([word.digits for word in self.assignments.values()])
+        if clashes:
+            # name the first clashing pair in assignment order
+            i, j = min((min(pair), max(pair)) for pair in clashes)
+            labels = list(self.assignments)
+            raise ValueError(
+                f"codewords for {labels[i]!r} and {labels[j]!r} are not prefix-free"
+            )
+        if not satisfies_kraft(self.length_set()):
             raise KraftViolation("prefix code violates the Kraft inequality")
 
     def lengths(self) -> dict[str, int]:
@@ -146,15 +150,62 @@ class PrefixCode:
         )
 
 
+def prefix_violations(paths) -> list[tuple[int, int]]:
+    """Every index pair (i, j), i != j, where ``paths[i]`` is a prefix of ``paths[j]``.
+
+    Paths are digit tuples; equal paths violate in both directions. Sorted
+    lexicographically, every extension of a path forms one contiguous block
+    right after it, so a single scan with a stack holding the current chain
+    of nested prefixes finds every pair in O(M log M + violations). Pairs
+    are returned in increasing order.
+    """
+    found = []
+    chain: list[int] = []  # indices of nested prefixes, shortest first
+    for j in sorted(range(len(paths)), key=paths.__getitem__):
+        path = paths[j]
+        while chain and path[: len(paths[chain[-1]])] != paths[chain[-1]]:
+            chain.pop()
+        for i in chain:
+            found.append((i, j))
+            if len(paths[i]) == len(path):
+                found.append((j, i))
+        chain.append(j)
+    found.sort()
+    return found
+
+
 def kraft_sum(lengths: CodeLengthSet) -> float:
-    """Sum of D**-n over the length set."""
+    """Sum of D**-n over the length set, as a float for display."""
     d = lengths.alphabet_size
     return math.fsum(d ** -n for n in lengths.lengths)
 
 
 def satisfies_kraft(lengths: CodeLengthSet) -> bool:
-    """True when the Kraft sum is at most 1 (tolerance ``KRAFT_TOL``)."""
-    return kraft_sum(lengths) <= 1.0 + KRAFT_TOL
+    """Exact Kraft verdict: sum(D**(L-n_i)) <= D**L, with L the largest length.
+
+    Decided without floats by walking the D-ary tree level by level and
+    counting the nodes still free at the current depth, which is
+    D**n * (1 - partial Kraft sum). The inequality holds exactly when that
+    count never goes negative. Once it covers every codeword still to place
+    it can no longer fail, so the integers stay below D times the number of
+    codewords.
+    """
+    d = lengths.alphabet_size
+    remaining = len(lengths)
+    free, depth = 1, 0
+    for n, count in sorted(Counter(lengths.lengths).items()):
+        if free == 0:
+            return False
+        while depth < n and free < remaining:
+            free *= d
+            depth += 1
+        if free >= remaining:
+            return True
+        free -= count
+        remaining -= count
+        if free < 0:
+            return False
+    return True
 
 
 def consecutive_lengths_sum(n1: int, m: int, d: int) -> float:
@@ -176,11 +227,11 @@ def arithmetic_progression_satisfies_kraft(
     """Kraft sum and predicate for lengths in arithmetic progression.
 
     The lengths are ``n1, n1+step, ..., n1+(M-1)*step``. Returns the
-    geometric-series value of the sum and whether it is at most 1. The
-    predicate is reported rather than asserted; for n1 >= 1 and D >= 2 the
-    sum is bounded by ``D**-n1 / (1 - D**-step) <= 1``, so increasing
-    progressions always satisfy the inequality, which the test suite probes
-    empirically.
+    geometric-series value of the sum and the exact verdict of
+    :func:`satisfies_kraft` on the lengths. The predicate is reported
+    rather than asserted; for n1 >= 1 and D >= 2 the sum is bounded by
+    ``D**-n1 / (1 - D**-step) <= 1``, so increasing progressions always
+    satisfy the inequality, which the test suite probes empirically.
     """
     if n1 < 1 or m < 1 or step < 1:
         raise ValueError("n1, step and M must be >= 1")
@@ -188,7 +239,8 @@ def arithmetic_progression_satisfies_kraft(
         raise ValueError("alphabet size must be >= 2")
     ratio = d ** float(-step)
     total = d ** -n1 * (1.0 - ratio**m) / (1.0 - ratio)
-    return total, total <= 1.0 + KRAFT_TOL
+    lengths = CodeLengthSet(tuple(n1 + k * step for k in range(m)), d)
+    return total, satisfies_kraft(lengths)
 
 
 def kraft_alphabet_monotonicity(lengths: CodeLengthSet, d_prime: int) -> bool:
@@ -227,9 +279,9 @@ def code_from_lengths(
     the length grows. Raises :class:`KraftViolation` when no prefix code
     exists.
     """
-    if kraft_sum(lengths) > 1.0 + KRAFT_TOL:
+    if not satisfies_kraft(lengths):
         raise KraftViolation(
-            f"Kraft sum {kraft_sum(lengths)!r} exceeds 1; no prefix code exists"
+            f"Kraft sum exceeds 1 (about {kraft_sum(lengths)!r}); no prefix code exists"
         )
     if labels is None:
         labels = tuple(str(i) for i in range(len(lengths)))

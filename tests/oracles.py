@@ -52,6 +52,19 @@ def is_prefix_free(words):
     return True
 
 
+def prefix_pairs(paths):
+    """Every (i, j), i != j, with paths[i] a prefix of paths[j], by nested loops.
+
+    Equal paths appear in both directions; pairs come in (i, j) order.
+    """
+    pairs = []
+    for i, a in enumerate(paths):
+        for j, b in enumerate(paths):
+            if i != j and len(a) <= len(b) and b[: len(a)] == a:
+                pairs.append((i, j))
+    return pairs
+
+
 def fuse_marzullo_reference(intervals, f):
     """Intersections of every (n-f)-subset, unioned by brute force.
 

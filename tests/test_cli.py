@@ -182,6 +182,17 @@ def test_kraft_lengths_file_from_stdin_records_digest():
     assert "sum 1\n" in out.stdout
 
 
+@pytest.mark.parametrize("lengths", ["1,1,45", "1,1,60"])
+def test_kraft_verdict_is_exact_just_above_one(lengths):
+    code, out, _ = cli("kraft", "--lengths", lengths)
+    assert code == 0
+    assert "sum 1\n" in out  # the displayed float rounds to 1
+    assert out.endswith("satisfied false\nVIOLATED\n")
+    code, _, err = cli("code-from-lengths", "--lengths", lengths)
+    assert code == VALIDATION_EXIT
+    assert "Kraft" in err
+
+
 # --------------------------------------------------------------- huffman
 
 

@@ -71,6 +71,29 @@ def test_weighted_graph_rejects_bad_weights():
         WeightedGraph((1, 2), ((1, 2, float("inf")),))
 
 
+def test_keyed_lookups_and_value_semantics():
+    g = WeightedGraph(("a", "b", 3), (("b", "a", 2.5), (3, "a", 1.0)))
+    assert g.weight_of("a", "b") == g.weight_of("b", "a") == 2.5
+    assert g.weight_of("a", 3) == 1.0
+    with pytest.raises(KeyError):
+        g.weight_of("b", 3)
+    twin = WeightedGraph(("a", "b", 3), (("a", "b", 2.5), ("a", 3, 1.0)))
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert "_weight" not in repr(g)
+
+    bare = g.graph()
+    assert bare.has_edge("b", "a") and bare.has_edge(3, "a")
+    assert not bare.has_edge("b", 3)
+    assert bare == twin.graph() and "_edge_set" not in repr(bare)
+
+    colors = VertexColoring.from_dict({"a": "red", 3: "blue"})
+    assert colors.color_of(3) == "blue"
+    with pytest.raises(KeyError):
+        colors.color_of("b")
+    with pytest.raises(ValueError):
+        VertexColoring((("a", "red"), ("a", "blue")))
+
+
 def test_digraph_allows_antiparallel_arcs():
     g = DiGraph((1, 2), ((1, 2), (2, 1)))
     assert len(g.arcs) == 2

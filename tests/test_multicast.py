@@ -60,6 +60,15 @@ def test_embed_star_prunes_heaviest_children():
     assert emb.vertex_at[(0,)] == "p" and emb.vertex_at[(1,)] == "q"
 
 
+def test_path_of_inverts_vertex_at():
+    emb = embed_dary_tree(BALANCED, 0, 2)
+    for path, v in emb.vertex_at.items():
+        assert emb.path_of(v) == path
+    star = WeightedGraph(("h", "p", "q", "r"), (("h", "p", 1.0), ("h", "q", 2.0), ("h", "r", 3.0)))
+    with pytest.raises(KeyError):
+        embed_dary_tree(star, "h", 2).path_of("r")  # pruned: no address
+
+
 def test_embed_balanced_binary_is_identity():
     emb = embed_dary_tree(BALANCED, 0, 2)
     assert emb.pruned == ()

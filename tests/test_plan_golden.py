@@ -1,0 +1,75 @@
+"""Byte-level pins of ``plan-multicast --audit --json`` output.
+
+The digests were recorded from the all-pairs implementation of the prefix
+checks and the linear-scan edge-weight lookup. Any change to how plans are
+built or audited must reproduce the same stdout, byte for byte. Inputs are
+named by relative paths so the manifest's flags line does not depend on
+where the suite runs.
+"""
+
+import hashlib
+import io
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from prefixcast.cli import run
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+DEMO_SHA256 = "9f3b64c9a0818b6a6557daec4f4045101d1c62723fe465b6a647645fdff33a96"
+SEEDED_SHA256 = "9e1758a40b1185e4be11919e3a86e72c14667c1589c5d710dca1c9c5f6bfba15"
+
+
+def _stdout_sha256(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code == 0, err.getvalue()
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def _write_seeded_inputs(directory, seed=2011, depth=9, extra=2000, leaders=250):
+    """Complete binary carrier of 2**(depth+1)-1 vertices plus heavier chords.
+
+    Carrier edges weigh 1..9 and every other edge 10..99, so the carrier is
+    the unique minimum spanning tree and the Huffman code for ``leaders``
+    near-uniform importances fits it at D=2.
+    """
+    rng = random.Random(seed)
+    n = 2 ** (depth + 1) - 1
+    pairs = {((v - 1) // 2, v) for v in range(1, n)}
+    lines = [f"v{u} v{v} {rng.randint(1, 9)}" for u, v in sorted(pairs)]
+    while len(lines) < n - 1 + extra:
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in pairs:
+            pairs.add((u, v))
+            lines.append(f"v{u} v{v} {rng.randint(10, 99)}")
+    (directory / "seeded.edges").write_text("\n".join(lines) + "\n")
+
+    raw = [rng.randint(90, 110) for _ in range(leaders)]
+    total = sum(raw)
+    probs = [r / total for r in raw]
+    probs[-1] = 1.0 - sum(probs[:-1])
+    (directory / "seeded.pmf").write_text(
+        "".join(f"L{i} {p!r}\n" for i, p in enumerate(probs))
+    )
+
+
+def test_demo_plan_audit_json_is_byte_stable(monkeypatch):
+    monkeypatch.chdir(DEMO_DATA)
+    argv = [
+        "plan-multicast", "--graph", "network.edges", "--pmf", "importance.pmf",
+        "--root", "gw", "--audit", "--json",
+    ]
+    assert _stdout_sha256(argv) == DEMO_SHA256
+
+
+def test_seeded_thousand_vertex_plan_audit_json_is_byte_stable(tmp_path, monkeypatch):
+    _write_seeded_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = [
+        "plan-multicast", "--graph", "seeded.edges", "--pmf", "seeded.pmf",
+        "--root", "v0", "--audit", "--json",
+    ]
+    assert _stdout_sha256(argv) == SEEDED_SHA256

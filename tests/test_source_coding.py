@@ -22,7 +22,7 @@ from prefixcast.source_coding import (
     shannon_entropy,
 )
 
-from oracles import is_prefix_free, optimal_expected_length
+from oracles import is_prefix_free, kraft_holds_exact, optimal_expected_length
 
 
 def words_as_strings(code):
@@ -43,6 +43,24 @@ def test_kraft_sum_saturated_and_violated():
     assert satisfies_kraft(CodeLengthSet((1, 1), 2))
     assert kraft_sum(CodeLengthSet((1, 1, 1), 2)) == pytest.approx(1.5)
     assert not satisfies_kraft(CodeLengthSet((1, 1, 1), 2))
+
+
+@pytest.mark.parametrize("lengths", [(1, 1, 45), (1, 1, 60)])
+def test_kraft_sum_just_above_one_is_violated(lengths):
+    # 1 + 2**-45 is within 1e-12 of 1, and 1 + 2**-60 rounds to 1.0
+    length_set = CodeLengthSet(lengths, 2)
+    assert not satisfies_kraft(length_set)
+    with pytest.raises(KraftViolation):
+        code_from_lengths(length_set)
+
+
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=40),
+    d=st.integers(min_value=2, max_value=4),
+)
+@settings(max_examples=300)
+def test_satisfies_kraft_matches_integer_oracle(lengths, d):
+    assert satisfies_kraft(CodeLengthSet(tuple(lengths), d)) == kraft_holds_exact(lengths, d)
 
 
 def test_consecutive_closed_form_matches_direct_sum():
