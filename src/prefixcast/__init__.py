@@ -91,6 +91,7 @@ from .gossip import (
     assign_levels,
     assign_sectors,
     simulate_gossip,
+    summarize_trials,
     sweep_levels,
     trial_outcomes,
 )
@@ -179,6 +180,7 @@ __all__ = [
     "assign_levels",
     "assign_sectors",
     "simulate_gossip",
+    "summarize_trials",
     "sweep_levels",
     "trial_outcomes",
     # fusion

@@ -48,7 +48,7 @@ from .gossip import (
     GossipConfig,
     assign_levels,
     assign_sectors,
-    simulate_gossip,
+    summarize_trials,
     trial_outcomes,
 )
 from .graphs import (
@@ -545,6 +545,8 @@ def cmd_gossip(args, argv, inputs):
         source = min(
             (v for v in g.vertices if net.level[v] == deepest), key=_vkey
         )
+    # validates the source before the report looks up its level
+    outcomes = trial_outcomes(net, cfg, source)
     rep = Report("gossip", argv, inputs, seed=cfg.seed)
     rep.field("base_station", args.bs)
     rep.field("source", source)
@@ -556,28 +558,23 @@ def cmd_gossip(args, argv, inputs):
         rep.field("allow_nonmonotone", True)
     if args.trial_log:
         log = []
-        delivered = total_tx = total_hops = 0
-        for t, (ok, tx, hops) in enumerate(trial_outcomes(net, cfg, source)):
-            log.append(
-                {"trial": t, "delivered": ok, "transmissions": tx, "hops": hops}
-            )
-            rep.row(f"trial {t} {'1' if ok else '0'} {tx} {hops if ok else '-'}")
-            total_tx += tx
-            if ok:
-                delivered += 1
-                total_hops += hops
+
+        def logged():
+            for t, (ok, tx, hops) in enumerate(outcomes):
+                log.append(
+                    {"trial": t, "delivered": ok, "transmissions": tx, "hops": hops}
+                )
+                rep.row(f"trial {t} {'1' if ok else '0'} {tx} {hops if ok else '-'}")
+                yield ok, tx, hops
+
+        result = summarize_trials(cfg, logged())
         rep.result["trial_log"] = log
-        res_delivered, res_ratio = delivered, delivered / cfg.trials
-        res_tx = total_tx / cfg.trials
-        res_hops = total_hops / delivered if delivered else 0.0
     else:
-        result = simulate_gossip(net, cfg, source)
-        res_delivered, res_ratio = result.delivered, result.delivery_ratio
-        res_tx, res_hops = result.mean_transmissions, result.mean_hops
-    rep.field("delivered", res_delivered)
-    rep.field("delivery_ratio", res_ratio)
-    rep.field("mean_transmissions", res_tx)
-    rep.field("mean_hops", res_hops)
+        result = summarize_trials(cfg, outcomes)
+    rep.field("delivered", result.delivered)
+    rep.field("delivery_ratio", result.delivery_ratio)
+    rep.field("mean_transmissions", result.mean_transmissions)
+    rep.field("mean_hops", result.mean_hops)
     return rep
 
 

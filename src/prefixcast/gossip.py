@@ -14,15 +14,22 @@ Two simulations with the same seed therefore share randomness decision by
 decision, which makes per-seed comparisons across parameter values exact
 couplings rather than noisy re-rolls, and results reproduce bit-for-bit on
 any platform.
+
+Because a draw is a pure function of its key, a trial can be evaluated in
+any order. The simulator runs it level by level: the nodes that fire at
+level j decide which nodes at level j-1 accept the message, and those gate
+themselves. The first three stages of the chain depend only on (seed),
+(seed, trial) and (seed, trial, kind), so they are computed once per run and
+once per trial, and each decision costs one splitmix64 stage; the values
+drawn are exactly those of :func:`_draw`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, _vkey, is_connected
+from .graphs import Graph, _vkey
 
 _MASK64 = (1 << 64) - 1
 _GATE = 0
@@ -115,8 +122,10 @@ class SimResult:
     """Aggregates of one simulation run.
 
     ``mean_hops`` averages the hop count of the first delivery over the
-    delivered trials only; it is 0.0 when nothing was delivered (a real
-    delivery always takes at least one hop).
+    delivered trials only; it is 0.0 when nothing was delivered. A node
+    accepts only from one level up and relays only one level down, so every
+    delivery takes exactly ``level(source)`` hops, and ``mean_hops`` equals
+    ``level(source)`` whenever anything is delivered.
     """
 
     trials: int
@@ -130,8 +139,6 @@ class SimResult:
 def _bfs_levels(g: Graph, base_station) -> dict:
     if base_station not in g.vertices:
         raise ValueError(f"base station {base_station!r} is not a vertex")
-    if not is_connected(g):
-        raise ValueError("graph is disconnected; leveling undefined")
     adj = g.adjacency()
     level = {base_station: 0}
     frontier = [base_station]
@@ -145,6 +152,8 @@ def _bfs_levels(g: Graph, base_station) -> dict:
                     level[v] = d
                     nxt.append(v)
         frontier = nxt
+    if len(level) < len(g.vertices):
+        raise ValueError("graph is disconnected; leveling undefined")
     return level
 
 
@@ -181,58 +190,83 @@ def assign_sectors(positions: dict, base_station, k: int) -> dict:
 
 
 def _prepare(net: LeveledNetwork):
+    """Per-vertex level, degree and downhill links, indexed by position.
+
+    ``downhill[i]`` lists ``(link index, receiver position)`` for each
+    strictly-lower-level neighbor of vertex i, in ``_vkey`` order, where the
+    link index is the draw index ``i * n + receiver position``.
+    """
     verts = net.graph.vertices
+    n = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
     adj = net.graph.adjacency()
-    neighbors = {v: sorted(adj[v], key=_vkey) for v in verts}
-    downhill = {
-        v: [w for w in neighbors[v] if net.level[w] < net.level[v]] for v in verts
-    }
-    return pos, neighbors, downhill
+    level = [net.level[v] for v in verts]
+    degree = [len(adj[v]) for v in verts]
+    downhill = []
+    for i, v in enumerate(verts):
+        lower = sorted((w for w in adj[v] if net.level[w] < level[i]), key=_vkey)
+        downhill.append([(i * n + pos[w], pos[w]) for w in lower])
+    return pos, level, degree, downhill
 
 
-def _run_trial(net, cfg, source, pos, neighbors, downhill, trial):
-    n = len(net.graph.vertices)
-    probs = cfg.level_probabilities
-    bs = net.base_station
-    ok_p = 1.0 - cfg.q
+def _run_trial(level, degree, downhill, probs, ok_p, source, root, trial):
+    """One trial from the vertex at position ``source``, evaluated by level.
 
-    if source == bs:
+    ``root`` is ``_splitmix64(seed)``; the trial's gate and link keys are
+    derived from it here, so each decision below is one splitmix64 stage on
+    ``key + index`` and reads the same value as ``_draw``.
+
+    The source fires with its level's probability and then costs one
+    transmission per incident link. At each level below it, a node accepts
+    when some fired node one level up reaches it over a surviving link; a
+    link to a node already accepted still costs a transmission but needs no
+    draw. Each accepted node then draws its gate, and each node that fires
+    costs one transmission per downhill link. The base station is a sink: a
+    trial delivers when it accepts, after ``level(source)`` hops.
+    """
+    top = level[source]
+    if top == 0:
         return True, 0, 0
+    chain = _splitmix64((root + trial) & _MASK64)
+    gate_key = _splitmix64((chain + _GATE) & _MASK64)
+    link_key = _splitmix64((chain + _LINK) & _MASK64)
 
-    transmissions = 0
-    if _draw(cfg.seed, trial, _GATE, pos[source]) >= probs[net.level[source] - 1]:
+    if _splitmix64((gate_key + source) & _MASK64) / 2.0**64 >= probs[top - 1]:
         return False, 0, None
-
-    hop_of = {source: 0}
-    delivered_hops = None
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        # the detecting node broadcasts on every link; relays aim downhill
-        targets = neighbors[u] if u == source else downhill[u]
-        for v in targets:
-            transmissions += 1
-            if _draw(cfg.seed, trial, _LINK, pos[u] * n + pos[v]) >= ok_p:
-                continue
-            if net.level[v] >= net.level[u] or v in hop_of:
-                continue
-            hop_of[v] = hop_of[u] + 1
-            if v == bs:
-                if delivered_hops is None:
-                    delivered_hops = hop_of[v]
-                continue
-            if _draw(cfg.seed, trial, _GATE, pos[v]) < probs[net.level[v] - 1]:
-                queue.append(v)
-    return delivered_hops is not None, transmissions, delivered_hops
+    # the detecting node broadcasts on every link; relays aim downhill
+    transmissions = degree[source] - len(downhill[source])
+    fired = [source]
+    for lv in range(top - 1, -1, -1):
+        accepted = set()
+        for u in fired:
+            links = downhill[u]
+            transmissions += len(links)
+            for link, v in links:
+                if v in accepted:
+                    continue
+                if _splitmix64((link_key + link) & _MASK64) / 2.0**64 < ok_p:
+                    accepted.add(v)
+        if lv == 0:
+            if accepted:
+                return True, transmissions, top
+            return False, transmissions, None
+        p = probs[lv - 1]
+        fired = [
+            v for v in accepted
+            if _splitmix64((gate_key + v) & _MASK64) / 2.0**64 < p
+        ]
+        if not fired:
+            return False, transmissions, None
 
 
 def trial_outcomes(net: LeveledNetwork, cfg: GossipConfig, event_source):
-    """Yield (delivered, transmissions, hops) for each trial in order.
+    """Return an iterator of (delivered, transmissions, hops), one per trial.
 
-    ``hops`` is None on undelivered trials. Trials depend only on their own
-    keyed draws, so consuming this lazily, partially, or in parallel batches
-    cannot change any outcome.
+    The arguments are checked when this is called, before any trial runs.
+    ``hops`` is None on undelivered trials and ``level(event_source)`` on
+    delivered ones. Trials depend only on their own keyed draws, so
+    consuming this lazily, partially, or in parallel batches cannot change
+    any outcome.
     """
     if event_source not in net.graph.vertices:
         raise ValueError(f"event source {event_source!r} is not a vertex")
@@ -241,9 +275,35 @@ def trial_outcomes(net: LeveledNetwork, cfg: GossipConfig, event_source):
             f"network has levels up to {net.max_level()} but only "
             f"{len(cfg.level_probabilities)} level probabilities were given"
         )
-    pos, neighbors, downhill = _prepare(net)
-    for t in range(cfg.trials):
-        yield _run_trial(net, cfg, event_source, pos, neighbors, downhill, t)
+    pos, level, degree, downhill = _prepare(net)
+    probs = cfg.level_probabilities
+    ok_p = 1.0 - cfg.q
+    source = pos[event_source]
+    root = _splitmix64(cfg.seed & _MASK64)
+    return (
+        _run_trial(level, degree, downhill, probs, ok_p, source, root, t)
+        for t in range(cfg.trials)
+    )
+
+
+def summarize_trials(cfg: GossipConfig, outcomes) -> SimResult:
+    """Fold the per-trial outcomes of one run into its SimResult."""
+    delivered = 0
+    total_tx = 0
+    total_hops = 0
+    for ok, tx, hops in outcomes:
+        total_tx += tx
+        if ok:
+            delivered += 1
+            total_hops += hops
+    return SimResult(
+        trials=cfg.trials,
+        delivered=delivered,
+        delivery_ratio=delivered / cfg.trials,
+        mean_transmissions=total_tx / cfg.trials,
+        mean_hops=total_hops / delivered if delivered else 0.0,
+        seed=cfg.seed,
+    )
 
 
 def simulate_gossip(net: LeveledNetwork, cfg: GossipConfig, event_source) -> SimResult:
@@ -257,22 +317,7 @@ def simulate_gossip(net: LeveledNetwork, cfg: GossipConfig, event_source) -> Sim
     strictly-lower-level neighbors. The base station is a pure sink. A trial
     delivers when the base station accepts.
     """
-    delivered = 0
-    total_tx = 0
-    total_hops = 0
-    for ok, tx, hops in trial_outcomes(net, cfg, event_source):
-        total_tx += tx
-        if ok:
-            delivered += 1
-            total_hops += hops
-    return SimResult(
-        trials=cfg.trials,
-        delivered=delivered,
-        delivery_ratio=delivered / cfg.trials,
-        mean_transmissions=total_tx / cfg.trials,
-        mean_hops=total_hops / delivered if delivered else 0.0,
-        seed=cfg.seed,
-    )
+    return summarize_trials(cfg, trial_outcomes(net, cfg, event_source))
 
 
 def _override(base: GossipConfig, point: dict) -> GossipConfig:

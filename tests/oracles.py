@@ -9,6 +9,7 @@ disagree with.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, combinations_with_replacement
 
 
@@ -208,3 +209,84 @@ def best_realizable_depth(available_paths, probs):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def _splitmix64(x):
+    mask = (1 << 64) - 1
+    z = (x + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def gossip_draw(seed, trial, kind, index):
+    """The documented four-stage draw chain keyed by (seed, trial, kind, index)."""
+    mask = (1 << 64) - 1
+    z = _splitmix64(seed & mask)
+    for part in (trial, kind, index):
+        z = _splitmix64((z + part) & mask)
+    return z / 2.0**64
+
+
+def gossip_trials_queue(
+    vertices, edges, base_station, level_probs, q, seed, trials, source
+):
+    """Per-trial (delivered, transmissions, hops) by a FIFO queue walk.
+
+    Levels come from ``shortest_hops``. Within a trial the source gates
+    itself and broadcasts on every link; every accepted relay gates itself
+    and sends to its lower-level neighbors. A node accepts only from a
+    strictly higher level and only once, its hop count one more than its
+    sender's. Neighbors are visited ints first, then strings; a gate reads
+    draw (seed, trial, 0, position) and a link u->v draw (seed, trial, 1,
+    pos(u) * n + pos(v)), positions being indices into ``vertices``.
+    """
+    n = len(vertices)
+    pos = {v: i for i, v in enumerate(vertices)}
+    level = shortest_hops(vertices, edges, base_station)
+    adj = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def order(v):
+        if isinstance(v, int) and not isinstance(v, bool):
+            return (0, v, "")
+        return (1, 0, str(v))
+
+    for v in vertices:
+        adj[v].sort(key=order)
+
+    def gate(trial, v):
+        return gossip_draw(seed, trial, 0, pos[v]) < level_probs[level[v] - 1]
+
+    results = []
+    for trial in range(trials):
+        if source == base_station:
+            results.append((True, 0, 0))
+            continue
+        if not gate(trial, source):
+            results.append((False, 0, None))
+            continue
+        transmissions = 0
+        hop_of = {source: 0}
+        delivered_hops = None
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if u != source and level[v] >= level[u]:
+                    continue
+                transmissions += 1
+                if gossip_draw(seed, trial, 1, pos[u] * n + pos[v]) >= 1.0 - q:
+                    continue
+                if level[v] >= level[u] or v in hop_of:
+                    continue
+                hop_of[v] = hop_of[u] + 1
+                if v == base_station:
+                    if delivered_hops is None:
+                        delivered_hops = hop_of[v]
+                elif gate(trial, v):
+                    queue.append(v)
+        results.append((delivered_hops is not None, transmissions, delivered_hops))
+    return results
