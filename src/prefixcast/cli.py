@@ -476,12 +476,7 @@ def cmd_plan_multicast(args, argv, inputs):
     rep.result["leaders"] = table
     if args.audit:
         audit = plan_cost_audit(plan, g)
-        minimal = audit.mst_weight_minimal
-        rep.result["audit_mst_weight_minimal"] = minimal
-        rep.row(
-            "audit_mst_weight_minimal "
-            + ("skipped" if minimal is None else ("true" if minimal else "false"))
-        )
+        rep.field("audit_mst_weight_minimal", audit.mst_weight_minimal)
         rep.field("audit_prefix_free", audit.prefix_free)
         rep.field("audit_routes_follow_tree", audit.routes_follow_tree)
         rep.field("audit_ok", audit.ok)
@@ -728,7 +723,7 @@ def run(argv=None) -> int:
     inputs = Inputs()
     try:
         rep = args.handler(args, argv, inputs)
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, OverflowError) as err:
         msg = str(err) if str(err) else err.__class__.__name__
         print(f"prefixcast {args.command}: {msg}", file=sys.stderr)
         return VALIDATION_EXIT

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, _vkey
+from .graphs import Graph, _hop_levels, _vkey
 
 _MASK64 = (1 << 64) - 1
 _GATE = 0
@@ -139,19 +139,7 @@ class SimResult:
 def _bfs_levels(g: Graph, base_station) -> dict:
     if base_station not in g.vertices:
         raise ValueError(f"base station {base_station!r} is not a vertex")
-    adj = g.adjacency()
-    level = {base_station: 0}
-    frontier = [base_station]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in level:
-                    level[v] = d
-                    nxt.append(v)
-        frontier = nxt
+    level = _hop_levels(g, base_station)
     if len(level) < len(g.vertices):
         raise ValueError("graph is disconnected; leveling undefined")
     return level

@@ -18,7 +18,6 @@ from functools import cached_property
 from .source_coding import ProbabilityMassFunction, shannon_entropy
 
 ENUMERATION_GUARD = 9
-_WEIGHT_TIE_TOL = 1e-9
 
 
 class InfiniteDivergence(ValueError):
@@ -319,21 +318,26 @@ def is_regular(g: Graph):
 # ---------------------------------------------------------- spanning trees
 
 
-def is_connected(g: Graph) -> bool:
-    if not g.vertices:
-        return True
+def _hop_levels(g: Graph, source) -> dict:
+    """Hop distance from ``source`` to every vertex it reaches, by BFS."""
     adj = g.adjacency()
-    seen = {g.vertices[0]}
-    frontier = [g.vertices[0]]
+    level = {source: 0}
+    frontier = [source]
+    d = 0
     while frontier:
+        d += 1
         nxt = []
         for u in frontier:
             for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
+                if v not in level:
+                    level[v] = d
                     nxt.append(v)
         frontier = nxt
-    return len(seen) == len(g.vertices)
+    return level
+
+
+def is_connected(g: Graph) -> bool:
+    return not g.vertices or len(_hop_levels(g, g.vertices[0])) == len(g.vertices)
 
 
 def _find(parent: list, x: int) -> int:
@@ -341,6 +345,31 @@ def _find(parent: list, x: int) -> int:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def _is_mst(g: WeightedGraph, carrier) -> bool:
+    """True when ``carrier`` (u, v, w edges) is a minimum spanning tree of g.
+
+    Kruskal's scan over the edges of g by weight, carrier edges first on
+    ties: every carrier edge must join two components and every other edge
+    must find its endpoints already joined. The second condition is the
+    cycle property (no edge is lighter than the heaviest carrier edge on
+    the path it closes), so the verdict is exact, in O(E log E).
+    """
+    tree = {(*_canonical_pair(u, v), w) for u, v, w in carrier}
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    parent = list(range(len(g.vertices)))
+    joined = 0
+    for e in sorted(g.edges, key=lambda e: (e[2], e not in tree)):
+        ru, rv = _find(parent, idx[e[0]]), _find(parent, idx[e[1]])
+        joins = ru != rv
+        if joins != (e in tree):
+            return False
+        if joins:
+            parent[ru] = rv
+            joined += 1
+    # joined == len(tree) only if every carrier edge is an edge of g
+    return len(carrier) == len(tree) == joined == len(g.vertices) - 1
 
 
 def _int_determinant(m: list) -> int:
@@ -494,7 +523,7 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     best = min(weights)
     lo = hi = None
     for t, w in zip(trees, weights):
-        if w > best + _WEIGHT_TIE_TOL:
+        if w != best:
             continue
         h = graph_entropy(t)
         if lo is None or h < lo:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import WeightedGraph, _vkey, enumerate_spanning_trees, minimum_spanning_tree
+from .graphs import WeightedGraph, _is_mst, _vkey, is_connected, minimum_spanning_tree
 from .hierarchy import DaryTree, LeaderAssignment, SecurityReport, verify_secure
 from .source_coding import (
     CodeLengthSet,
@@ -29,8 +29,6 @@ from .source_coding import (
     kraft_sum,
     prefix_violations,
 )
-
-AUDIT_EXHAUSTIVE_LIMIT = 8
 
 
 class CapacityExceeded(ValueError):
@@ -81,6 +79,7 @@ class MulticastPlan:
     leader_digits: dict    # label -> digit path in the embedded tree
     leader_route: dict     # label -> vertex sequence from root
     importance: ProbabilityMassFunction
+    carrier: tuple         # (u, v, w) edges of the minimum spanning tree
     mst_weight: float
     expected_depth: float
     security: SecurityReport
@@ -96,23 +95,20 @@ class MulticastPlan:
 
 @dataclass(frozen=True)
 class PlanAudit:
-    """Outcome of independently re-checking a plan against its graph.
+    """Outcome of checking a plan against its graph.
 
-    ``mst_weight_minimal`` is None when the graph is too large for the
-    exhaustive spanning-tree check; the other checks always run.
+    ``mst_weight_minimal`` holds when the plan's carrier is a minimum
+    spanning tree of the graph, by the cycle-property certificate, and its
+    weights sum exactly to the reported ``mst_weight``.
     """
 
-    mst_weight_minimal: bool | None
+    mst_weight_minimal: bool
     prefix_free: bool
     routes_follow_tree: bool
 
     @property
     def ok(self) -> bool:
-        return (
-            self.mst_weight_minimal is not False
-            and self.prefix_free
-            and self.routes_follow_tree
-        )
+        return self.mst_weight_minimal and self.prefix_free and self.routes_follow_tree
 
 
 def _assert_tree(spanning_tree: WeightedGraph) -> None:
@@ -121,19 +117,8 @@ def _assert_tree(spanning_tree: WeightedGraph) -> None:
         raise ValueError(
             f"not a tree: {len(spanning_tree.edges)} edges on {n} vertices"
         )
-    # n-1 edges + connectivity = tree; walk it
-    adj = spanning_tree.graph().adjacency()
-    seen = {spanning_tree.vertices[0]}
-    frontier = [spanning_tree.vertices[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    if len(seen) != n:
+    # n-1 edges + connectivity = tree
+    if not is_connected(spanning_tree.graph()):
         raise ValueError("not a tree: graph is disconnected")
 
 
@@ -268,6 +253,7 @@ def plan_multicast(
             leader_digits=dict(digits_by_label),
             leader_route=leader_route,
             importance=importance,
+            carrier=mst.edges,
             mst_weight=mst.total_weight(),
             expected_depth=expected,
             security=verify_secure(assignment),
@@ -277,28 +263,22 @@ def plan_multicast(
 
 
 def plan_cost_audit(plan: MulticastPlan, g: WeightedGraph) -> PlanAudit:
-    """Re-verify a plan against the graph it was built from.
+    """Check a plan against the graph it was built from.
 
-    Checks that the reported carrier weight is the true minimum over all
-    spanning trees (exhaustively, up to ``AUDIT_EXHAUSTIVE_LIMIT`` vertices),
-    that no leader digit-path is a prefix of another (by
-    :func:`prefix_violations`), and that every route walks MST edges from
-    the root to its leader's vertex.
+    The plan's carrier edges are its certificate: they must form a minimum
+    spanning tree of ``g`` (checked exactly by the cycle property, at any
+    size) whose weights sum to the reported ``mst_weight``. No leader
+    digit-path may be a prefix of another (by :func:`prefix_violations`),
+    and every route must walk carrier edges from the root to its leader's
+    vertex.
     """
-    # exhaustive weight check, skipped above the enumeration budget
-    weight_ok: bool | None = None
-    if len(g.vertices) <= AUDIT_EXHAUSTIVE_LIMIT:
-        best = None
-        for tree in enumerate_spanning_trees(g.graph()):
-            w = math.fsum(g.weight_of(u, v) for u, v in tree.edges)
-            if best is None or w < best:
-                best = w
-        weight_ok = abs(plan.mst_weight - best) <= 1e-9
+    weight_ok = _is_mst(g, plan.carrier) and (
+        math.fsum(w for _, _, w in plan.carrier) == plan.mst_weight
+    )
 
     prefix_free = not prefix_violations(list(plan.leader_digits.values()))
 
-    mst = minimum_spanning_tree(g)
-    tree_pairs = {(u, v) for u, v, _ in mst.edges}
+    tree_pairs = {(u, v) for u, v, _ in plan.carrier}
     routes_ok = True
     for label, route in plan.leader_route.items():
         if route[0] != plan.root or route[-1] != plan.leader_vertex[label]:

@@ -309,13 +309,15 @@ def huffman_lengths(pmf: ProbabilityMassFunction, d: int = 2) -> dict[str, int]:
     Merge ties prefer the node created earliest, so results are reproducible.
     For D > 2 the symbol list is padded with zero-probability dummies until
     the count is congruent to 1 modulo D-1; dummies never appear in the
-    result. A single symbol gets length 1 by convention.
+    result. A single symbol gets length 1 by convention, and so does every
+    symbol when there are at most D of them (one merge takes them all), so
+    the padding stays smaller than the symbol count.
     """
     if d < 2:
         raise ValueError(f"alphabet size must be >= 2, got {d}")
     labels = pmf.labels()
-    if len(labels) == 1:
-        return {labels[0]: 1}
+    if len(labels) <= d:
+        return {label: 1 for label in labels}
 
     # heap entries: (probability, creation order); creation order breaks ties
     heap: list[tuple[float, int]] = []

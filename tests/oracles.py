@@ -142,6 +142,27 @@ def min_spanning_weight(vertices, edges):
     return best
 
 
+def prim_min_spanning_weight(vertices, edges):
+    """Minimum spanning tree weight by Prim's algorithm, grown from the first vertex.
+
+    Each step scans every edge for the lightest one leaving the grown set;
+    no heap, no union-find. Returns None when the graph is disconnected.
+    """
+    vertices = list(vertices)
+    inside = {vertices[0]}
+    total = 0
+    while len(inside) < len(vertices):
+        best = None
+        for u, v, w in edges:
+            if (u in inside) != (v in inside) and (best is None or w < best[0]):
+                best = (w, v if u in inside else u)
+        if best is None:
+            return None
+        total += best[0]
+        inside.add(best[1])
+    return total
+
+
 def random_weighted_connected(rng, n, extra_edges, weight_range=(1, 9)):
     """Random spanning tree plus extra edges, integer weights; always connected.
 

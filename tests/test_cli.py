@@ -81,6 +81,30 @@ def test_malformed_pmf_is_validation_error(tmp_path):
     assert err.strip()
 
 
+BIG = str(10**400)  # a valid int flag that no float can hold
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kraft", "--lengths", "1,2", "--D", BIG],
+        ["kraft", "--consecutive", "1,2", "--D", BIG],
+        ["kraft", "--consecutive", f"1,{BIG}"],
+        ["kraft", "--progression", "1,1,2", "--D", BIG],
+        ["code-from-lengths", "--lengths", "1,2", "--D", BIG],
+        ["assign-leaders", "--pmf", "PMF", "--D", BIG],
+        ["reliability", "--q", "0.5", "--depth", BIG],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a != BIG),
+)
+def test_huge_integer_flag_is_validation_error(argv, uniform3):
+    code, out, err = cli(*(uniform3 if a == "PMF" else a for a in argv))
+    assert code == VALIDATION_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "too large" in err
+
+
 def test_version_flag():
     code, out, _ = cli("--version")
     assert code == 0

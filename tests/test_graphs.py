@@ -437,3 +437,14 @@ def test_mst_entropy_extrema():
     assert lo == pytest.approx(full_lo, abs=1e-12)
     assert hi == pytest.approx(full_hi, abs=1e-12)
     assert lo < hi  # stars vs paths among K4 trees
+
+
+def test_mst_entropy_extrema_ties_are_exact():
+    # the star weighs 3; the two paths through 1-2 weigh 3 + 1e-10 and are not MSTs
+    g = WeightedGraph(
+        (0, 1, 2, 3),
+        ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0 + 1e-10)),
+    )
+    lo, hi = mst_entropy_extrema(g)
+    assert lo == hi == graph_entropy(star_graph(3))
+

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -12,7 +13,12 @@ from prefixcast.multicast import (
 )
 from prefixcast.source_coding import ProbabilityMassFunction
 
-from oracles import best_realizable_depth, min_spanning_weight, random_weighted_connected
+from oracles import (
+    best_realizable_depth,
+    min_spanning_weight,
+    prim_min_spanning_weight,
+    random_weighted_connected,
+)
 
 
 def pmf_of(**probs):
@@ -251,11 +257,124 @@ def test_audit_weight_check_on_random_graphs():
         )
 
 
-def test_audit_skips_weight_check_on_large_graphs():
+def test_audit_decides_weight_check_on_large_graphs():
     rng = random.Random(79)
     verts, edges = random_weighted_connected(rng, 12, 5)
     g = WeightedGraph(verts, edges)
     plan = plan_multicast(g, 0, pmf_of(X=1.0), 2)
     audit = plan_cost_audit(plan, g)
-    assert audit.mst_weight_minimal is None
+    assert audit.mst_weight_minimal is True
     assert audit.ok
+
+
+# Four vertices; the carrier is 0-1, 0-2, 2-3 (weight 3). The triangle 0-1-2
+# has three weight-1 edges, so 1-2 can replace 0-2 in another MST.
+TIED = WeightedGraph(
+    (0, 1, 2, 3),
+    ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 3, 2.0)),
+)
+
+
+def _with_carrier(plan, carrier):
+    """The plan with another carrier whose weights it reports consistently."""
+    return dataclasses.replace(
+        plan, carrier=tuple(carrier), mst_weight=math.fsum(w for _, _, w in carrier)
+    )
+
+
+def test_plan_carries_its_minimum_spanning_tree():
+    plan = plan_multicast(TIED, 0, pmf_of(X=1.0), 2)
+    assert plan.carrier == ((0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0))
+    assert plan.mst_weight == 3.0
+
+
+@pytest.mark.parametrize(
+    "carrier",
+    [
+        # 2-3 swapped for the heavier 1-3, which reconnects vertex 3
+        ((0, 1, 1.0), (0, 2, 1.0), (1, 3, 2.0)),
+        # 0-2 swapped for 0-3, which is not an edge of the graph
+        ((0, 1, 1.0), (0, 3, 1.0), (2, 3, 1.0)),
+        # 1-3 claimed lighter than the graph says
+        ((0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0)),
+        # n-1 edges of the right total weight, but a cycle misses vertex 3
+        ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)),
+        # the carrier with 0-1 repeated
+        ((0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 0, 1.0)),
+        # too few edges
+        ((0, 1, 1.0), (0, 2, 1.0)),
+    ],
+)
+def test_audit_rejects_a_carrier_that_is_not_a_minimum_spanning_tree(carrier):
+    plan = plan_multicast(TIED, 0, pmf_of(X=1.0), 2)
+    audit = plan_cost_audit(_with_carrier(plan, carrier), TIED)
+    assert audit.mst_weight_minimal is False
+    assert audit.ok is False
+
+
+def test_audit_rejects_carriers_of_a_disconnected_graph():
+    plan = plan_multicast(TIED, 0, pmf_of(X=1.0), 2)
+    halves = WeightedGraph((0, 1, 2, 3), ((0, 1, 1.0), (2, 3, 1.0)))
+    forest = _with_carrier(plan, halves.edges)
+    bridged = _with_carrier(plan, halves.edges + ((1, 2, 1.0),))
+    assert plan_cost_audit(forest, halves).mst_weight_minimal is False
+    assert plan_cost_audit(bridged, halves).mst_weight_minimal is False
+
+
+def test_audit_rejects_a_misreported_weight():
+    plan = plan_multicast(TIED, 0, pmf_of(X=1.0), 2)
+    audit = plan_cost_audit(dataclasses.replace(plan, mst_weight=plan.mst_weight + 1), TIED)
+    assert audit.mst_weight_minimal is False
+    assert audit.ok is False
+
+
+def test_audit_accepts_an_equal_weight_swap():
+    plan = plan_multicast(TIED, 0, pmf_of(X=1.0), 2)
+    other = _with_carrier(plan, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+    audit = plan_cost_audit(other, TIED)
+    assert audit.mst_weight_minimal is True
+    assert audit.ok is True
+
+
+def _swap_one_edge(rng, g, carrier):
+    """Replace a random carrier edge on the cycle a random non-carrier edge closes."""
+    tree = {frozenset((u, v)) for u, v, _ in carrier}
+    outside = [e for e in g.edges if frozenset(e[:2]) not in tree]
+    a, b, w = rng.choice(outside)
+    adj = {v: [] for v in g.vertices}
+    for e in carrier:
+        adj[e[0]].append(e)
+        adj[e[1]].append(e)
+    # walk the carrier from a, remembering the edge each vertex was reached by
+    via = {a: None}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        for e in adj[x]:
+            y = e[1] if e[0] == x else e[0]
+            if y not in via:
+                via[y] = e
+                stack.append(y)
+    cycle = []
+    x = b
+    while via[x] is not None:
+        cycle.append(via[x])
+        x = via[x][0] if via[x][1] == x else via[x][1]
+    dropped = rng.choice(cycle)
+    return [e for e in carrier if e != dropped] + [(a, b, w)]
+
+
+def test_audit_agrees_with_prim_on_random_graphs():
+    rng = random.Random(83)
+    for _ in range(40):
+        n = rng.randint(9, 60)
+        verts, edges = random_weighted_connected(rng, n, rng.randint(1, 2 * n), (1, 3))
+        g = WeightedGraph(verts, edges)
+        plan = plan_multicast(g, 0, pmf_of(X=1.0), 2)
+        best = prim_min_spanning_weight(verts, edges)
+        assert plan.mst_weight == best
+        assert plan_cost_audit(plan, g).mst_weight_minimal is True
+        swapped = _with_carrier(plan, _swap_one_edge(rng, g, plan.carrier))
+        verdict = plan_cost_audit(swapped, g).mst_weight_minimal
+        assert verdict is (swapped.mst_weight == best)
+

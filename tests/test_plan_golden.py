@@ -1,10 +1,13 @@
 """Byte-level pins of ``plan-multicast --audit --json`` output.
 
-The digests were recorded from the all-pairs implementation of the prefix
-checks and the linear-scan edge-weight lookup. Any change to how plans are
-built or audited must reproduce the same stdout, byte for byte. Inputs are
-named by relative paths so the manifest's flags line does not depend on
-where the suite runs.
+The demo digest was recorded from the all-pairs implementation of the
+prefix checks and the linear-scan edge-weight lookup. The seeded digest was
+re-recorded when the audit began to decide weight minimality by the carrier
+tree's certificate at every size: on this 1023-vertex graph the only change
+was ``audit_mst_weight_minimal`` going from null (too large for the old
+exhaustive check) to true. Any change to how plans are built or audited
+must reproduce the same stdout, byte for byte. Inputs are named by relative
+paths so the manifest's flags line does not depend on where the suite runs.
 """
 
 import hashlib
@@ -18,7 +21,7 @@ from prefixcast.cli import run
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 DEMO_SHA256 = "9f3b64c9a0818b6a6557daec4f4045101d1c62723fe465b6a647645fdff33a96"
-SEEDED_SHA256 = "9e1758a40b1185e4be11919e3a86e72c14667c1589c5d710dca1c9c5f6bfba15"
+SEEDED_SHA256 = "63e5fefec92ce0d9b4604496acfa406e5b24864365acaac5e702d7322645b617"
 
 
 def _stdout_sha256(argv):

@@ -232,6 +232,12 @@ def test_huffman_single_symbol_gets_length_one():
     assert expected_length(code, pmf) == pytest.approx(1.0)
 
 
+def test_huffman_at_most_d_symbols_get_length_one_without_padding():
+    pmf = ProbabilityMassFunction.from_pairs([("a", 0.5), ("b", 0.3), ("c", 0.2)])
+    for d in (3, 4, 10**6, 10**400):
+        assert huffman_lengths(pmf, d) == {"a": 1, "b": 1, "c": 1}
+
+
 def test_huffman_rerun_is_identical():
     rng = random.Random(20260814)
     for _ in range(25):
