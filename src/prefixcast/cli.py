@@ -4,9 +4,10 @@ Output discipline: every run prints a manifest header (tool version,
 subcommand, the flags verbatim, a sha256 per input file, and the seed when
 randomness is involved) followed by the results, so any output file is
 self-describing and a rerun of the same invocation is byte-identical.
-Text mode prints numbers with six decimal places, trailing zeros trimmed;
-``--json`` emits one document with a fixed key order and full-precision
-floats.
+Both modes render from the same records (see :class:`Report`): text mode
+prints numbers with six decimal places, trailing zeros trimmed; ``--json``
+emits one strict JSON document (no NaN or Infinity) with a fixed key order
+and full-precision floats.
 
 Exit codes: 0 on success, 2 for input or validation problems (one line on
 stderr), 64 for usage errors such as unknown subcommands or malformed flags.
@@ -100,10 +101,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def fmt(x) -> str:
-    """Six decimal places, trailing zeros trimmed; integers unchanged."""
+    """Text form of one value: numbers to six decimal places, trailing zeros
+    trimmed; integers and strings unchanged; true/false; none for null."""
+    if x is None:
+        return "none"
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return str(x)
     s = f"{float(x):.6f}".rstrip("0").rstrip(".")
     return s if s and s != "-0" else "0"
@@ -132,7 +136,8 @@ class Inputs:
 
 
 class Report:
-    """Collects the manifest and result lines/fields for both output modes."""
+    """The manifest and results of one run. Each result is written once, as
+    a record with its text line, and both output modes render from it."""
 
     def __init__(self, subcommand: str, argv: list, inputs: Inputs, seed=None):
         self.manifest = {
@@ -147,23 +152,17 @@ class Report:
         self.lines = []   # text-mode body
         self.result = {}  # machine-mode body, insertion order = output order
 
-    def field(self, key: str, value, text=None):
-        """A named value present in both modes."""
+    def field(self, key: str, value, line=None):
+        """One named value; its text line is ``key fmt(value)`` unless given."""
         self.result[key] = value
-        if text is None:
-            if isinstance(value, float):
-                text = fmt(value)
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
-            else:
-                text = str(value)
-        self.lines.append(f"{key} {text}")
-        return self
+        self.lines.append(f"{key} {fmt(value)}" if line is None else line)
 
-    def row(self, text_line: str):
-        """A text-only table row (its data must also appear in result)."""
-        self.lines.append(text_line)
-        return self
+    def table(self, key: str, rows):
+        """A list of records under ``key`` from (record, text line) pairs."""
+        self.result[key] = []
+        for record, line in rows:
+            self.result[key].append(record)
+            self.lines.append(line)
 
     def render(self, as_json: bool) -> str:
         if as_json:
@@ -182,31 +181,33 @@ class Report:
         return "\n".join(head + self.lines)
 
 
-def _csv_ints(text: str, what: str) -> tuple:
+def _csv(text: str, what: str, kind=int) -> tuple:
+    """A comma-separated flag value as a tuple of ``kind`` (int or float)."""
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(kind(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{what} must be comma-separated {noun}, got {text!r}")
 
 
-def _csv_floats(text: str, what: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"{what} must be comma-separated numbers, got {text!r}")
+def _lengths(args, inputs) -> CodeLengthSet:
+    """The length set of ``--lengths`` or ``--lengths-file`` at ``--D``."""
+    if args.lengths_file is not None:
+        return parse_lengths(inputs.read(args.lengths_file), args.D, args.lengths_file)
+    return CodeLengthSet(_csv(args.lengths, "--lengths"), args.D)
 
 
-def _interval_fields(rep: Report, prefix: str, value):
-    """Uniform rendering for Interval / None / Inconsistent results."""
+def _interval_field(rep: Report, key: str, value):
+    """One field for an Interval / None (empty) / Inconsistent result."""
     if value is None:
-        rep.result[prefix] = None
-        rep.row(f"{prefix} empty")
+        record, text = None, "empty"
     elif isinstance(value, Inconsistent):
-        rep.result[prefix] = {"inconsistent": True, "a": value.a, "b": value.b}
-        rep.row(f"{prefix} inconsistent a={fmt(value.a)} b={fmt(value.b)}")
+        record = {"inconsistent": True, "a": value.a, "b": value.b}
+        text = f"inconsistent a={fmt(value.a)} b={fmt(value.b)}"
     else:
-        rep.result[prefix] = {"lo": value.lo, "hi": value.hi, "width": value.width}
-        rep.row(f"{prefix} [{fmt(value.lo)}, {fmt(value.hi)}] width {fmt(value.width)}")
+        record = {"lo": value.lo, "hi": value.hi, "width": value.width}
+        text = f"[{fmt(value.lo)}, {fmt(value.hi)}] width {fmt(value.width)}"
+    rep.field(key, record, f"{key} {text}")
 
 
 # ----------------------------------------------------------- subcommands
@@ -224,7 +225,7 @@ def cmd_kraft(args, argv, inputs):
         )
     d = args.D
     if args.consecutive is not None:
-        parts = _csv_ints(args.consecutive, "--consecutive")
+        parts = _csv(args.consecutive, "--consecutive")
         if len(parts) != 2:
             raise ValueError("--consecutive needs exactly N1,M")
         n1, m = parts
@@ -232,17 +233,14 @@ def cmd_kraft(args, argv, inputs):
         lengths = CodeLengthSet(tuple(range(n1, n1 + m)), d)
         ok = satisfies_kraft(lengths)
     elif args.progression is not None:
-        parts = _csv_ints(args.progression, "--progression")
+        parts = _csv(args.progression, "--progression")
         if len(parts) != 3:
             raise ValueError("--progression needs exactly N1,STEP,M")
         n1, step, m = parts
         total, ok = arithmetic_progression_satisfies_kraft(n1, step, m, d)
         lengths = CodeLengthSet(tuple(n1 + k * step for k in range(m)), d)
     else:
-        if args.lengths_file is not None:
-            lengths = parse_lengths(inputs.read(args.lengths_file), d, args.lengths_file)
-        else:
-            lengths = CodeLengthSet(_csv_ints(args.lengths, "--lengths"), d)
+        lengths = _lengths(args, inputs)
         total = kraft_sum(lengths)
         ok = satisfies_kraft(lengths)
     rep = Report("kraft", argv, inputs)
@@ -250,8 +248,8 @@ def cmd_kraft(args, argv, inputs):
     rep.field("lengths", ",".join(str(n) for n in lengths.lengths))
     rep.field("sum", total)
     rep.field("satisfied", ok)
-    rep.row("SATISFIED" if ok else "VIOLATED")
-    rep.result["verdict"] = "SATISFIED" if ok else "VIOLATED"
+    verdict = "SATISFIED" if ok else "VIOLATED"
+    rep.field("verdict", verdict, line=verdict)
     if args.check_at is not None:
         if not ok:
             raise ValueError("Kraft fails at the base alphabet; nothing to enlarge")
@@ -265,19 +263,14 @@ def cmd_huffman(args, argv, inputs):
     rep = Report("huffman", argv, inputs)
     rep.field("D", args.D)
     rep.field("symbols", len(pmf))
-    table = []
+    rows = []
     for label, p in pmf.entries:
         word = code.assignments[label]
-        table.append(
-            {
-                "label": label,
-                "codeword": str(word),
-                "length": word.length,
-                "probability": p,
-            }
-        )
-        rep.row(f"{label} {word} {word.length} {fmt(p)}")
-    rep.result["code"] = table
+        rows.append((
+            {"label": label, "codeword": str(word), "length": word.length, "probability": p},
+            f"{label} {word} {word.length} {fmt(p)}",
+        ))
+    rep.table("code", rows)
     rep.field("expected_length", expected_length(code, pmf))
     rep.field("entropy_base_D", shannon_entropy(pmf, base=float(args.D)))
     rep.field("kraft_sum", kraft_sum(code.length_set()))
@@ -287,10 +280,7 @@ def cmd_huffman(args, argv, inputs):
 def cmd_code_from_lengths(args, argv, inputs):
     if (args.lengths is None) == (args.lengths_file is None):
         raise ValueError("exactly one of --lengths or --lengths-file is required")
-    if args.lengths_file is not None:
-        lengths = parse_lengths(inputs.read(args.lengths_file), args.D, args.lengths_file)
-    else:
-        lengths = CodeLengthSet(_csv_ints(args.lengths, "--lengths"), args.D)
+    lengths = _lengths(args, inputs)
     labels = tuple(args.labels.split(",")) if args.labels else None
     if labels is not None and len(labels) != len(lengths):
         raise ValueError(
@@ -299,13 +289,11 @@ def cmd_code_from_lengths(args, argv, inputs):
     code = code_from_lengths(lengths, labels)
     rep = Report("code-from-lengths", argv, inputs)
     rep.field("D", args.D)
-    table = []
-    for label, word in code.assignments.items():
-        table.append(
-            {"label": label, "codeword": str(word), "length": word.length}
-        )
-        rep.row(f"{label} {word} {word.length}")
-    rep.result["code"] = table
+    rep.table("code", (
+        ({"label": label, "codeword": str(word), "length": word.length},
+         f"{label} {word} {word.length}")
+        for label, word in code.assignments.items()
+    ))
     rep.field("kraft_sum", kraft_sum(code.length_set()))
     return rep
 
@@ -330,11 +318,10 @@ def cmd_graph_entropy(args, argv, inputs):
         rep.field("vertices", len(dg.vertices))
         rep.field("arcs", len(dg.arcs))
         for name, pmf in (("in", in_pmf), ("out", out_pmf)):
-            table = []
-            for label, p in pmf.entries:
-                table.append({"vertex": label, "probability": p})
-                rep.row(f"{name}_pmf {label} {fmt(p)}")
-            rep.result[f"{name}_pmf"] = table
+            rep.table(f"{name}_pmf", (
+                ({"vertex": label, "probability": p}, f"{name}_pmf {label} {fmt(p)}")
+                for label, p in pmf.entries
+            ))
             rep.field(f"{name}_entropy", shannon_entropy(pmf))
         return rep
 
@@ -345,16 +332,12 @@ def cmd_graph_entropy(args, argv, inputs):
     rep = Report(rep_name, argv, inputs)
     rep.field("vertices", len(g.vertices))
     rep.field("edges", len(g.edges))
-    pmf = degree_pmf(g)
-    table = []
-    for label, p in pmf.entries:
-        table.append({"vertex": label, "probability": p})
-        rep.row(f"pmf {label} {fmt(p)}")
-    rep.result["degree_pmf"] = table
+    rep.table("degree_pmf", (
+        ({"vertex": label, "probability": p}, f"pmf {label} {fmt(p)}")
+        for label, p in degree_pmf(g).entries
+    ))
     rep.field("entropy_bits", graph_entropy(g))
-    k = is_regular(g)
-    rep.result["regular_degree"] = k
-    rep.row(f"regular_degree {'none' if k is None else k}")
+    rep.field("regular_degree", is_regular(g))
     rep.field("max_entropy_bits", math.log2(len(g.vertices)))
     if args.tsallis is not None:
         rep.field("tsallis_q", args.tsallis)
@@ -383,11 +366,10 @@ def cmd_mst(args, argv, inputs):
     rep = Report("mst", argv, inputs)
     rep.field("vertices", len(g.vertices))
     rep.field("input_edges", len(g.edges))
-    table = []
-    for u, v, w in mst.edges:
-        table.append({"u": u, "v": v, "weight": w})
-        rep.row(f"edge {u} {v} {fmt(w)}")
-    rep.result["edges"] = table
+    rep.table("edges", (
+        ({"u": u, "v": v, "weight": w}, f"edge {u} {v} {fmt(w)}")
+        for u, v, w in mst.edges
+    ))
     rep.field("total_weight", mst.total_weight())
     return rep
 
@@ -398,18 +380,19 @@ def cmd_span_entropy(args, argv, inputs):
     rep.field("vertices", len(g.vertices))
     if args.msts_only:
         lo, hi = mst_entropy_extrema(g)
-        rep.field("scope", "minimum-weight-spanning-trees")
-        rep.field("min_entropy_bits", lo)
-        rep.field("max_entropy_bits", hi)
+        scope, trees = "minimum-weight-spanning-trees", ()
     else:
         lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(g.graph())
-        rep.field("scope", "all-spanning-trees")
-        rep.field("min_entropy_bits", lo)
-        rep.field("max_entropy_bits", hi)
-        rep.result["argmin_edges"] = [{"u": u, "v": v} for u, v in t_lo.edges]
-        rep.result["argmax_edges"] = [{"u": u, "v": v} for u, v in t_hi.edges]
-        rep.row("argmin " + " ".join(f"{u}-{v}" for u, v in t_lo.edges))
-        rep.row("argmax " + " ".join(f"{u}-{v}" for u, v in t_hi.edges))
+        scope, trees = "all-spanning-trees", (("argmin", t_lo), ("argmax", t_hi))
+    rep.field("scope", scope)
+    rep.field("min_entropy_bits", lo)
+    rep.field("max_entropy_bits", hi)
+    for name, tree in trees:
+        rep.field(
+            f"{name}_edges",
+            [{"u": u, "v": v} for u, v in tree.edges],
+            f"{name} " + " ".join(f"{u}-{v}" for u, v in tree.edges),
+        )
     return rep
 
 
@@ -419,27 +402,23 @@ def cmd_assign_leaders(args, argv, inputs):
     report = verify_secure(assignment)
     rep = Report("assign-leaders", argv, inputs)
     rep.field("D", args.D)
-    table = []
+    rows = []
     for label, p in pmf.entries:
         path = assignment.leaders[label]
         digits = str(Codeword(path))
-        table.append(
-            {
-                "label": label,
-                "path": digits,
-                "depth": len(path),
-                "probability": p,
-            }
-        )
-        rep.row(f"{label} {digits} {len(path)} {fmt(p)}")
-    rep.result["leaders"] = table
+        rows.append((
+            {"label": label, "path": digits, "depth": len(path), "probability": p},
+            f"{label} {digits} {len(path)} {fmt(p)}",
+        ))
+    rep.table("leaders", rows)
     rep.field("expected_depth", assignment.expected_depth())
     rep.field("entropy_bound", shannon_entropy(pmf, base=float(args.D)))
     rep.field("kraft_sum", assignment.depth_kraft_sum())
     rep.field("tree_depth", assignment.tree.max_depth)
     rep.field("tree_nodes", assignment.tree.total_nodes())
     if args.D > 2:
-        rep.row(
+        # text only: a reading aid, not a result
+        rep.lines.append(
             "# note: node counts use the geometric series "
             "(D^(depth+1)-1)/(D-1); the binary shortcut D^(depth+1)-1 "
             "applies only at D=2"
@@ -460,20 +439,16 @@ def cmd_plan_multicast(args, argv, inputs):
     rep.field("kraft_sum", plan.kraft_sum())
     rep.field("secure", plan.security.secure)
     rep.field("relaxed", plan.relaxed)
-    table = []
+    rows = []
     for label in sorted(plan.leader_digits, key=str):
         digits = str(Codeword(plan.leader_digits[label]))
         route = plan.leader_route[label]
-        table.append(
-            {
-                "label": label,
-                "path": digits,
-                "vertex": plan.leader_vertex[label],
-                "route": list(route),
-            }
-        )
-        rep.row(f"{label} {digits} {'->'.join(str(v) for v in route)}")
-    rep.result["leaders"] = table
+        vertex = plan.leader_vertex[label]
+        rows.append((
+            {"label": label, "path": digits, "vertex": vertex, "route": list(route)},
+            f"{label} {digits} {'->'.join(str(v) for v in route)}",
+        ))
+    rep.table("leaders", rows)
     if args.audit:
         audit = plan_cost_audit(plan, g)
         rep.field("audit_mst_weight_minimal", audit.mst_weight_minimal)
@@ -499,11 +474,10 @@ def cmd_levels(args, argv, inputs):
     net = assign_levels(g, args.bs)
     rep = Report("levels", argv, inputs)
     rep.field("base_station", args.bs)
-    table = []
-    for v in g.vertices:
-        table.append({"vertex": v, "level": net.level[v]})
-        rep.row(f"{v} {net.level[v]}")
-    rep.result["levels"] = table
+    rep.table("levels", (
+        ({"vertex": v, "level": net.level[v]}, f"{v} {net.level[v]}")
+        for v in g.vertices
+    ))
     rep.field("max_level", net.max_level())
     return rep
 
@@ -514,11 +488,10 @@ def cmd_sectors(args, argv, inputs):
     rep = Report("sectors", argv, inputs)
     rep.field("base_station", args.bs)
     rep.field("K", args.K)
-    table = []
-    for v in positions:  # file order
-        table.append({"vertex": v, "sector": sectors[v]})
-        rep.row(f"{v} {sectors[v]}")
-    rep.result["sectors"] = table
+    rep.table("sectors", (
+        ({"vertex": v, "sector": sectors[v]}, f"{v} {sectors[v]}")
+        for v in positions  # file order
+    ))
     return rep
 
 
@@ -526,7 +499,7 @@ def cmd_gossip(args, argv, inputs):
     g = parse_graph(inputs.read(args.graph), args.graph)
     net = assign_levels(g, args.bs)
     cfg = GossipConfig(
-        level_probabilities=_csv_floats(args.levels_probs, "--levels-probs"),
+        level_probabilities=_csv(args.levels_probs, "--levels-probs", float),
         q=args.q,
         trials=args.trials,
         seed=args.seed,
@@ -556,14 +529,14 @@ def cmd_gossip(args, argv, inputs):
 
         def logged():
             for t, (ok, tx, hops) in enumerate(outcomes):
-                log.append(
-                    {"trial": t, "delivered": ok, "transmissions": tx, "hops": hops}
-                )
-                rep.row(f"trial {t} {'1' if ok else '0'} {tx} {hops if ok else '-'}")
+                log.append((
+                    {"trial": t, "delivered": ok, "transmissions": tx, "hops": hops},
+                    f"trial {t} {'1' if ok else '0'} {tx} {hops if ok else '-'}",
+                ))
                 yield ok, tx, hops
 
         result = summarize_trials(cfg, logged())
-        rep.result["trial_log"] = log
+        rep.table("trial_log", log)
     else:
         result = summarize_trials(cfg, outcomes)
     rep.field("delivered", result.delivered)
@@ -581,28 +554,25 @@ def cmd_fuse(args, argv, inputs):
     rep.field("f", s.f)
     rep.field("quorum", s.quorum)
     which = args.function
-    if which == "m":
-        _interval_fields(rep, "m", m_function(s))
-    elif which == "n":
-        _interval_fields(rep, "n", n_function(s))
-    elif which == "s":
-        _interval_fields(rep, "s", s_function(s))
-    elif which == "omega":
+    if which == "omega":
         omega = overlap_function(s)
-        table = []
-        for x, c in zip(omega.breakpoints, omega.at_points):
-            table.append({"breakpoint": x, "count": c})
-            rep.row(f"{fmt(x)} {c}")
-        rep.result["omega"] = table
+        rep.table("omega", (
+            ({"breakpoint": x, "count": c}, f"{fmt(x)} {c}")
+            for x, c in zip(omega.breakpoints, omega.at_points)
+        ))
+        # JSON only: the counts between breakpoints have no text row
         rep.result["between"] = list(omega.between)
-    else:
+    elif which == "compare":
         cmp_ = fusion_compare(s)
-        _interval_fields(rep, "m", cmp_.m_result)
-        _interval_fields(rep, "n", cmp_.n_result)
-        _interval_fields(rep, "s", cmp_.s_result)
+        _interval_field(rep, "m", cmp_.m_result)
+        _interval_field(rep, "n", cmp_.n_result)
+        _interval_field(rep, "s", cmp_.s_result)
         rep.field("m_equals_n", cmp_.m_equals_n)
         if cmp_.m_within_s is not None:
             rep.field("m_within_s", cmp_.m_within_s)
+    else:
+        fuse = {"m": m_function, "n": n_function, "s": s_function}[which]
+        _interval_field(rep, which, fuse(s))
     return rep
 
 

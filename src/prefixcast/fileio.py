@@ -36,6 +36,17 @@ def _number(token: str, source: str, lineno: int, what: str) -> float:
         _fail(source, lineno, f"{what} {token!r} is not a number")
 
 
+def _build(source: str, what: str, items, make, *args):
+    """``make(*args)``, failing with ``source`` named if ``items`` is empty
+    ("no ``what``") or ``make`` raises ``ValueError``."""
+    if not items:
+        raise FileFormatError(f"{source}: no {what}")
+    try:
+        return make(*args)
+    except ValueError as err:
+        raise FileFormatError(f"{source}: {err}") from err
+
+
 def parse_pmf(text: str, source: str = "<pmf>") -> ProbabilityMassFunction:
     """``label probability`` per line."""
     pairs = []
@@ -43,12 +54,7 @@ def parse_pmf(text: str, source: str = "<pmf>") -> ProbabilityMassFunction:
         if len(tokens) != 2:
             _fail(src, lineno, f"expected 'label probability', got {len(tokens)} tokens")
         pairs.append((tokens[0], _number(tokens[1], src, lineno, "probability")))
-    if not pairs:
-        raise FileFormatError(f"{source}: no entries")
-    try:
-        return ProbabilityMassFunction.from_pairs(pairs)
-    except ValueError as err:
-        raise FileFormatError(f"{source}: {err}") from err
+    return _build(source, "entries", pairs, ProbabilityMassFunction.from_pairs, pairs)
 
 
 def parse_lengths(text: str, d: int, source: str = "<lengths>") -> CodeLengthSet:
@@ -61,12 +67,7 @@ def parse_lengths(text: str, d: int, source: str = "<lengths>") -> CodeLengthSet
             lengths.append(int(tokens[0]))
         except ValueError:
             _fail(src, lineno, f"length {tokens[0]!r} is not an integer")
-    if not lengths:
-        raise FileFormatError(f"{source}: no lengths")
-    try:
-        return CodeLengthSet(tuple(lengths), d)
-    except ValueError as err:
-        raise FileFormatError(f"{source}: {err}") from err
+    return _build(source, "lengths", lengths, CodeLengthSet, tuple(lengths), d)
 
 
 def _parse_edge_lines(text: str, source: str):
@@ -96,37 +97,26 @@ def _parse_edge_lines(text: str, source: str):
             edges.append((tokens[0], tokens[1], w, lineno))
         else:
             _fail(src, lineno, f"expected 'u v', 'u v w' or 'vertex u', got {len(tokens)} tokens")
-    if not vertices:
-        raise FileFormatError(f"{source}: no vertices")
     return vertices, edges
 
 
 def parse_graph(text: str, source: str = "<graph>") -> Graph:
     vertices, edges = _parse_edge_lines(text, source)
-    try:
-        return Graph(tuple(vertices), tuple((u, v) for u, v, _, _ in edges))
-    except ValueError as err:
-        raise FileFormatError(f"{source}: {err}") from err
+    arcs = tuple((u, v) for u, v, _, _ in edges)
+    return _build(source, "vertices", vertices, Graph, tuple(vertices), arcs)
 
 
 def parse_weighted_graph(text: str, source: str = "<graph>") -> WeightedGraph:
     """Weighted variant; bare `u v` lines default to weight 1 (hop count)."""
     vertices, edges = _parse_edge_lines(text, source)
-    try:
-        return WeightedGraph(
-            tuple(vertices),
-            tuple((u, v, 1.0 if w is None else w) for u, v, w, _ in edges),
-        )
-    except ValueError as err:
-        raise FileFormatError(f"{source}: {err}") from err
+    weighted = tuple((u, v, 1.0 if w is None else w) for u, v, w, _ in edges)
+    return _build(source, "vertices", vertices, WeightedGraph, tuple(vertices), weighted)
 
 
 def parse_digraph(text: str, source: str = "<digraph>") -> DiGraph:
     vertices, edges = _parse_edge_lines(text, source)
-    try:
-        return DiGraph(tuple(vertices), tuple((u, v) for u, v, _, _ in edges))
-    except ValueError as err:
-        raise FileFormatError(f"{source}: {err}") from err
+    arcs = tuple((u, v) for u, v, _, _ in edges)
+    return _build(source, "vertices", vertices, DiGraph, tuple(vertices), arcs)
 
 
 def parse_coloring(text: str, source: str = "<coloring>") -> VertexColoring:
@@ -136,12 +126,7 @@ def parse_coloring(text: str, source: str = "<coloring>") -> VertexColoring:
         if len(tokens) != 2:
             _fail(src, lineno, f"expected 'vertex color', got {len(tokens)} tokens")
         entries.append((tokens[0], tokens[1]))
-    if not entries:
-        raise FileFormatError(f"{source}: no entries")
-    try:
-        return VertexColoring(tuple(entries))
-    except ValueError as err:
-        raise FileFormatError(f"{source}: {err}") from err
+    return _build(source, "entries", entries, VertexColoring, tuple(entries))
 
 
 def parse_vertex_map(text: str, source: str = "<map>") -> dict:
@@ -153,9 +138,7 @@ def parse_vertex_map(text: str, source: str = "<map>") -> dict:
         if tokens[0] in mapping:
             _fail(src, lineno, f"vertex {tokens[0]!r} mapped twice")
         mapping[tokens[0]] = tokens[1]
-    if not mapping:
-        raise FileFormatError(f"{source}: no entries")
-    return mapping
+    return _build(source, "entries", mapping, dict, mapping)
 
 
 def parse_positions(text: str, source: str = "<positions>") -> dict:
@@ -170,9 +153,7 @@ def parse_positions(text: str, source: str = "<positions>") -> dict:
             _number(tokens[1], src, lineno, "x"),
             _number(tokens[2], src, lineno, "y"),
         )
-    if not positions:
-        raise FileFormatError(f"{source}: no entries")
-    return positions
+    return _build(source, "entries", positions, dict, positions)
 
 
 def parse_intervals(text: str, source: str = "<intervals>") -> tuple:
@@ -187,6 +168,4 @@ def parse_intervals(text: str, source: str = "<intervals>") -> tuple:
             out.append(Interval(lo, hi))
         except ValueError as err:
             _fail(src, lineno, str(err))
-    if not out:
-        raise FileFormatError(f"{source}: no intervals")
-    return tuple(out)
+    return _build(source, "intervals", out, tuple, out)

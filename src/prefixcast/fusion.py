@@ -60,7 +60,8 @@ class Inconsistent:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """n sensor intervals of which at most f may be faulty."""
+    """n sensor intervals of which at most f may be faulty; the width of
+    their hull, which holds every derived interval, must be a finite float."""
 
     intervals: tuple
     f: int
@@ -76,6 +77,9 @@ class IntervalSet:
             raise ValueError(
                 f"fault bound {self.f} outside 0..{len(ivs) - 1} for {len(ivs)} intervals"
             )
+        lo, hi = min(iv.lo for iv in ivs), max(iv.hi for iv in ivs)
+        if math.isinf(hi - lo):
+            raise ValueError(f"interval hull [{lo!r}, {hi!r}] is too wide for a float")
         object.__setattr__(self, "intervals", ivs)
 
     @classmethod

@@ -206,6 +206,8 @@ def tsallis_graph_entropy(g: Graph, q: float) -> float:
     q must differ from 1; as q approaches 1 the value approaches the Shannon
     entropy in nats. Zero-probability vertices contribute nothing.
     """
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
     if q == 1.0:
         raise ValueError("q=1 is the Shannon case; use graph_entropy")
     s = math.fsum(p**q for _, p in _degree_distribution(g) if p > 0.0)

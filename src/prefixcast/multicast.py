@@ -24,7 +24,6 @@ from .hierarchy import DaryTree, LeaderAssignment, SecurityReport, verify_secure
 from .source_coding import (
     CodeLengthSet,
     ProbabilityMassFunction,
-    code_from_lengths,
     huffman_code,
     kraft_sum,
     prefix_violations,
@@ -211,40 +210,28 @@ def plan_multicast(
     uniformly extended one level at a time until the placement fits or
     exceeds the embedded tree's depth; a plan produced this way is marked
     ``relaxed`` and forfeits the expected-depth optimality claim.
+
+    Extending every length by ``b`` yields the optimal codewords behind
+    ``b`` zero digits: canonical assignment depends only on the differences
+    between consecutive lengths, so its integer values do not change.
     """
     mst = minimum_spanning_tree(g)
     emb = embed_dary_tree(mst, root, d)
     code = huffman_code(importance, d)
-    labels = importance.labels()
-    base_lengths = [code.assignments[label].length for label in labels]
-
-    attempts = [{label: code.assignments[label].digits for label in labels}]
-    if relax:
-        cap = emb.max_depth()
-        bump = 1
-        while max(base_lengths) + bump <= cap:
-            stretched = code_from_lengths(
-                CodeLengthSet(tuple(n + bump for n in base_lengths), d), labels
-            )
-            attempts.append(
-                {label: stretched.assignments[label].digits for label in labels}
-            )
-            bump += 1
+    optimal = {label: code.assignments[label].digits for label in importance.labels()}
+    longest = max(len(w) for w in optimal.values())
+    bumps = range(max(1, emb.max_depth() - longest + 1)) if relax else (0,)
 
     last_err = None
-    for i, digits_by_label in enumerate(attempts):
+    for bump in bumps:
+        digits_by_label = {label: (0,) * bump + w for label, w in optimal.items()}
         try:
             leader_vertex, leader_route = _place(emb, digits_by_label)
         except CapacityExceeded as err:
             last_err = err
             continue
-        expected = math.fsum(
-            p * len(digits_by_label[label]) for label, p in importance.entries
-        )
         assignment = LeaderAssignment(
-            DaryTree(d, max(len(w) for w in digits_by_label.values())),
-            digits_by_label,
-            importance,
+            DaryTree(d, longest + bump), digits_by_label, importance
         )
         return MulticastPlan(
             root=root,
@@ -255,9 +242,9 @@ def plan_multicast(
             importance=importance,
             carrier=mst.edges,
             mst_weight=mst.total_weight(),
-            expected_depth=expected,
+            expected_depth=assignment.expected_depth(),
             security=verify_secure(assignment),
-            relaxed=i > 0,
+            relaxed=bump > 0,
         )
     raise last_err
 

@@ -277,7 +277,7 @@ def code_from_lengths(
     Lengths are sorted ascending (ties broken by input order) and codewords
     assigned in increasing numeric order, extending with zero digits whenever
     the length grows. Raises :class:`KraftViolation` when no prefix code
-    exists.
+    exists and ``ValueError`` when a label repeats.
     """
     if not satisfies_kraft(lengths):
         raise KraftViolation(
@@ -296,6 +296,8 @@ def code_from_lengths(
         n = lengths.lengths[idx]
         if rank > 0:
             value = (value + 1) * d ** (n - prev_len)
+        if labels[idx] in assignments:
+            raise ValueError(f"label {labels[idx]!r} appears more than once")
         assignments[labels[idx]] = Codeword(_digits_of(value, n, d))
         prev_len = n
     # re-emit in input-label order for stable downstream iteration
@@ -376,6 +378,8 @@ def shannon_entropy(pmf: ProbabilityMassFunction, base: float = 2.0) -> float:
     """Entropy of the pmf in the given log base, with 0*log(0) = 0."""
     if not base > 1.0:
         raise ValueError(f"log base must exceed 1, got {base}")
+    if math.isinf(base):
+        raise ValueError("log base must be finite, got inf")
     return -math.fsum(
         p * math.log(p, base) for _, p in pmf.entries if p > 0.0
     )

@@ -105,6 +105,29 @@ def test_huge_integer_flag_is_validation_error(argv, uniform3):
     assert "too large" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--pmf", "PMF", "--base", "inf"],
+        ["graph-entropy", "--graph", "GRAPH", "--tsallis", "nan"],
+        ["graph-entropy", "--graph", "GRAPH", "--tsallis", "inf"],
+        ["fuse", "--intervals", "WIDE", "--f", "0"],
+        ["fuse", "--intervals", "WIDE", "--f", "0", "--function", "m"],
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_non_finite_value_is_validation_error(argv, mode, uniform3, line3, tmp_path):
+    # such values used to reach --json output as NaN or Infinity, not JSON
+    wide = tmp_path / "wide.intervals"
+    wide.write_text("-1e308 1e308\n-1e308 1e308\n")
+    files = {"PMF": uniform3, "GRAPH": line3, "WIDE": str(wide)}
+    code, out, err = cli(*(files.get(a, a) for a in argv + mode))
+    assert code == VALIDATION_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+
+
 def test_version_flag():
     code, out, _ = cli("--version")
     assert code == 0
@@ -259,6 +282,15 @@ def test_code_from_lengths_rejects_infeasible():
 def test_code_from_lengths_label_count_mismatch():
     code, _, _ = cli("code-from-lengths", "--lengths", "1,2", "--labels", "x")
     assert code == VALIDATION_EXIT
+
+
+@pytest.mark.parametrize("lengths, labels", [("1,1", "a,a"), ("1,2,2", "a,b,a")])
+def test_code_from_lengths_repeated_label_is_validation_error(lengths, labels):
+    code, out, err = cli("code-from-lengths", "--lengths", lengths, "--labels", labels)
+    assert code == VALIDATION_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "label 'a' appears more than once" in err
 
 
 # ------------------------------------------------------- graph subcommands

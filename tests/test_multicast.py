@@ -152,6 +152,7 @@ def test_relax_mode_recovers_with_longer_codes():
         plan_multicast(g, "r", pmf_of(X=0.5, Y=0.5), 2)
     plan = plan_multicast(g, "r", pmf_of(X=0.5, Y=0.5), 2, relax=True)
     assert plan.relaxed
+    assert plan.leader_digits == {"X": (0, 0), "Y": (0, 1)}
     assert plan.expected_depth == pytest.approx(2.0)
     assert sorted(plan.leader_vertex.values()) == ["b", "c"]
     assert plan.security.secure

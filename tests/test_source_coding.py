@@ -164,6 +164,38 @@ def test_code_from_lengths_rejects_violation():
         code_from_lengths(CodeLengthSet((1, 1, 2), 2))
 
 
+@pytest.mark.parametrize(
+    "lengths, labels", [((1, 1), ("a", "a")), ((1, 2, 2), ("a", "b", "a"))]
+)
+def test_code_from_lengths_rejects_repeated_labels(lengths, labels):
+    # a dict keyed by label used to keep only the last codeword of each
+    with pytest.raises(ValueError, match="label 'a' appears more than once"):
+        code_from_lengths(CodeLengthSet(lengths, 2), labels)
+
+
+def test_stretched_canonical_code_is_the_optimal_code_behind_zeros():
+    # relaxed multicast plans rely on this: extending every length by b
+    # prefixes every canonical codeword with b zero digits
+    rng = random.Random(5)
+    for _ in range(300):
+        d = rng.randint(2, 12)
+        raw = [rng.random() + 0.01 for _ in range(rng.randint(1, 20))]
+        pmf = ProbabilityMassFunction.from_pairs(
+            [(f"s{i}", r / sum(raw)) for i, r in enumerate(raw)]
+        )
+        code = huffman_code(pmf, d)
+        labels = pmf.labels()
+        for b in (1, 2, 5):
+            stretched = code_from_lengths(
+                CodeLengthSet(tuple(code.assignments[l].length + b for l in labels), d),
+                labels,
+            )
+            for label in labels:
+                assert stretched.assignments[label].digits == (
+                    (0,) * b + code.assignments[label].digits
+                )
+
+
 @given(data=st.data())
 @settings(max_examples=200)
 def test_code_from_lengths_is_prefix_free_with_exact_lengths(data):
