@@ -90,6 +90,7 @@ from .source_coding import (
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
+INTERNAL_EXIT = 70  # EX_SOFTWARE: an internal invariant broke
 
 
 class _Parser(argparse.ArgumentParser):
@@ -282,10 +283,6 @@ def cmd_code_from_lengths(args, argv, inputs):
         raise ValueError("exactly one of --lengths or --lengths-file is required")
     lengths = _lengths(args, inputs)
     labels = tuple(args.labels.split(",")) if args.labels else None
-    if labels is not None and len(labels) != len(lengths):
-        raise ValueError(
-            f"{len(labels)} labels for {len(lengths)} lengths"
-        )
     code = code_from_lengths(lengths, labels)
     rep = Report("code-from-lengths", argv, inputs)
     rep.field("D", args.D)
@@ -697,6 +694,10 @@ def run(argv=None) -> int:
         msg = str(err) if str(err) else err.__class__.__name__
         print(f"prefixcast {args.command}: {msg}", file=sys.stderr)
         return VALIDATION_EXIT
+    except RuntimeError as err:
+        # a failed self-check, such as the spanning-tree count cross-check
+        print(f"prefixcast {args.command}: internal error: {err}", file=sys.stderr)
+        return INTERNAL_EXIT
     print(rep.render(args.json))
     return 0
 

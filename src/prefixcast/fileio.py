@@ -17,12 +17,11 @@ class FileFormatError(ValueError):
     """A line did not match the expected format; message names the line."""
 
 
-def _rows(text: str, source: str):
+def _rows(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield lineno, line.split(), source
+        if line:
+            yield lineno, line.split()
 
 
 def _fail(source: str, lineno: int, message: str):
@@ -50,23 +49,23 @@ def _build(source: str, what: str, items, make, *args):
 def parse_pmf(text: str, source: str = "<pmf>") -> ProbabilityMassFunction:
     """``label probability`` per line."""
     pairs = []
-    for lineno, tokens, src in _rows(text, source):
+    for lineno, tokens in _rows(text):
         if len(tokens) != 2:
-            _fail(src, lineno, f"expected 'label probability', got {len(tokens)} tokens")
-        pairs.append((tokens[0], _number(tokens[1], src, lineno, "probability")))
+            _fail(source, lineno, f"expected 'label probability', got {len(tokens)} tokens")
+        pairs.append((tokens[0], _number(tokens[1], source, lineno, "probability")))
     return _build(source, "entries", pairs, ProbabilityMassFunction.from_pairs, pairs)
 
 
 def parse_lengths(text: str, d: int, source: str = "<lengths>") -> CodeLengthSet:
     """One codeword length per line."""
     lengths = []
-    for lineno, tokens, src in _rows(text, source):
+    for lineno, tokens in _rows(text):
         if len(tokens) != 1:
-            _fail(src, lineno, f"expected one integer, got {len(tokens)} tokens")
+            _fail(source, lineno, f"expected one integer, got {len(tokens)} tokens")
         try:
             lengths.append(int(tokens[0]))
         except ValueError:
-            _fail(src, lineno, f"length {tokens[0]!r} is not an integer")
+            _fail(source, lineno, f"length {tokens[0]!r} is not an integer")
     return _build(source, "lengths", lengths, CodeLengthSet, tuple(lengths), d)
 
 
@@ -81,50 +80,50 @@ def _parse_edge_lines(text: str, source: str):
             seen.add(v)
             vertices.append(v)
 
-    for lineno, tokens, src in _rows(text, source):
+    for lineno, tokens in _rows(text):
         if tokens[0] == "vertex":
             if len(tokens) != 2:
-                _fail(src, lineno, "expected 'vertex u'")
+                _fail(source, lineno, "expected 'vertex u'")
             add_vertex(tokens[1])
         elif len(tokens) == 2:
             add_vertex(tokens[0])
             add_vertex(tokens[1])
-            edges.append((tokens[0], tokens[1], None, lineno))
+            edges.append((tokens[0], tokens[1], None))
         elif len(tokens) == 3:
-            w = _number(tokens[2], src, lineno, "weight")
+            w = _number(tokens[2], source, lineno, "weight")
             add_vertex(tokens[0])
             add_vertex(tokens[1])
-            edges.append((tokens[0], tokens[1], w, lineno))
+            edges.append((tokens[0], tokens[1], w))
         else:
-            _fail(src, lineno, f"expected 'u v', 'u v w' or 'vertex u', got {len(tokens)} tokens")
+            _fail(source, lineno, f"expected 'u v', 'u v w' or 'vertex u', got {len(tokens)} tokens")
     return vertices, edges
 
 
 def parse_graph(text: str, source: str = "<graph>") -> Graph:
     vertices, edges = _parse_edge_lines(text, source)
-    arcs = tuple((u, v) for u, v, _, _ in edges)
+    arcs = tuple((u, v) for u, v, _ in edges)
     return _build(source, "vertices", vertices, Graph, tuple(vertices), arcs)
 
 
 def parse_weighted_graph(text: str, source: str = "<graph>") -> WeightedGraph:
     """Weighted variant; bare `u v` lines default to weight 1 (hop count)."""
     vertices, edges = _parse_edge_lines(text, source)
-    weighted = tuple((u, v, 1.0 if w is None else w) for u, v, w, _ in edges)
+    weighted = tuple((u, v, 1.0 if w is None else w) for u, v, w in edges)
     return _build(source, "vertices", vertices, WeightedGraph, tuple(vertices), weighted)
 
 
 def parse_digraph(text: str, source: str = "<digraph>") -> DiGraph:
     vertices, edges = _parse_edge_lines(text, source)
-    arcs = tuple((u, v) for u, v, _, _ in edges)
+    arcs = tuple((u, v) for u, v, _ in edges)
     return _build(source, "vertices", vertices, DiGraph, tuple(vertices), arcs)
 
 
 def parse_coloring(text: str, source: str = "<coloring>") -> VertexColoring:
     """``vertex color`` per line."""
     entries = []
-    for lineno, tokens, src in _rows(text, source):
+    for lineno, tokens in _rows(text):
         if len(tokens) != 2:
-            _fail(src, lineno, f"expected 'vertex color', got {len(tokens)} tokens")
+            _fail(source, lineno, f"expected 'vertex color', got {len(tokens)} tokens")
         entries.append((tokens[0], tokens[1]))
     return _build(source, "entries", entries, VertexColoring, tuple(entries))
 
@@ -132,11 +131,11 @@ def parse_coloring(text: str, source: str = "<coloring>") -> VertexColoring:
 def parse_vertex_map(text: str, source: str = "<map>") -> dict:
     """``from to`` per line; duplicate sources rejected."""
     mapping: dict = {}
-    for lineno, tokens, src in _rows(text, source):
+    for lineno, tokens in _rows(text):
         if len(tokens) != 2:
-            _fail(src, lineno, f"expected 'from to', got {len(tokens)} tokens")
+            _fail(source, lineno, f"expected 'from to', got {len(tokens)} tokens")
         if tokens[0] in mapping:
-            _fail(src, lineno, f"vertex {tokens[0]!r} mapped twice")
+            _fail(source, lineno, f"vertex {tokens[0]!r} mapped twice")
         mapping[tokens[0]] = tokens[1]
     return _build(source, "entries", mapping, dict, mapping)
 
@@ -144,14 +143,14 @@ def parse_vertex_map(text: str, source: str = "<map>") -> dict:
 def parse_positions(text: str, source: str = "<positions>") -> dict:
     """``vertex x y`` per line."""
     positions: dict = {}
-    for lineno, tokens, src in _rows(text, source):
+    for lineno, tokens in _rows(text):
         if len(tokens) != 3:
-            _fail(src, lineno, f"expected 'vertex x y', got {len(tokens)} tokens")
+            _fail(source, lineno, f"expected 'vertex x y', got {len(tokens)} tokens")
         if tokens[0] in positions:
-            _fail(src, lineno, f"vertex {tokens[0]!r} positioned twice")
+            _fail(source, lineno, f"vertex {tokens[0]!r} positioned twice")
         positions[tokens[0]] = (
-            _number(tokens[1], src, lineno, "x"),
-            _number(tokens[2], src, lineno, "y"),
+            _number(tokens[1], source, lineno, "x"),
+            _number(tokens[2], source, lineno, "y"),
         )
     return _build(source, "entries", positions, dict, positions)
 
@@ -159,13 +158,13 @@ def parse_positions(text: str, source: str = "<positions>") -> dict:
 def parse_intervals(text: str, source: str = "<intervals>") -> tuple:
     """``lo hi`` per line; returns a tuple of Interval."""
     out = []
-    for lineno, tokens, src in _rows(text, source):
+    for lineno, tokens in _rows(text):
         if len(tokens) != 2:
-            _fail(src, lineno, f"expected 'lo hi', got {len(tokens)} tokens")
-        lo = _number(tokens[0], src, lineno, "lo")
-        hi = _number(tokens[1], src, lineno, "hi")
+            _fail(source, lineno, f"expected 'lo hi', got {len(tokens)} tokens")
+        lo = _number(tokens[0], source, lineno, "lo")
+        hi = _number(tokens[1], source, lineno, "hi")
         try:
             out.append(Interval(lo, hi))
         except ValueError as err:
-            _fail(src, lineno, str(err))
+            _fail(source, lineno, str(err))
     return _build(source, "intervals", out, tuple, out)

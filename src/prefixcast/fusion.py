@@ -5,7 +5,8 @@ Four views of the same question, what range can the true value be in:
 * ``m_function``: the smallest closed interval containing every point where
   at least n-f of the intervals agree (an endpoint sweep).
 * ``overlap_function``: the full step function x -> number of intervals
-  containing x, queryable anywhere and exportable as breakpoints.
+  containing x, queryable anywhere and exportable as breakpoints; each
+  count bisects the sorted endpoints, O(n log n) in all.
 * ``n_function``: the same envelope as M but derived from the overlap
   function, giving an independent route to the identical answer.
 * ``s_function``: order statistics, the (f+1)-th largest left endpoint and
@@ -17,8 +18,8 @@ Intervals are closed; touching at a single point counts as overlap.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 
@@ -162,7 +163,7 @@ class OverlapFunction:
         bp = self.breakpoints
         if not bp or x < bp[0] or x > bp[-1]:
             return 0
-        i = bisect.bisect_left(bp, x)
+        i = bisect_left(bp, x)
         if i < len(bp) and bp[i] == x:
             return self.at_points[i]
         return self.between[i - 1]
@@ -176,16 +177,21 @@ class OverlapFunction:
 
 
 def overlap_function(s: IntervalSet) -> OverlapFunction:
-    """Materialize the overlap count at every breakpoint and gap."""
+    """Materialize the overlap count at every breakpoint and gap.
+
+    A sweep over the sorted endpoints, O(n log n) in all: an interval
+    contains x iff lo <= x and not hi < x, so the count at x is
+    #{lo <= x} - #{hi < x}; no endpoint lies inside the gap (a, b), so an
+    interval covers it iff lo <= a < hi, giving #{lo <= a} - #{hi <= a}.
+    Each count is a pair of bisections into the sorted ``lo`` and ``hi``
+    lists. The set union keeps the first zero among the ``lo`` values in
+    input order, else among the ``hi`` values, as the zero breakpoint.
+    """
     xs = sorted({iv.lo for iv in s.intervals} | {iv.hi for iv in s.intervals})
-    at_points = tuple(
-        sum(1 for iv in s.intervals if iv.lo <= x <= iv.hi) for x in xs
-    )
-    # an interval covers the open gap (a, b) iff it covers both ends
-    between = tuple(
-        sum(1 for iv in s.intervals if iv.lo <= a and iv.hi >= b)
-        for a, b in zip(xs, xs[1:])
-    )
+    los = sorted(iv.lo for iv in s.intervals)
+    his = sorted(iv.hi for iv in s.intervals)
+    at_points = tuple(bisect_right(los, x) - bisect_left(his, x) for x in xs)
+    between = tuple(bisect_right(los, a) - bisect_right(his, a) for a in xs[:-1])
     return OverlapFunction(
         n=s.n, breakpoints=tuple(xs), at_points=at_points, between=between
     )

@@ -277,16 +277,17 @@ def code_from_lengths(
     Lengths are sorted ascending (ties broken by input order) and codewords
     assigned in increasing numeric order, extending with zero digits whenever
     the length grows. Raises :class:`KraftViolation` when no prefix code
-    exists and ``ValueError`` when a label repeats.
+    exists and ``ValueError`` when the label count is wrong or a label
+    repeats; the count is checked first.
     """
+    if labels is None:
+        labels = tuple(str(i) for i in range(len(lengths)))
+    if len(labels) != len(lengths):
+        raise ValueError(f"{len(labels)} labels for {len(lengths)} lengths")
     if not satisfies_kraft(lengths):
         raise KraftViolation(
             f"Kraft sum exceeds 1 (about {kraft_sum(lengths)!r}); no prefix code exists"
         )
-    if labels is None:
-        labels = tuple(str(i) for i in range(len(lengths)))
-    if len(labels) != len(lengths):
-        raise ValueError("labels and lengths differ in count")
     d = lengths.alphabet_size
     order = sorted(range(len(lengths)), key=lambda i: (lengths.lengths[i], i))
     assignments: dict[str, Codeword] = {}

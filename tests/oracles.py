@@ -100,6 +100,24 @@ def overlap_count_at(intervals, x):
     return sum(1 for lo, hi in intervals if lo <= x <= hi)
 
 
+def overlap_direct(pairs):
+    """The overlap step function of closed [lo, hi] pairs, by all-pairs count.
+
+    Returns (breakpoints, at_points, between) as tuples. Breakpoints are
+    the distinct endpoints, sorted; of equal ones (``-0.0`` and ``0.0``)
+    the first ``lo`` in input order is kept, else the first ``hi``.
+    ``between[i]`` counts the pairs covering both ends of the open gap
+    after breakpoint i.
+    """
+    xs = sorted({lo for lo, _ in pairs} | {hi for _, hi in pairs})
+    at_points = tuple(sum(1 for lo, hi in pairs if lo <= x <= hi) for x in xs)
+    between = tuple(
+        sum(1 for lo, hi in pairs if lo <= a and hi >= b)
+        for a, b in zip(xs, xs[1:])
+    )
+    return tuple(xs), at_points, between
+
+
 def spanning_trees_by_subsets(vertices, edges):
     """All spanning trees via edge-subset enumeration of size n-1.
 

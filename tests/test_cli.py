@@ -13,7 +13,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from prefixcast.cli import USAGE_EXIT, VALIDATION_EXIT, fmt, run
+from prefixcast import graphs
+from prefixcast.cli import INTERNAL_EXIT, USAGE_EXIT, VALIDATION_EXIT, fmt, run
 
 
 def cli(*args):
@@ -284,6 +285,14 @@ def test_code_from_lengths_label_count_mismatch():
     assert code == VALIDATION_EXIT
 
 
+def test_code_from_lengths_label_count_is_checked_before_kraft():
+    # 1,1,1 also breaks Kraft; the label count is reported, in one line
+    code, out, err = cli("code-from-lengths", "--lengths", "1,1,1", "--labels", "x")
+    assert code == VALIDATION_EXIT
+    assert out == ""
+    assert err == "prefixcast code-from-lengths: 1 labels for 3 lengths\n"
+
+
 @pytest.mark.parametrize("lengths, labels", [("1,1", "a,a"), ("1,2,2", "a,b,a")])
 def test_code_from_lengths_repeated_label_is_validation_error(lengths, labels):
     code, out, err = cli("code-from-lengths", "--lengths", lengths, "--labels", labels)
@@ -322,6 +331,19 @@ def test_mst_weight(square):
     assert code == 0
     assert "total_weight 4" in out
     assert sum(1 for l in out.splitlines() if l.startswith("edge ")) == 3
+
+
+def test_failed_self_check_is_internal_error(square, monkeypatch):
+    # the enumeration cross-checks its tree count against the matrix-tree
+    # determinant; a mismatch is a bug, reported in one line with exit 70
+    monkeypatch.setattr(graphs, "_matrix_tree_count", lambda g: 1)
+    code, out, err = cli("span-entropy", "--graph", square)
+    assert code == INTERNAL_EXIT == 70
+    assert out == ""
+    assert err == (
+        "prefixcast span-entropy: internal error: enumeration found 8 spanning "
+        "trees but the matrix-tree determinant gives 1\n"
+    )
 
 
 def test_span_entropy_full_vs_msts_only(square):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prefixcast.fusion import (
     Inconsistent,
@@ -15,7 +17,7 @@ from prefixcast.fusion import (
     s_function,
 )
 
-from oracles import fuse_marzullo_reference, overlap_count_at
+from oracles import fuse_marzullo_reference, overlap_count_at, overlap_direct
 
 WORKED = IntervalSet.from_pairs([(8, 12), (11, 13), (14, 15)], f=1)
 
@@ -136,6 +138,32 @@ def test_overlap_matches_pointwise_oracle():
         for x in probes:
             assert omega.value_at(x) == overlap_count_at(pairs, x)
         assert max(omega.at_points) <= s.n
+
+
+# endpoints on a coarse grid, zero in both signs: ties, touching intervals
+# and points (lo == hi) all occur often
+ENDPOINTS = st.sampled_from([-2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def endpoint_pairs(draw):
+    """Closed [lo, hi] pairs with lo <= hi, drawn from ``ENDPOINTS``."""
+    ends = draw(st.lists(st.tuples(ENDPOINTS, ENDPOINTS), min_size=1, max_size=12))
+    return [(a, b) if a <= b else (b, a) for a, b in ends]
+
+
+@settings(max_examples=300, deadline=None)
+@given(endpoint_pairs())
+@example([(0.0, 1.0), (-0.0, 0.0), (-1.0, -0.0)])
+@example([(-1.0, -0.0), (0.5, 0.5), (-0.0, 0.0)])
+@example([(0.0, 0.0), (0.0, 0.0)])
+def test_overlap_matches_direct_count(pairs):
+    omega = overlap_function(IntervalSet.from_pairs(pairs, f=0))
+    breakpoints, at_points, between = overlap_direct(pairs)
+    # repr tells -0.0 from 0.0, which == does not
+    assert [repr(x) for x in omega.breakpoints] == [repr(x) for x in breakpoints]
+    assert omega.at_points == at_points
+    assert omega.between == between
 
 
 def test_overlap_integral_identity():
