@@ -65,14 +65,11 @@ class LeveledNetwork:
     graph: Graph
     base_station: object
     level: dict
-    sector: dict | None = None
 
     def __post_init__(self):
         truth = _bfs_levels(self.graph, self.base_station)
         if dict(self.level) != truth:
             raise ValueError("level map is not the BFS distance from the base station")
-        if self.sector is not None and set(self.sector) != set(self.graph.vertices):
-            raise ValueError("sector map does not cover all vertices")
 
     def max_level(self) -> int:
         return max(self.level.values())

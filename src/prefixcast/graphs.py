@@ -6,7 +6,9 @@ degree. Conditional entropy, mutual information against a vertex coloring,
 Tsallis entropy, and Kullback-Leibler divergence between two graphs all
 derive from the same distribution. Spanning-tree enumeration is exhaustive
 (guarded by size) and cross-checked against the matrix-tree determinant so
-a bug in either route cannot pass silently.
+a bug in either route cannot pass silently; the entropy extrema fold its
+edge tuples and build a Graph only for the argmin and argmax. A graph is
+checked once, when built, and a WeightedGraph keeps the Graph it built.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .source_coding import ProbabilityMassFunction, shannon_entropy
+from .source_coding import ProbabilityMassFunction, _entropy, shannon_entropy
 
 ENUMERATION_GUARD = 9
 
@@ -35,6 +37,27 @@ def _canonical_pair(u, v):
     return (u, v) if _vkey(u) <= _vkey(v) else (v, u)
 
 
+def _checked_pairs(vertices: tuple, pairs, key, noun: str) -> tuple:
+    """``key(u, v)`` of each pair; rejects duplicate vertex ids, self-loops,
+    unknown endpoints and two pairs with one key, naming a pair as given."""
+    vset = set(vertices)
+    if len(vset) != len(vertices):
+        raise ValueError("duplicate vertex ids")
+    seen = set()
+    out = []
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"self-loop at {u!r}")
+        if u not in vset or v not in vset:
+            raise ValueError(f"{noun} ({u!r}, {v!r}) references unknown vertex")
+        pair = key(u, v)
+        if pair in seen:
+            raise ValueError(f"repeated {noun} ({u!r}, {v!r})")
+        seen.add(pair)
+        out.append(pair)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph: ordered vertex ids, edges without loops or repeats."""
@@ -44,24 +67,9 @@ class Graph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        if len(set(verts)) != len(verts):
-            raise ValueError("duplicate vertex ids")
-        vset = set(verts)
-        canon = []
-        seen = set()
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
-            if u not in vset or v not in vset:
-                raise ValueError(f"edge ({u!r}, {v!r}) references unknown vertex")
-            pair = _canonical_pair(u, v)
-            if pair in seen:
-                raise ValueError(f"repeated edge ({u!r}, {v!r})")
-            seen.add(pair)
-            canon.append(pair)
+        edges = _checked_pairs(verts, self.edges, _canonical_pair, "edge")
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "edges", edges)
 
     def degree(self) -> dict:
         deg = {v: 0 for v in self.vertices}
@@ -77,7 +85,7 @@ class Graph:
             adj[v].append(u)
         return adj
 
-    # built on first use: enumerate_spanning_trees makes one Graph per tree
+    # built on first use: the public enumerate_spanning_trees makes one Graph per tree
     @cached_property
     def _edge_set(self) -> frozenset:
         return frozenset(self.edges)
@@ -94,23 +102,23 @@ class WeightedGraph:
     edges: tuple  # (u, v, w) triples
 
     def __post_init__(self):
-        plain = []
-        canon = []
-        for e in self.edges:
-            u, v, w = e
+        # every weight is checked before the Graph checks endpoints, loops, repeats
+        pairs = []
+        weights = []
+        for u, v, w in self.edges:
             w = float(w)
             if not (math.isfinite(w) and w >= 0.0):
                 raise ValueError(f"edge ({u!r}, {v!r}) has invalid weight {w!r}")
-            cu, cv = _canonical_pair(u, v)
-            plain.append((cu, cv))
-            canon.append((cu, cv, w))
-        # Graph construction validates endpoints, loops, repeats
-        Graph(tuple(self.vertices), tuple(plain))
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(canon))
+            pairs.append((u, v))
+            weights.append(w)
+        g = Graph(self.vertices, pairs)
+        object.__setattr__(self, "vertices", g.vertices)
+        object.__setattr__(self, "edges", tuple((*e, w) for e, w in zip(g.edges, weights)))
+        object.__setattr__(self, "_graph", g)
 
     def graph(self) -> Graph:
-        return Graph(self.vertices, tuple((u, v) for u, v, _ in self.edges))
+        """The unweighted graph, built and checked along with this one."""
+        return self._graph
 
     # built on first use: most graphs, such as a parsed input, never look up a weight
     @cached_property
@@ -136,21 +144,9 @@ class DiGraph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        if len(set(verts)) != len(verts):
-            raise ValueError("duplicate vertex ids")
-        vset = set(verts)
-        seen = set()
-        for a in self.arcs:
-            u, v = a
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
-            if u not in vset or v not in vset:
-                raise ValueError(f"arc ({u!r}, {v!r}) references unknown vertex")
-            if (u, v) in seen:
-                raise ValueError(f"repeated arc ({u!r}, {v!r})")
-            seen.add((u, v))
+        arcs = _checked_pairs(verts, self.arcs, lambda u, v: (u, v), "arc")
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "arcs", tuple(tuple(a) for a in self.arcs))
+        object.__setattr__(self, "arcs", arcs)
 
 
 @dataclass(frozen=True)
@@ -416,13 +412,8 @@ def _matrix_tree_count(g: Graph) -> int:
     return _int_determinant(minor)
 
 
-def enumerate_spanning_trees(g: Graph) -> list:
-    """Every spanning tree, in a deterministic order.
-
-    Exhaustive include/exclude search over edges in canonical order, pruned
-    by reachability, then cross-checked against the matrix-tree determinant.
-    Guarded to graphs of at most ``ENUMERATION_GUARD`` vertices.
-    """
+def _spanning_edge_sets(g: Graph) -> list:
+    """The edge tuples of :func:`enumerate_spanning_trees`, in its order."""
     n = len(g.vertices)
     if n > ENUMERATION_GUARD:
         raise ValueError(
@@ -431,7 +422,7 @@ def enumerate_spanning_trees(g: Graph) -> list:
     if not is_connected(g):
         raise ValueError("graph is disconnected; it has no spanning tree")
     if n <= 1:
-        return [Graph(g.vertices, ())]
+        return [()]
 
     idx = {v: i for i, v in enumerate(g.vertices)}
     edges = sorted(g.edges, key=lambda e: (_vkey(e[0]), _vkey(e[1])))
@@ -472,7 +463,40 @@ def enumerate_spanning_trees(g: Graph) -> list:
             f"enumeration found {len(trees)} spanning trees but the "
             f"matrix-tree determinant gives {expected}"
         )
-    return [Graph(g.vertices, t) for t in trees]
+    return trees
+
+
+def enumerate_spanning_trees(g: Graph) -> list:
+    """Every spanning tree, as a ``Graph`` on g's vertices, in a deterministic order.
+
+    Exhaustive include/exclude search over edges in canonical order, pruned
+    by reachability, then cross-checked against the matrix-tree determinant.
+    Guarded to graphs of at most ``ENUMERATION_GUARD`` vertices. The entropy
+    extrema fold the same search's edge tuples and build no Graph per tree.
+    """
+    return [Graph(g.vertices, t) for t in _spanning_edge_sets(g)]
+
+
+def _entropy_extrema(vertices: tuple, trees) -> tuple:
+    """(min, max, argmin, argmax) of entropy over spanning trees' edge tuples.
+
+    Entropy comes from the degree counts by :func:`graph_entropy`'s formula,
+    so the values are equal. Ties resolve to the first tree.
+    """
+    idx = {v: i for i, v in enumerate(vertices)}
+    total = 2 * (len(idx) - 1)
+    lo = hi = arg_lo = arg_hi = None
+    for t in trees:
+        deg = [0] * len(idx)
+        for u, v in t:
+            deg[idx[u]] += 1
+            deg[idx[v]] += 1
+        h = _entropy((c / total for c in deg), 2.0)
+        if lo is None or h < lo:
+            lo, arg_lo = h, t
+        if hi is None or h > hi:
+            hi, arg_hi = h, t
+    return lo, hi, arg_lo, arg_hi
 
 
 def spanning_tree_entropy_extrema(g: Graph):
@@ -480,18 +504,11 @@ def spanning_tree_entropy_extrema(g: Graph):
 
     Ties resolve to the first tree in enumeration order.
     """
-    trees = enumerate_spanning_trees(g)
-    if len(g.vertices) <= 1 or not trees[0].edges:
+    trees = _spanning_edge_sets(g)
+    if len(g.vertices) <= 1 or not trees[0]:
         raise ValueError("spanning trees of a trivial graph have no edges")
-    best_lo = best_hi = None
-    arg_lo = arg_hi = None
-    for t in trees:
-        h = graph_entropy(t)
-        if best_lo is None or h < best_lo:
-            best_lo, arg_lo = h, t
-        if best_hi is None or h > best_hi:
-            best_hi, arg_hi = h, t
-    return best_lo, best_hi, arg_lo, arg_hi
+    lo, hi, arg_lo, arg_hi = _entropy_extrema(g.vertices, trees)
+    return lo, hi, Graph(g.vertices, arg_lo), Graph(g.vertices, arg_hi)
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
@@ -514,24 +531,18 @@ def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
 
 
 def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
-    """Entropy extrema over every spanning tree of minimum total weight."""
-    bare = g.graph()
-    trees = enumerate_spanning_trees(bare)
-    if not trees or not trees[0].edges:
+    """Entropy extrema over every spanning tree of minimum total weight.
+
+    A tree counts when the fsum of its weights equals the MST's: fsum rounds
+    correctly and rounding is monotone, so that is the least such sum.
+    """
+    trees = _spanning_edge_sets(g.graph())
+    if not trees or not trees[0]:
         raise ValueError("trivial graph; no tree entropy defined")
-    weights = []
-    for t in trees:
-        weights.append(math.fsum(g.weight_of(u, v) for u, v in t.edges))
-    best = min(weights)
-    lo = hi = None
-    for t, w in zip(trees, weights):
-        if w != best:
-            continue
-        h = graph_entropy(t)
-        if lo is None or h < lo:
-            lo = h
-        if hi is None or h > hi:
-            hi = h
+    best = minimum_spanning_tree(g).total_weight()
+    lo, hi, _, _ = _entropy_extrema(
+        g.vertices, (t for t in trees if math.fsum(g._weight[e] for e in t) == best)
+    )
     return lo, hi
 
 

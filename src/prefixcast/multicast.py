@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import WeightedGraph, _is_mst, _vkey, is_connected, minimum_spanning_tree
+from .graphs import WeightedGraph, _is_mst, _vkey, minimum_spanning_tree
 from .hierarchy import DaryTree, LeaderAssignment, SecurityReport, verify_secure
 from .source_coding import (
     CodeLengthSet,
@@ -110,53 +110,41 @@ class PlanAudit:
         return self.mst_weight_minimal and self.prefix_free and self.routes_follow_tree
 
 
-def _assert_tree(spanning_tree: WeightedGraph) -> None:
-    n = len(spanning_tree.vertices)
-    if len(spanning_tree.edges) != n - 1:
-        raise ValueError(
-            f"not a tree: {len(spanning_tree.edges)} edges on {n} vertices"
-        )
-    # n-1 edges + connectivity = tree
-    if not is_connected(spanning_tree.graph()):
-        raise ValueError("not a tree: graph is disconnected")
-
-
 def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryTree:
     """Root the tree and retain at most D children per node.
 
     Children are kept in increasing order of (edge weight, vertex id); the
     digit of a child is its index among the retained siblings. Dropping a
     child discards its entire subtree, and every vertex so discarded is
-    reported in ``pruned``.
+    reported in ``pruned``. One breadth-first walk from the root does all
+    of this and proves the input a tree: with n-1 edges, reaching every
+    vertex rules out a cycle.
     """
     if d < 2:
         raise ValueError(f"arity must be >= 2, got {d}")
     if root not in spanning_tree.vertices:
         raise ValueError(f"root {root!r} is not a vertex")
-    _assert_tree(spanning_tree)
+    n = len(spanning_tree.vertices)
+    if len(spanning_tree.edges) != n - 1:
+        raise ValueError(
+            f"not a tree: {len(spanning_tree.edges)} edges on {n} vertices"
+        )
 
     adj = spanning_tree.graph().adjacency()
     children: dict = {}
     parent: dict = {}
     vertex_at: dict = {(): root}
-    pruned: list = []
-
-    def subtree(v, blocked) -> list:
-        out = [v]
-        stack = [(v, blocked)]
-        while stack:
-            u, stop = stack.pop()
-            for w in adj[u]:
-                if w != stop:
-                    out.append(w)
-                    stack.append((w, u))
-        return out
-
+    reached = {root}
+    # a vertex below a dropped child walks on with path None
     frontier = [(root, ())]
     while frontier:
         nxt = []
         for v, path in frontier:
-            kids = [w for w in adj[v] if w != parent.get(v)]
+            kids = [w for w in adj[v] if w not in reached]
+            reached.update(kids)
+            if path is None:
+                nxt.extend((w, None) for w in kids)
+                continue
             kids.sort(key=lambda w: (spanning_tree.weight_of(v, w), _vkey(w)))
             keep, cut = kids[:d], kids[d:]
             children[v] = tuple(keep)
@@ -164,9 +152,10 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
                 parent[w] = v
                 vertex_at[path + (i,)] = w
                 nxt.append((w, path + (i,)))
-            for w in cut:
-                pruned.extend(subtree(w, v))
+            nxt.extend((w, None) for w in cut)
         frontier = nxt
+    if len(reached) != n:
+        raise ValueError("not a tree: graph is disconnected")
 
     return EmbeddedDaryTree(
         root=root,
@@ -174,7 +163,7 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
         children=children,
         parent=parent,
         vertex_at=vertex_at,
-        pruned=tuple(sorted(set(pruned), key=_vkey)),
+        pruned=tuple(sorted(reached.difference(vertex_at.values()), key=_vkey)),
     )
 
 

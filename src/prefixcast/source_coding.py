@@ -100,9 +100,6 @@ class Codeword:
     def length(self) -> int:
         return len(self.digits)
 
-    def is_prefix_of(self, other: "Codeword") -> bool:
-        return self.digits == other.digits[: len(self.digits)]
-
     def __str__(self) -> str:
         if all(d <= 9 for d in self.digits):
             return "".join(str(d) for d in self.digits)
@@ -381,6 +378,9 @@ def shannon_entropy(pmf: ProbabilityMassFunction, base: float = 2.0) -> float:
         raise ValueError(f"log base must exceed 1, got {base}")
     if math.isinf(base):
         raise ValueError("log base must be finite, got inf")
-    return -math.fsum(
-        p * math.log(p, base) for _, p in pmf.entries if p > 0.0
-    )
+    return _entropy((p for _, p in pmf.entries), base)
+
+
+def _entropy(probs, base: float) -> float:
+    """-sum p*log(p) over the positive probabilities, in the given log base."""
+    return -math.fsum(p * math.log(p, base) for p in probs if p > 0.0)

@@ -1,0 +1,102 @@
+"""Entropy extrema over spanning trees against subset enumeration.
+
+The extrema fold works on the search's edge tuples, not on one ``Graph``
+and one degree pmf per tree. These tests hold it to the exhaustive oracle:
+the values equal ``graph_entropy``'s exactly, the named trees are the first
+extremal ones in ``enumerate_spanning_trees`` order, and the MST scope keeps
+exactly the trees of least ``math.fsum`` weight. Weights in tenths make
+left-to-right sums of one tree's weights depend on their order, which fsum
+does not, and weights near 2**53 make a tree that is not an MST round to
+the MST's weight, which the MST scope keeps.
+"""
+
+import math
+import random
+
+import pytest
+
+import prefixcast.graphs as graphs
+import prefixcast.source_coding as source_coding
+from prefixcast.graphs import (
+    Graph,
+    WeightedGraph,
+    complete_graph,
+    enumerate_spanning_trees,
+    graph_entropy,
+    mst_entropy_extrema,
+    spanning_tree_entropy_extrema,
+)
+
+from oracles import random_weighted_connected, spanning_trees_by_subsets
+
+TENTHS = (0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 1.0, 1.1)
+
+
+def _random_graph(rng):
+    n = rng.randint(2, 7)
+    extra = rng.randint(0, min(6, (n - 1) * (n - 2) // 2))
+    vertices, edges = random_weighted_connected(rng, n, extra, (1, 3))
+    if rng.random() < 0.5:
+        edges = tuple((u, v, rng.choice(TENTHS)) for u, v, _ in edges)
+    return WeightedGraph(vertices, edges)
+
+
+def test_extrema_match_subset_oracle():
+    order_sensitive = 0
+    for seed in range(60):
+        rng = random.Random(7000 + seed)
+        g = _random_graph(rng)
+        weight = {(u, v): w for u, v, w in g.edges}
+        oracle = [
+            (sorted(weight[p] for p in tree), graph_entropy(Graph(g.vertices, tuple(tree))))
+            for tree in spanning_trees_by_subsets(g.vertices, g.edges)
+        ]
+        entropies = [h for _, h in oracle]
+        least = min(math.fsum(ws) for ws, _ in oracle)
+        msts = [(ws, h) for ws, h in oracle if math.fsum(ws) == least]
+        order_sensitive += len({sum(ws) for ws, _ in msts} | {sum(ws[::-1]) for ws, _ in msts}) > 1
+
+        lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(g.graph())
+        assert (lo, hi) == (min(entropies), max(entropies))
+        assert mst_entropy_extrema(g) == (min(h for _, h in msts), max(h for _, h in msts))
+
+        trees = enumerate_spanning_trees(g.graph())
+        hs = [graph_entropy(t) for t in trees]
+        assert t_lo == trees[hs.index(lo)]
+        assert t_hi == trees[hs.index(hi)]
+    # some cases have minimum trees whose plain sums depend on summation order
+    assert order_sensitive > 0
+
+
+def test_mst_scope_keeps_trees_whose_fsum_rounds_to_the_minimum():
+    # the star at b is the only exact MST (entropy 2.0); the path a-b-c-d-e
+    # weighs 2**53 + 1, which rounds to 2**53 like the star (entropy 2.25)
+    g = WeightedGraph(tuple("abcde"), (
+        ("a", "b", 2.0**53), ("b", "c", 0.0), ("b", "d", 0.0), ("b", "e", 0.0),
+        ("c", "d", 0.5), ("d", "e", 0.5),
+    ))
+    assert mst_entropy_extrema(g) == (2.0, 2.25)
+
+
+def test_k5_extrema_build_at_most_two_graphs_and_no_pmf(monkeypatch):
+    k5 = complete_graph(5)
+    weighted = WeightedGraph(k5.vertices, tuple((u, v, float(u + v) % 3) for u, v in k5.edges))
+    built = {"Graph": 0, "pmf": 0}
+    graph_init = graphs.Graph.__post_init__
+    pmf_init = source_coding.ProbabilityMassFunction.__post_init__
+
+    def count_graph(self):
+        built["Graph"] += 1
+        graph_init(self)
+
+    def count_pmf(self):
+        built["pmf"] += 1
+        pmf_init(self)
+
+    monkeypatch.setattr(graphs.Graph, "__post_init__", count_graph)
+    monkeypatch.setattr(source_coding.ProbabilityMassFunction, "__post_init__", count_pmf)
+    spanning_tree_entropy_extrema(k5)
+    assert built == {"Graph": 2, "pmf": 0}
+    built["Graph"] = 0
+    mst_entropy_extrema(weighted)
+    assert built["Graph"] <= 2 and built["pmf"] == 0
