@@ -1,5 +1,9 @@
 """Command-line front end: every capability as one subcommand.
 
+Request flow: :func:`run` owns parsing, the :class:`Report`, error mapping
+and rendering. A handler ``cmd_*(args, rep)`` only reads its inputs through
+``rep.read`` and computes, writing each result to ``rep``.
+
 Output discipline: every run prints a manifest header (tool version,
 subcommand, the flags verbatim, a sha256 per input file, and the seed when
 randomness is involved) followed by the results, so any output file is
@@ -114,44 +118,41 @@ def fmt(x) -> str:
     return s if s and s != "-0" else "0"
 
 
-class Inputs:
-    """Reads and fingerprints input files; '-' means standard input."""
+class Report:
+    """The manifest and results of one run. Each input is read through it and
+    listed with its sha256 in read order. Each result is written once, as a
+    record with its text line, and both output modes render from it."""
 
-    def __init__(self):
-        self.records = []  # (display path, sha256 hex)
-        self._stdin_cache = None
+    def __init__(self, subcommand: str, argv: list, seed=None):
+        self.manifest = {
+            "tool": "prefixcast",
+            "version": __version__,
+            "subcommand": subcommand,
+            "flags": shlex.join(argv),
+            "inputs": [],
+        }
+        if seed is not None:
+            self.manifest["seed"] = seed
+        self.lines = []   # text-mode body
+        self.result = {}  # machine-mode body, insertion order = output order
+        self._stdin = None
 
     def read(self, path: str) -> str:
+        """The text of one input file; '-' means standard input, read once."""
         if path == "-":
-            if self._stdin_cache is None:
-                self._stdin_cache = sys.stdin.buffer.read()
-            data = self._stdin_cache
+            if self._stdin is None:
+                self._stdin = sys.stdin.buffer.read()
+            data = self._stdin
         else:
             try:
                 with open(path, "rb") as fh:
                     data = fh.read()
             except OSError as err:
                 raise FileFormatError(f"cannot read {path}: {err.strerror}") from err
-        self.records.append((path, hashlib.sha256(data).hexdigest()))
+        self.manifest["inputs"].append(
+            {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+        )
         return data.decode("utf-8")
-
-
-class Report:
-    """The manifest and results of one run. Each result is written once, as
-    a record with its text line, and both output modes render from it."""
-
-    def __init__(self, subcommand: str, argv: list, inputs: Inputs, seed=None):
-        self.manifest = {
-            "tool": "prefixcast",
-            "version": __version__,
-            "subcommand": subcommand,
-            "flags": shlex.join(argv),
-            "inputs": [{"path": p, "sha256": h} for p, h in inputs.records],
-        }
-        if seed is not None:
-            self.manifest["seed"] = seed
-        self.lines = []   # text-mode body
-        self.result = {}  # machine-mode body, insertion order = output order
 
     def field(self, key: str, value, line=None):
         """One named value; its text line is ``key fmt(value)`` unless given."""
@@ -191,10 +192,10 @@ def _csv(text: str, what: str, kind=int) -> tuple:
         raise ValueError(f"{what} must be comma-separated {noun}, got {text!r}")
 
 
-def _lengths(args, inputs) -> CodeLengthSet:
+def _lengths(args, rep: Report) -> CodeLengthSet:
     """The length set of ``--lengths`` or ``--lengths-file`` at ``--D``."""
     if args.lengths_file is not None:
-        return parse_lengths(inputs.read(args.lengths_file), args.D, args.lengths_file)
+        return parse_lengths(rep.read(args.lengths_file), args.D, args.lengths_file)
     return CodeLengthSet(_csv(args.lengths, "--lengths"), args.D)
 
 
@@ -214,7 +215,7 @@ def _interval_field(rep: Report, key: str, value):
 # ----------------------------------------------------------- subcommands
 
 
-def cmd_kraft(args, argv, inputs):
+def cmd_kraft(args, rep):
     sources = [
         s for s in (args.lengths, args.lengths_file, args.consecutive, args.progression)
         if s is not None
@@ -232,19 +233,18 @@ def cmd_kraft(args, argv, inputs):
         n1, m = parts
         total = consecutive_lengths_sum(n1, m, d)
         lengths = CodeLengthSet(tuple(range(n1, n1 + m)), d)
-        ok = satisfies_kraft(lengths)
     elif args.progression is not None:
         parts = _csv(args.progression, "--progression")
         if len(parts) != 3:
             raise ValueError("--progression needs exactly N1,STEP,M")
         n1, step, m = parts
-        total, ok = arithmetic_progression_satisfies_kraft(n1, step, m, d)
+        # called first: it validates n1, step, M and D in its own order
+        total, _ = arithmetic_progression_satisfies_kraft(n1, step, m, d)
         lengths = CodeLengthSet(tuple(n1 + k * step for k in range(m)), d)
     else:
-        lengths = _lengths(args, inputs)
+        lengths = _lengths(args, rep)
         total = kraft_sum(lengths)
-        ok = satisfies_kraft(lengths)
-    rep = Report("kraft", argv, inputs)
+    ok = satisfies_kraft(lengths)
     rep.field("D", d)
     rep.field("lengths", ",".join(str(n) for n in lengths.lengths))
     rep.field("sum", total)
@@ -255,13 +255,11 @@ def cmd_kraft(args, argv, inputs):
         if not ok:
             raise ValueError("Kraft fails at the base alphabet; nothing to enlarge")
         rep.field(f"satisfied_at_{args.check_at}", kraft_alphabet_monotonicity(lengths, args.check_at))
-    return rep
 
 
-def cmd_huffman(args, argv, inputs):
-    pmf = parse_pmf(inputs.read(args.pmf), args.pmf)
+def cmd_huffman(args, rep):
+    pmf = parse_pmf(rep.read(args.pmf), args.pmf)
     code = huffman_code(pmf, args.D)
-    rep = Report("huffman", argv, inputs)
     rep.field("D", args.D)
     rep.field("symbols", len(pmf))
     rows = []
@@ -275,16 +273,14 @@ def cmd_huffman(args, argv, inputs):
     rep.field("expected_length", expected_length(code, pmf))
     rep.field("entropy_base_D", shannon_entropy(pmf, base=float(args.D)))
     rep.field("kraft_sum", kraft_sum(code.length_set()))
-    return rep
 
 
-def cmd_code_from_lengths(args, argv, inputs):
+def cmd_code_from_lengths(args, rep):
     if (args.lengths is None) == (args.lengths_file is None):
         raise ValueError("exactly one of --lengths or --lengths-file is required")
-    lengths = _lengths(args, inputs)
+    lengths = _lengths(args, rep)
     labels = tuple(args.labels.split(",")) if args.labels else None
     code = code_from_lengths(lengths, labels)
-    rep = Report("code-from-lengths", argv, inputs)
     rep.field("D", args.D)
     rep.table("code", (
         ({"label": label, "codeword": str(word), "length": word.length},
@@ -292,26 +288,21 @@ def cmd_code_from_lengths(args, argv, inputs):
         for label, word in code.assignments.items()
     ))
     rep.field("kraft_sum", kraft_sum(code.length_set()))
-    return rep
 
 
-def cmd_entropy(args, argv, inputs):
-    pmf = parse_pmf(inputs.read(args.pmf), args.pmf)
-    rep = Report("entropy", argv, inputs)
+def cmd_entropy(args, rep):
+    pmf = parse_pmf(rep.read(args.pmf), args.pmf)
     rep.field("symbols", len(pmf))
     rep.field("base", args.base)
     rep.field("entropy", shannon_entropy(pmf, base=args.base))
-    return rep
 
 
-def cmd_graph_entropy(args, argv, inputs):
-    rep_name = "graph-entropy"
+def cmd_graph_entropy(args, rep):
     if args.digraph:
         if args.tsallis is not None or args.coloring is not None:
             raise ValueError("--tsallis and --coloring apply to undirected graphs only")
-        dg = parse_digraph(inputs.read(args.graph), args.graph)
+        dg = parse_digraph(rep.read(args.graph), args.graph)
         in_pmf, out_pmf = in_out_degree_pmfs(dg)
-        rep = Report(rep_name, argv, inputs)
         rep.field("vertices", len(dg.vertices))
         rep.field("arcs", len(dg.arcs))
         for name, pmf in (("in", in_pmf), ("out", out_pmf)):
@@ -320,13 +311,12 @@ def cmd_graph_entropy(args, argv, inputs):
                 for label, p in pmf.entries
             ))
             rep.field(f"{name}_entropy", shannon_entropy(pmf))
-        return rep
+        return
 
-    g = parse_graph(inputs.read(args.graph), args.graph)
+    g = parse_graph(rep.read(args.graph), args.graph)
     coloring = None
     if args.coloring is not None:
-        coloring = parse_coloring(inputs.read(args.coloring), args.coloring)
-    rep = Report(rep_name, argv, inputs)
+        coloring = parse_coloring(rep.read(args.coloring), args.coloring)
     rep.field("vertices", len(g.vertices))
     rep.field("edges", len(g.edges))
     rep.table("degree_pmf", (
@@ -342,25 +332,21 @@ def cmd_graph_entropy(args, argv, inputs):
     if coloring is not None:
         rep.field("conditional_entropy_bits", conditional_graph_entropy(g, coloring))
         rep.field("mutual_information_bits", graph_mutual_information(g, coloring))
-    return rep
 
 
-def cmd_kl(args, argv, inputs):
-    g1 = parse_graph(inputs.read(args.graph), args.graph)
-    g2 = parse_graph(inputs.read(args.graph2), args.graph2)
+def cmd_kl(args, rep):
+    g1 = parse_graph(rep.read(args.graph), args.graph)
+    g2 = parse_graph(rep.read(args.graph2), args.graph2)
     correspondence = None
     if args.map is not None:
-        correspondence = parse_vertex_map(inputs.read(args.map), args.map)
-    rep = Report("kl", argv, inputs)
+        correspondence = parse_vertex_map(rep.read(args.map), args.map)
     rep.field("vertices", len(g1.vertices))
     rep.field("kl_bits", graph_kl_divergence(g1, g2, correspondence))
-    return rep
 
 
-def cmd_mst(args, argv, inputs):
-    g = parse_weighted_graph(inputs.read(args.graph), args.graph)
+def cmd_mst(args, rep):
+    g = parse_weighted_graph(rep.read(args.graph), args.graph)
     mst = minimum_spanning_tree(g)
-    rep = Report("mst", argv, inputs)
     rep.field("vertices", len(g.vertices))
     rep.field("input_edges", len(g.edges))
     rep.table("edges", (
@@ -368,12 +354,10 @@ def cmd_mst(args, argv, inputs):
         for u, v, w in mst.edges
     ))
     rep.field("total_weight", mst.total_weight())
-    return rep
 
 
-def cmd_span_entropy(args, argv, inputs):
-    g = parse_weighted_graph(inputs.read(args.graph), args.graph)
-    rep = Report("span-entropy", argv, inputs)
+def cmd_span_entropy(args, rep):
+    g = parse_weighted_graph(rep.read(args.graph), args.graph)
     rep.field("vertices", len(g.vertices))
     if args.msts_only:
         lo, hi = mst_entropy_extrema(g)
@@ -390,14 +374,12 @@ def cmd_span_entropy(args, argv, inputs):
             [{"u": u, "v": v} for u, v in tree.edges],
             f"{name} " + " ".join(f"{u}-{v}" for u, v in tree.edges),
         )
-    return rep
 
 
-def cmd_assign_leaders(args, argv, inputs):
-    pmf = parse_pmf(inputs.read(args.pmf), args.pmf)
+def cmd_assign_leaders(args, rep):
+    pmf = parse_pmf(rep.read(args.pmf), args.pmf)
     assignment = assign_leaders(pmf, args.D)
     report = verify_secure(assignment)
-    rep = Report("assign-leaders", argv, inputs)
     rep.field("D", args.D)
     rows = []
     for label, p in pmf.entries:
@@ -421,14 +403,12 @@ def cmd_assign_leaders(args, argv, inputs):
             "applies only at D=2"
         )
     rep.field("secure", report.secure)
-    return rep
 
 
-def cmd_plan_multicast(args, argv, inputs):
-    g = parse_weighted_graph(inputs.read(args.graph), args.graph)
-    pmf = parse_pmf(inputs.read(args.pmf), args.pmf)
+def cmd_plan_multicast(args, rep):
+    g = parse_weighted_graph(rep.read(args.graph), args.graph)
+    pmf = parse_pmf(rep.read(args.pmf), args.pmf)
     plan = plan_multicast(g, args.root, pmf, args.D, relax=args.relax)
-    rep = Report("plan-multicast", argv, inputs)
     rep.field("root", plan.root)
     rep.field("D", plan.arity)
     rep.field("mst_weight", plan.mst_weight)
@@ -452,48 +432,41 @@ def cmd_plan_multicast(args, argv, inputs):
         rep.field("audit_prefix_free", audit.prefix_free)
         rep.field("audit_routes_follow_tree", audit.routes_follow_tree)
         rep.field("audit_ok", audit.ok)
-    return rep
 
 
-def cmd_reliability(args, argv, inputs):
-    rep = Report("reliability", argv, inputs)
+def cmd_reliability(args, rep):
     rep.field("q", args.q)
     rep.field("depth", args.depth)
     rep.field("path_reliability", path_reliability(args.q, args.depth))
     rep.field(
         "last_link_failure", last_link_failure_probability(args.q, args.depth)
     )
-    return rep
 
 
-def cmd_levels(args, argv, inputs):
-    g = parse_graph(inputs.read(args.graph), args.graph)
+def cmd_levels(args, rep):
+    g = parse_graph(rep.read(args.graph), args.graph)
     net = assign_levels(g, args.bs)
-    rep = Report("levels", argv, inputs)
     rep.field("base_station", args.bs)
     rep.table("levels", (
         ({"vertex": v, "level": net.level[v]}, f"{v} {net.level[v]}")
         for v in g.vertices
     ))
     rep.field("max_level", net.max_level())
-    return rep
 
 
-def cmd_sectors(args, argv, inputs):
-    positions = parse_positions(inputs.read(args.positions), args.positions)
+def cmd_sectors(args, rep):
+    positions = parse_positions(rep.read(args.positions), args.positions)
     sectors = assign_sectors(positions, args.bs, args.K)
-    rep = Report("sectors", argv, inputs)
     rep.field("base_station", args.bs)
     rep.field("K", args.K)
     rep.table("sectors", (
         ({"vertex": v, "sector": sectors[v]}, f"{v} {sectors[v]}")
         for v in positions  # file order
     ))
-    return rep
 
 
-def cmd_gossip(args, argv, inputs):
-    g = parse_graph(inputs.read(args.graph), args.graph)
+def cmd_gossip(args, rep):
+    g = parse_graph(rep.read(args.graph), args.graph)
     net = assign_levels(g, args.bs)
     cfg = GossipConfig(
         level_probabilities=_csv(args.levels_probs, "--levels-probs", float),
@@ -512,7 +485,6 @@ def cmd_gossip(args, argv, inputs):
         )
     # validates the source before the report looks up its level
     outcomes = trial_outcomes(net, cfg, source)
-    rep = Report("gossip", argv, inputs, seed=cfg.seed)
     rep.field("base_station", args.bs)
     rep.field("source", source)
     rep.field("source_level", net.level[source])
@@ -540,13 +512,11 @@ def cmd_gossip(args, argv, inputs):
     rep.field("delivery_ratio", result.delivery_ratio)
     rep.field("mean_transmissions", result.mean_transmissions)
     rep.field("mean_hops", result.mean_hops)
-    return rep
 
 
-def cmd_fuse(args, argv, inputs):
-    intervals = parse_intervals(inputs.read(args.intervals), args.intervals)
+def cmd_fuse(args, rep):
+    intervals = parse_intervals(rep.read(args.intervals), args.intervals)
     s = IntervalSet(intervals, args.f)
-    rep = Report("fuse", argv, inputs)
     rep.field("n", s.n)
     rep.field("f", s.f)
     rep.field("quorum", s.quorum)
@@ -570,7 +540,6 @@ def cmd_fuse(args, argv, inputs):
     else:
         fuse = {"m": m_function, "n": n_function, "s": s_function}[which]
         _interval_field(rep, which, fuse(s))
-    return rep
 
 
 # ------------------------------------------------------------------ wiring
@@ -687,9 +656,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    inputs = Inputs()
+    rep = Report(args.command, argv, seed=getattr(args, "seed", None))
     try:
-        rep = args.handler(args, argv, inputs)
+        args.handler(args, rep)
     except (ValueError, KeyError, OverflowError) as err:
         msg = str(err) if str(err) else err.__class__.__name__
         print(f"prefixcast {args.command}: {msg}", file=sys.stderr)

@@ -481,8 +481,11 @@ def _entropy_extrema(vertices: tuple, trees) -> tuple:
     """(min, max, argmin, argmax) of entropy over spanning trees' edge tuples.
 
     Entropy comes from the degree counts by :func:`graph_entropy`'s formula,
-    so the values are equal. Ties resolve to the first tree.
+    so the values are equal. Ties resolve to the first tree. A graph of at
+    most one vertex has only the empty tree, which has no entropy.
     """
+    if len(vertices) <= 1:
+        raise ValueError("spanning trees of a trivial graph have no edges")
     idx = {v: i for i, v in enumerate(vertices)}
     total = 2 * (len(idx) - 1)
     lo = hi = arg_lo = arg_hi = None
@@ -504,10 +507,7 @@ def spanning_tree_entropy_extrema(g: Graph):
 
     Ties resolve to the first tree in enumeration order.
     """
-    trees = _spanning_edge_sets(g)
-    if len(g.vertices) <= 1 or not trees[0]:
-        raise ValueError("spanning trees of a trivial graph have no edges")
-    lo, hi, arg_lo, arg_hi = _entropy_extrema(g.vertices, trees)
+    lo, hi, arg_lo, arg_hi = _entropy_extrema(g.vertices, _spanning_edge_sets(g))
     return lo, hi, Graph(g.vertices, arg_lo), Graph(g.vertices, arg_hi)
 
 
@@ -537,8 +537,6 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     correctly and rounding is monotone, so that is the least such sum.
     """
     trees = _spanning_edge_sets(g.graph())
-    if not trees or not trees[0]:
-        raise ValueError("trivial graph; no tree entropy defined")
     best = minimum_spanning_tree(g).total_weight()
     lo, hi, _, _ = _entropy_extrema(
         g.vertices, (t for t in trees if math.fsum(g._weight[e] for e in t) == best)

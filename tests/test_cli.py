@@ -356,6 +356,16 @@ def test_span_entropy_full_vs_msts_only(square):
     assert "scope minimum-weight-spanning-trees" in msts
 
 
+@pytest.mark.parametrize("scope", [[], ["--msts-only"]])
+def test_span_entropy_trivial_graph_is_one_error_for_both_scopes(scope, tmp_path):
+    p = tmp_path / "one.edges"
+    p.write_text("vertex a\n")
+    code, out, err = cli("span-entropy", "--graph", str(p), *scope)
+    assert code == VALIDATION_EXIT
+    assert out == ""
+    assert err == "prefixcast span-entropy: spanning trees of a trivial graph have no edges\n"
+
+
 # --------------------------------------------------- hierarchy / multicast
 
 

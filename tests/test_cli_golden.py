@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import shutil
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -230,3 +231,25 @@ def test_json_output_is_byte_stable_strict_json(invocation, data_dir):
     assert _sha256(out) == GOLDEN[invocation][1]
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["manifest"]["subcommand"] == invocation.split()[0]
+
+
+STDIN_EDGES = b"a b\nb c\n"
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ([], "3e7662e894f5998034eb235f5da3c39288f38df2659a46076e10de7da5be7a30"),
+    (["--json"], "6641bd1652cd70456e260005bc2eddbcabb40c1b7726b27d93c6d1807e9fe7dd"),
+])
+def test_stdin_read_twice_is_listed_twice_in_read_order(mode, digest, monkeypatch):
+    # '-' is read from standard input once; each flag that names it is one
+    # manifest input, with the same digest, in the order the flags were read
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(STDIN_EDGES)))
+    out = _stdout(["kl", "--graph", "-", "--graph2", "-"] + mode)
+    assert _sha256(out) == digest
+    stdin_digest = hashlib.sha256(STDIN_EDGES).hexdigest()
+    if mode:
+        assert json.loads(out)["manifest"]["inputs"] == [
+            {"path": "-", "sha256": stdin_digest}
+        ] * 2
+    else:
+        assert out.count(f"# input: - sha256={stdin_digest}\n") == 2
