@@ -1,8 +1,9 @@
 """Command-line front end: every capability as one subcommand.
 
 Request flow: :func:`run` owns parsing, the :class:`Report`, error mapping
-and rendering. A handler ``cmd_*(args, rep)`` only reads its inputs through
-``rep.read`` and computes, writing each result to ``rep``.
+and rendering. The argument parser is built once per process, on first use,
+and reused by every later run. A handler ``cmd_*(args, rep)`` only reads its
+inputs through ``rep.read`` and computes, writing each result to ``rep``.
 
 Output discipline: every run prints a manifest header (tool version,
 subcommand, the flags verbatim, a sha256 per input file, and the seed when
@@ -20,6 +21,7 @@ stderr), 64 for usage errors such as unknown subcommands or malformed flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -51,6 +53,7 @@ from .fusion import (
 )
 from .gossip import (
     GossipConfig,
+    NonMonotoneLevels,
     assign_levels,
     assign_sectors,
     summarize_trials,
@@ -152,7 +155,12 @@ class Report:
         self.manifest["inputs"].append(
             {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
         )
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FileFormatError(
+                f"cannot read {path}: not UTF-8 text ({err.reason} at byte {err.start})"
+            ) from None
 
     def field(self, key: str, value, line=None):
         """One named value; its text line is ``key fmt(value)`` unless given."""
@@ -232,6 +240,8 @@ def cmd_kraft(args, rep):
             raise ValueError("--consecutive needs exactly N1,M")
         n1, m = parts
         total = consecutive_lengths_sum(n1, m, d)
+        if m > sys.maxsize:
+            raise ValueError(f"--consecutive M={m} is more lengths than can be listed")
         lengths = CodeLengthSet(tuple(range(n1, n1 + m)), d)
     elif args.progression is not None:
         parts = _csv(args.progression, "--progression")
@@ -468,13 +478,19 @@ def cmd_sectors(args, rep):
 def cmd_gossip(args, rep):
     g = parse_graph(rep.read(args.graph), args.graph)
     net = assign_levels(g, args.bs)
-    cfg = GossipConfig(
-        level_probabilities=_csv(args.levels_probs, "--levels-probs", float),
-        q=args.q,
-        trials=args.trials,
-        seed=args.seed,
-        allow_nonmonotone=args.allow_nonmonotone,
-    )
+    try:
+        cfg = GossipConfig(
+            level_probabilities=_csv(args.levels_probs, "--levels-probs", float),
+            q=args.q,
+            trials=args.trials,
+            seed=args.seed,
+            allow_nonmonotone=args.allow_nonmonotone,
+        )
+    except NonMonotoneLevels:
+        raise ValueError(
+            "--levels-probs must be strictly decreasing; "
+            "pass --allow-nonmonotone to override"
+        ) from None
     if args.source is not None:
         source = args.source
     else:
@@ -648,12 +664,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use and reused by every later run."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     rep = Report(args.command, argv, seed=getattr(args, "seed", None))

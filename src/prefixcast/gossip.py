@@ -20,8 +20,10 @@ any order. The simulator runs it level by level: the nodes that fire at
 level j decide which nodes at level j-1 accept the message, and those gate
 themselves. The first three stages of the chain depend only on (seed),
 (seed, trial) and (seed, trial, kind), so they are computed once per run and
-once per trial, and each decision costs one splitmix64 stage; the values
-drawn are exactly those of :func:`_draw`.
+once per trial, with the last stage's splitmix64 increment folded into the
+trial's gate and link keys. Each decision is then one inlined splitmix64
+stage, compared as an integer against a threshold computed once per run
+(see :func:`_threshold`), and draws exactly the values of :func:`_draw`.
 """
 
 from __future__ import annotations
@@ -29,19 +31,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, _hop_levels, _vkey
+from .graphs import Graph, _hop_levels
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 _GATE = 0
 _LINK = 1
 
 
+class NonMonotoneLevels(ValueError):
+    """Level probabilities are not strictly decreasing and that is not allowed."""
+
+
 def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (x + _GOLDEN) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _threshold(p: float) -> int:
+    """The least z with ``z / 2.0**64 >= p``, for p in [0, 1].
+
+    ``z / 2.0**64`` never decreases as z grows, so for every 64-bit z the
+    draw ``z / 2.0**64 < p`` holds exactly when ``z < _threshold(p)``. The
+    ceiling of ``p * 2.0**64`` (an exact scaling) qualifies, and a 64-bit
+    integer rounds to a double by at most 2**10, so the least z lies within
+    2**11 below it and bisection finds it.
+    """
+    hi = math.ceil(p * 2.0**64)
+    lo = max(hi - 2**11, 0)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2.0**64 >= p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _draw(seed: int, trial: int, kind: int, index: int) -> float:
@@ -57,9 +84,15 @@ def _draw(seed: int, trial: int, kind: int, index: int) -> float:
 class LeveledNetwork:
     """A graph whose vertices know their BFS distance from the base station.
 
-    Construction recomputes the BFS distances and rejects any level map
-    that disagrees, so holding a LeveledNetwork certifies the invariant
-    that adjacent vertices differ by at most one level.
+    Construction checks the level map in one pass over the edges, without a
+    BFS. An integer map is the BFS distance exactly when it covers the
+    vertices, puts the base station at 0, every edge joins equal or adjacent
+    levels, and every other vertex has a neighbor one level lower: stepping
+    to lower neighbors reaches the base station in ``level(v)`` steps, so no
+    level is below the distance, and no edge skips a level, so none is
+    above it. Any other map is rejected, so holding a LeveledNetwork
+    certifies the invariant that adjacent vertices differ by at most one
+    level.
     """
 
     graph: Graph
@@ -67,9 +100,27 @@ class LeveledNetwork:
     level: dict
 
     def __post_init__(self):
-        truth = _bfs_levels(self.graph, self.base_station)
-        if dict(self.level) != truth:
+        if not self._is_bfs_distance():
             raise ValueError("level map is not the BFS distance from the base station")
+
+    def _is_bfs_distance(self) -> bool:
+        bs, level = self.base_station, self.level
+        if (
+            level.keys() != set(self.graph.vertices)
+            or not all(isinstance(x, int) for x in level.values())
+            or level.get(bs) != 0
+        ):
+            return False
+        stepped = {bs}  # the base station and each vertex with a lower neighbor
+        for u, v in self.graph.edges:
+            lu, lv = level[u], level[v]
+            if lu == lv + 1:
+                stepped.add(u)
+            elif lv == lu + 1:
+                stepped.add(v)
+            elif lu != lv:
+                return False
+        return len(stepped) == len(level)
 
     def max_level(self) -> int:
         return max(self.level.values())
@@ -101,7 +152,7 @@ class GossipConfig:
         if not self.allow_nonmonotone:
             for a, b in zip(probs, probs[1:]):
                 if not a > b:
-                    raise ValueError(
+                    raise NonMonotoneLevels(
                         "level probabilities must be strictly decreasing; "
                         "pass allow_nonmonotone to override"
                     )
@@ -133,18 +184,14 @@ class SimResult:
     seed: int
 
 
-def _bfs_levels(g: Graph, base_station) -> dict:
+def assign_levels(g: Graph, base_station) -> LeveledNetwork:
+    """Label every vertex with its hop distance from the base station."""
     if base_station not in g.vertices:
         raise ValueError(f"base station {base_station!r} is not a vertex")
     level = _hop_levels(g, base_station)
     if len(level) < len(g.vertices):
         raise ValueError("graph is disconnected; leveling undefined")
-    return level
-
-
-def assign_levels(g: Graph, base_station) -> LeveledNetwork:
-    """Label every vertex with its hop distance from the base station."""
-    return LeveledNetwork(g, base_station, _bfs_levels(g, base_station))
+    return LeveledNetwork(g, base_station, level)
 
 
 def assign_sectors(positions: dict, base_station, k: int) -> dict:
@@ -175,53 +222,69 @@ def assign_sectors(positions: dict, base_station, k: int) -> dict:
 
 
 def _prepare(net: LeveledNetwork):
-    """Per-vertex level, degree and downhill links, indexed by position.
+    """Per-vertex level and downhill links, indexed by position.
 
     ``downhill[i]`` lists ``(link index, receiver position)`` for each
-    strictly-lower-level neighbor of vertex i, in ``_vkey`` order, where the
-    link index is the draw index ``i * n + receiver position``.
+    strictly-lower-level neighbor of vertex i, where the link index is the
+    draw index ``i * n + receiver position``. A trial's outcome does not
+    depend on the order in which a level's links are tried.
     """
     verts = net.graph.vertices
     n = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
-    adj = net.graph.adjacency()
     level = [net.level[v] for v in verts]
-    degree = [len(adj[v]) for v in verts]
-    downhill = []
-    for i, v in enumerate(verts):
-        lower = sorted((w for w in adj[v] if net.level[w] < level[i]), key=_vkey)
-        downhill.append([(i * n + pos[w], pos[w]) for w in lower])
-    return pos, level, degree, downhill
+    downhill = [[] for _ in verts]
+    for u, v in net.graph.edges:
+        i, j = pos[u], pos[v]
+        if level[j] < level[i]:
+            downhill[i].append((i * n + j, j))
+        elif level[i] < level[j]:
+            downhill[j].append((j * n + i, i))
+    return pos, level, downhill
 
 
-def _run_trial(level, degree, downhill, probs, ok_p, source, root, trial):
+def _run_trial(level, downhill, gate_t, link_t, source, broadcast, root, trial):
     """One trial from the vertex at position ``source``, evaluated by level.
 
-    ``root`` is ``_splitmix64(seed)``; the trial's gate and link keys are
-    derived from it here, so each decision below is one splitmix64 stage on
-    ``key + index`` and reads the same value as ``_draw``.
+    ``root`` is ``_splitmix64(seed)``. The trial's gate and link keys are
+    derived from it here with the last stage's increment added, so a
+    decision on index i mixes ``(key + i) & _MASK64`` by the three
+    splitmix64 rounds and reads the value ``_draw`` would; ``z < t`` with
+    ``t = _threshold(p)`` decides ``_draw(...) < p``. ``gate_t[j-1]`` is the
+    gate threshold at level j and ``link_t`` the threshold of a surviving
+    link.
 
     The source fires with its level's probability and then costs one
-    transmission per incident link. At each level below it, a node accepts
-    when some fired node one level up reaches it over a surviving link; a
-    link to a node already accepted still costs a transmission but needs no
-    draw. Each accepted node then draws its gate, and each node that fires
-    costs one transmission per downhill link. The base station is a sink: a
-    trial delivers when it accepts, after ``level(source)`` hops.
+    transmission per incident link, ``broadcast`` of them to neighbors not
+    below it. At each level below it, a node accepts when some fired node
+    one level up reaches it over a surviving link; a link to a node already
+    accepted still costs a transmission but needs no draw. Each accepted
+    node then draws its gate, and each node that fires costs one
+    transmission per downhill link. The base station is a sink: a trial
+    delivers when it accepts, after ``level(source)`` hops.
     """
     top = level[source]
     if top == 0:
         return True, 0, 0
     chain = _splitmix64((root + trial) & _MASK64)
-    gate_key = _splitmix64((chain + _GATE) & _MASK64)
-    link_key = _splitmix64((chain + _LINK) & _MASK64)
+    gate_key = _splitmix64((chain + _GATE) & _MASK64) + _GOLDEN
+    link_key = _splitmix64((chain + _LINK) & _MASK64) + _GOLDEN
 
-    if _splitmix64((gate_key + source) & _MASK64) / 2.0**64 >= probs[top - 1]:
-        return False, 0, None
-    # the detecting node broadcasts on every link; relays aim downhill
-    transmissions = degree[source] - len(downhill[source])
-    fired = [source]
-    for lv in range(top - 1, -1, -1):
+    transmissions = 0
+    accepted = (source,)
+    for lv in range(top, 0, -1):
+        t = gate_t[lv - 1]
+        fired = []
+        for v in accepted:
+            z = (gate_key + v) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            if z ^ (z >> 31) < t:
+                fired.append(v)
+        if not fired:
+            return False, transmissions, None
+        if lv == top:
+            transmissions = broadcast
         accepted = set()
         for u in fired:
             links = downhill[u]
@@ -229,19 +292,14 @@ def _run_trial(level, degree, downhill, probs, ok_p, source, root, trial):
             for link, v in links:
                 if v in accepted:
                     continue
-                if _splitmix64((link_key + link) & _MASK64) / 2.0**64 < ok_p:
+                z = (link_key + link) & _MASK64
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                if z ^ (z >> 31) < link_t:
                     accepted.add(v)
-        if lv == 0:
-            if accepted:
-                return True, transmissions, top
-            return False, transmissions, None
-        p = probs[lv - 1]
-        fired = [
-            v for v in accepted
-            if _splitmix64((gate_key + v) & _MASK64) / 2.0**64 < p
-        ]
-        if not fired:
-            return False, transmissions, None
+    if accepted:
+        return True, transmissions, top
+    return False, transmissions, None
 
 
 def trial_outcomes(net: LeveledNetwork, cfg: GossipConfig, event_source):
@@ -260,13 +318,15 @@ def trial_outcomes(net: LeveledNetwork, cfg: GossipConfig, event_source):
             f"network has levels up to {net.max_level()} but only "
             f"{len(cfg.level_probabilities)} level probabilities were given"
         )
-    pos, level, degree, downhill = _prepare(net)
-    probs = cfg.level_probabilities
-    ok_p = 1.0 - cfg.q
+    pos, level, downhill = _prepare(net)
+    gate_t = [_threshold(p) for p in cfg.level_probabilities]
+    link_t = _threshold(1.0 - cfg.q)
     source = pos[event_source]
+    # the detecting node broadcasts on every link; relays aim downhill
+    broadcast = sum(event_source in e for e in net.graph.edges) - len(downhill[source])
     root = _splitmix64(cfg.seed & _MASK64)
     return (
-        _run_trial(level, degree, downhill, probs, ok_p, source, root, t)
+        _run_trial(level, downhill, gate_t, link_t, source, broadcast, root, t)
         for t in range(cfg.trials)
     )
 

@@ -205,7 +205,7 @@ def tsallis_graph_entropy(g: Graph, q: float) -> float:
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
     if q == 1.0:
-        raise ValueError("q=1 is the Shannon case; use graph_entropy")
+        raise ValueError("q=1 is the Shannon limit, where the Tsallis form is undefined")
     s = math.fsum(p**q for _, p in _degree_distribution(g) if p > 0.0)
     return (1.0 - s) / (q - 1.0)
 
@@ -441,21 +441,23 @@ def _spanning_edge_sets(g: Graph) -> list:
                     return True
         return c == 1
 
-    def rec(i: int, parent: list, ncomp: int, chosen: tuple):
+    # depth-first include/exclude search; the include branch is pushed last
+    # so that it is explored first
+    stack = [(0, list(range(n)), n, ())]
+    while stack:
+        i, parent, ncomp, chosen = stack.pop()
         if ncomp == 1:
             trees.append(chosen)
-            return
+            continue
         if i == len(edges) or not feasible(i, parent, ncomp):
-            return
+            continue
         u, v = edges[i]
         ru, rv = _find(parent, idx[u]), _find(parent, idx[v])
+        stack.append((i + 1, parent, ncomp, chosen))
         if ru != rv:
             inc = parent[:]
             inc[ru] = rv
-            rec(i + 1, inc, ncomp - 1, chosen + (edges[i],))
-        rec(i + 1, parent, ncomp, chosen)
-
-    rec(0, list(range(n)), n, ())
+            stack.append((i + 1, inc, ncomp - 1, chosen + (edges[i],)))
 
     expected = _matrix_tree_count(g)
     if len(trees) != expected:

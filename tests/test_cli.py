@@ -13,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import prefixcast.cli as cli_module
 from prefixcast import graphs
 from prefixcast.cli import INTERNAL_EXIT, USAGE_EXIT, VALIDATION_EXIT, fmt, run
 
@@ -127,6 +128,81 @@ def test_non_finite_value_is_validation_error(argv, mode, uniform3, line3, tmp_p
     assert code == VALIDATION_EXIT
     assert out == ""
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["gossip", "--graph", "GRAPH", "--bs", "BS", "--levels-probs", "0.3,0.6",
+             "--trials", "3", "--seed", "1"],
+            "prefixcast gossip: --levels-probs must be strictly decreasing; "
+            "pass --allow-nonmonotone to override",
+        ),
+        (
+            ["graph-entropy", "--graph", "GRAPH", "--tsallis", "1"],
+            "prefixcast graph-entropy: q=1 is the Shannon limit, "
+            "where the Tsallis form is undefined",
+        ),
+        (
+            # M is past what a list can hold; a smaller one would be built
+            ["kraft", "--consecutive", "1,99999999999999999999"],
+            "prefixcast kraft: --consecutive M=99999999999999999999 "
+            "is more lengths than can be listed",
+        ),
+    ],
+    ids=["gossip", "graph-entropy", "kraft"],
+)
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_stderr_names_flags_not_library_internals(argv, line, mode, line3):
+    code, out, err = cli(*(line3 if a == "GRAPH" else a for a in argv + mode))
+    assert (code, out, err) == (VALIDATION_EXIT, "", line + "\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_is_named(source, mode, tmp_path, monkeypatch):
+    data = bytes.fromhex("fffe0a")
+    if source == "stdin":
+        path = "-"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    else:
+        path = str(tmp_path / "lengths.txt")
+        (tmp_path / "lengths.txt").write_bytes(data)
+    code, out, err = cli("kraft", "--lengths-file", path, *mode)
+    assert (code, out) == (VALIDATION_EXIT, "")
+    assert err == (
+        f"prefixcast kraft: cannot read {path}: "
+        "not UTF-8 text (invalid start byte at byte 0)\n"
+    )
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(line3, tmp_path):
+    lengths = tmp_path / "lengths.txt"
+    lengths.write_text("1\n2\n3\n3\n")
+    gossip = ("gossip", "--graph", line3, "--bs", "BS", "--levels-probs", "1.0,0.5",
+              "--q", "0.2", "--trials", "20", "--seed", "3")
+    sequence = [
+        gossip,
+        gossip + ("--source", "A", "--json"),
+        gossip + ("--allow-nonmonotone", "--trial-log"),
+        ("kraft", "--lengths", "1,2,3"),
+        ("kraft", "--lengths-file", str(lengths), "--check-at", "3"),
+        ("kraft", "--consecutive", "1,4", "--json"),
+        ("kraft", "--progression", "1,2,3"),
+        ("kraft", "--lengths", "1,2", "--wat"),
+        ("--help",),
+        ("kraft", "--help"),
+    ]
+    fresh = []
+    for argv in sequence:
+        cli_module._parser.cache_clear()
+        fresh.append(cli(*argv))
+    assert [code for code, _, _ in fresh] == [0] * 7 + [USAGE_EXIT, 0, 0]
+    assert "allow_nonmonotone" not in fresh[0][1]
+    reused = [cli(*argv) for argv in sequence + sequence[::-1]]
+    assert reused == fresh + fresh[::-1]
+    assert cli_module._parser.cache_info().misses == 1
 
 
 def test_version_flag():

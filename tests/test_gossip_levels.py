@@ -2,10 +2,14 @@
 
 ``oracles.gossip_trials_queue`` walks each trial with a FIFO queue and a
 per-node hop map, drawing every decision through the full four-stage
-splitmix64 chain. ``trial_outcomes`` evaluates trials level by level with
-the chain's first three stages hoisted, so it must agree with the oracle
-trial by trial on any connected graph, id type, source and parameters.
+splitmix64 chain and comparing it as a float. ``trial_outcomes`` evaluates
+trials level by level with the chain's first three stages hoisted and each
+draw compared as an integer against a threshold, so it must agree with the
+oracle trial by trial on any connected graph, id type, source and
+parameters, including the probabilities 0 and 1.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +18,10 @@ from hypothesis import strategies as st
 from prefixcast.cli import VALIDATION_EXIT, run
 from prefixcast.gossip import (
     GossipConfig,
+    LeveledNetwork,
     SimResult,
     _draw,
+    _threshold,
     assign_levels,
     summarize_trials,
     trial_outcomes,
@@ -38,8 +44,11 @@ ids_mixed = st.lists(
 )
 
 
+UNIT = st.floats(0.0, 1.0)
+
+
 @st.composite
-def gossip_cases(draw, prob_floor=0.0, q_ceiling=1.0):
+def gossip_cases(draw, probs=UNIT, qs=UNIT):
     """A connected graph with shuffled vertex order, base station, source and
     a config with enough (unordered) level probabilities."""
     verts = tuple(draw(st.one_of(ids_int, ids_str, ids_mixed)))
@@ -56,14 +65,9 @@ def gossip_cases(draw, prob_floor=0.0, q_ceiling=1.0):
     bs = draw(st.sampled_from(verts))
     source = draw(st.sampled_from(verts))
     depth = max(shortest_hops(verts, edges, bs).values())
-    probs = draw(
-        st.lists(
-            st.floats(prob_floor, 1.0), min_size=max(depth, 1), max_size=depth + 2
-        )
-    )
     cfg = GossipConfig(
-        tuple(probs),
-        draw(st.floats(0.0, q_ceiling)),
+        tuple(draw(st.lists(probs, min_size=max(depth, 1), max_size=depth + 2))),
+        draw(qs),
         draw(st.integers(1, 12)),
         draw(st.integers(-(2**63), 2**65)),
         allow_nonmonotone=True,
@@ -71,10 +75,21 @@ def gossip_cases(draw, prob_floor=0.0, q_ceiling=1.0):
     return Graph(verts, edges), bs, source, cfg
 
 
-@settings(max_examples=300, deadline=None)
-@given(gossip_cases())
-def test_trial_outcomes_match_queue_oracle(case):
-    g, bs, source, cfg = case
+@pytest.mark.parametrize(
+    "probs, qs",
+    [
+        (UNIT, UNIT),
+        (UNIT, st.just(0.0)),
+        (UNIT, st.just(1.0)),
+        (st.just(1.0), UNIT),
+        (st.one_of(st.just(1.0), UNIT), st.just(0.0)),
+    ],
+    ids=["any", "q=0", "q=1", "p=1", "some p=1, q=0"],
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_trial_outcomes_match_queue_oracle(probs, qs, data):
+    g, bs, source, cfg = data.draw(gossip_cases(probs, qs))
     got = list(trial_outcomes(assign_levels(g, bs), cfg, source))
     want = gossip_trials_queue(
         g.vertices, g.edges, bs, cfg.level_probabilities, cfg.q, cfg.seed,
@@ -84,7 +99,7 @@ def test_trial_outcomes_match_queue_oracle(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(gossip_cases(prob_floor=0.6, q_ceiling=0.3))
+@given(gossip_cases(st.floats(0.6, 1.0), st.floats(0.0, 0.3)))
 def test_delivered_trials_take_exactly_source_level_hops(case):
     g, bs, source, cfg = case
     net = assign_levels(g, bs)
@@ -100,6 +115,62 @@ def test_delivered_trials_take_exactly_source_level_hops(case):
 )
 def test_oracle_draw_chain_is_the_documented_one(seed, trial, kind, index):
     assert gossip_draw(seed, trial, kind, index) == _draw(seed, trial, kind, index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gossip_cases(), st.data())
+def test_leveled_network_accepts_exactly_the_bfs_distance(case, data):
+    g, bs, _, _ = case
+    # dropping an edge may disconnect the graph; no level map fits one then
+    dropped = data.draw(st.sets(st.sampled_from(g.edges), max_size=2)) if g.edges else set()
+    g = Graph(g.vertices, tuple(e for e in g.edges if e not in dropped))
+    truth = shortest_hops(g.vertices, g.edges, bs)
+    level = {v: d if d != math.inf else len(g.vertices) for v, d in truth.items()}
+    changes = st.tuples(st.sampled_from(g.vertices), st.integers(-2, 2))
+    for v, delta in data.draw(st.lists(changes, max_size=3)):
+        level[v] += delta
+    try:
+        LeveledNetwork(g, bs, level)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (level == truth)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_probability_equal_to_its_own_draw_matches_the_oracle(seed):
+    # the boundary an integer threshold must get right: a draw equal to its
+    # probability is not below it, and the next float up is. On LINE3 with
+    # source B, the gates are B's and A's and the links B->A and A->BS.
+    gate_a, gate_b = (gossip_draw(seed, 0, 0, i) for i in (1, 2))
+    link_ba, link_a = (gossip_draw(seed, 0, 1, i) for i in (2 * 3 + 1, 1 * 3 + 0))
+    up = lambda x: math.nextafter(x, 1.0)
+    cases = [((1.0, p), 0.0) for p in (gate_b, up(gate_b))]
+    cases += [((p, 1.0), 0.0) for p in (gate_a, up(gate_a))]
+    cases += [((1.0, 1.0), 1.0 - p) for p in (link_ba, up(link_ba), link_a, up(link_a))]
+    net = assign_levels(LINE3, "BS")
+    for probs, q in cases:
+        cfg = GossipConfig(probs, q, 1, seed, allow_nonmonotone=True)
+        want = gossip_trials_queue(LINE3.vertices, LINE3.edges, "BS", probs, q, seed, 1, "B")
+        assert list(trial_outcomes(net, cfg, "B")) == want
+
+
+SMALLEST_NORMAL = 2.0**-1022
+
+
+@given(
+    st.one_of(
+        UNIT,
+        st.sampled_from([0.0, 1.0, 1.0 - 2.0**-53, 5e-324, SMALLEST_NORMAL, 2.0**-64]),
+        st.floats(0.0, SMALLEST_NORMAL),  # subnormals
+    ),
+    st.integers(0, 2**64 - 1),
+)
+def test_threshold_decides_each_draw_as_the_float_compare_does(p, other):
+    t = _threshold(p)
+    for z in (t - 1, t, 0, 2**64 - 1, other):
+        if 0 <= z < 2**64:
+            assert (z / 2.0**64 < p) == (z < t)
 
 
 def test_summarize_trials_folds_outcomes():

@@ -10,6 +10,7 @@ does not, and weights near 2**53 make a tree that is not an MST round to
 the MST's weight, which the MST scope keeps.
 """
 
+import gc
 import math
 import random
 
@@ -100,3 +101,18 @@ def test_k5_extrema_build_at_most_two_graphs_and_no_pmf(monkeypatch):
     built["Graph"] = 0
     mst_entropy_extrema(weighted)
     assert built["Graph"] <= 2 and built["pmf"] == 0
+
+
+def test_spanning_search_leaves_no_cyclic_garbage():
+    # the whole list of trees must be freed when the caller drops it, not
+    # wait for a cycle collection
+    k5 = complete_graph(5)
+    gc.collect()
+    gc.disable()
+    try:
+        trees = graphs._spanning_edge_sets(k5)
+        assert len(trees) == 125
+        del trees
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
