@@ -70,52 +70,53 @@ def parse_lengths(text: str, d: int, source: str = "<lengths>") -> CodeLengthSet
 
 
 def _parse_edge_lines(text: str, source: str):
-    """Shared reader: `u v`, `u v w`, and `vertex u` lines, order preserved."""
-    vertices: list = []
-    seen = set()
-    edges = []  # (u, v, weight or None)
+    """Shared reader: `u v`, `u v w`, and `vertex u` lines, order preserved.
 
-    def add_vertex(v):
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
-
-    for lineno, tokens in _rows(text):
+    Returns the vertices in order of first mention and (u, v, weight or
+    None) triples. It splits the lines itself, in one loop, because a graph
+    file is the largest input any command reads.
+    """
+    vertices: dict = {}  # insertion-ordered set
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 _fail(source, lineno, "expected 'vertex u'")
-            add_vertex(tokens[1])
+            vertices[tokens[1]] = None
         elif len(tokens) == 2:
-            add_vertex(tokens[0])
-            add_vertex(tokens[1])
-            edges.append((tokens[0], tokens[1], None))
+            u, v = tokens
+            vertices[u] = vertices[v] = None
+            edges.append((u, v, None))
         elif len(tokens) == 3:
-            w = _number(tokens[2], source, lineno, "weight")
-            add_vertex(tokens[0])
-            add_vertex(tokens[1])
-            edges.append((tokens[0], tokens[1], w))
+            u, v, w = tokens
+            w = _number(w, source, lineno, "weight")
+            vertices[u] = vertices[v] = None
+            edges.append((u, v, w))
         else:
             _fail(source, lineno, f"expected 'u v', 'u v w' or 'vertex u', got {len(tokens)} tokens")
-    return vertices, edges
+    return tuple(vertices), edges
 
 
 def parse_graph(text: str, source: str = "<graph>") -> Graph:
     vertices, edges = _parse_edge_lines(text, source)
     arcs = tuple((u, v) for u, v, _ in edges)
-    return _build(source, "vertices", vertices, Graph, tuple(vertices), arcs)
+    return _build(source, "vertices", vertices, Graph, vertices, arcs)
 
 
 def parse_weighted_graph(text: str, source: str = "<graph>") -> WeightedGraph:
     """Weighted variant; bare `u v` lines default to weight 1 (hop count)."""
     vertices, edges = _parse_edge_lines(text, source)
     weighted = tuple((u, v, 1.0 if w is None else w) for u, v, w in edges)
-    return _build(source, "vertices", vertices, WeightedGraph, tuple(vertices), weighted)
+    return _build(source, "vertices", vertices, WeightedGraph, vertices, weighted)
 
 
 def parse_digraph(text: str, source: str = "<digraph>") -> DiGraph:
     vertices, edges = _parse_edge_lines(text, source)
     arcs = tuple((u, v) for u, v, _ in edges)
-    return _build(source, "vertices", vertices, DiGraph, tuple(vertices), arcs)
+    return _build(source, "vertices", vertices, DiGraph, vertices, arcs)
 
 
 def parse_coloring(text: str, source: str = "<coloring>") -> VertexColoring:

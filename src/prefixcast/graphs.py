@@ -4,11 +4,15 @@ The entropy of a graph here is the Shannon entropy of its degree
 distribution: each vertex gets probability deg(v) divided by the total
 degree. Conditional entropy, mutual information against a vertex coloring,
 Tsallis entropy, and Kullback-Leibler divergence between two graphs all
-derive from the same distribution. Spanning-tree enumeration is exhaustive
-(guarded by size) and cross-checked against the matrix-tree determinant so
-a bug in either route cannot pass silently; the entropy extrema fold its
-edge tuples and build a Graph only for the argmin and argmax. A graph is
-checked once, when built, and a WeightedGraph keeps the Graph it built.
+derive from the same distribution. Spanning-tree enumeration is exhaustive.
+The matrix-tree determinant counts the trees first: a graph with more than
+``TREE_BUDGET`` is refused, and the search must find exactly that many, so
+a bug in either route cannot pass silently. The search tests feasibility
+only when it excludes an edge that joins two components, since no other
+step can lose a tree. The entropy extrema fold its edge tuples, evaluate
+the entropy once per distinct degree vector, and build a Graph only for
+the argmin and argmax. A graph is checked once, when built, and a
+WeightedGraph keeps the Graph it built.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from functools import cached_property
 from .source_coding import ProbabilityMassFunction, _entropy, shannon_entropy
 
 ENUMERATION_GUARD = 9
+# K8 (262144 trees) fits; K9 (4782969) is refused before the search
+TREE_BUDGET = 500_000
 
 
 class InfiniteDivergence(ValueError):
@@ -33,13 +39,19 @@ def _vkey(v):
     return (1, 0, str(v))
 
 
+def _vertex_keys(vertices) -> dict:
+    """``_vkey`` of each vertex, taken once so that pairs compare by lookup."""
+    return {v: _vkey(v) for v in vertices}
+
+
 def _canonical_pair(u, v):
     return (u, v) if _vkey(u) <= _vkey(v) else (v, u)
 
 
-def _checked_pairs(vertices: tuple, pairs, key, noun: str) -> tuple:
-    """``key(u, v)`` of each pair; rejects duplicate vertex ids, self-loops,
-    unknown endpoints and two pairs with one key, naming a pair as given."""
+def _checked_pairs(vertices: tuple, pairs, noun: str, key: dict | None = None) -> tuple:
+    """Each pair, ordered by ``key`` (vertex -> sort key) when one is given;
+    rejects duplicate vertex ids, self-loops, unknown endpoints and repeated
+    pairs, naming a pair as given."""
     vset = set(vertices)
     if len(vset) != len(vertices):
         raise ValueError("duplicate vertex ids")
@@ -50,7 +62,7 @@ def _checked_pairs(vertices: tuple, pairs, key, noun: str) -> tuple:
             raise ValueError(f"self-loop at {u!r}")
         if u not in vset or v not in vset:
             raise ValueError(f"{noun} ({u!r}, {v!r}) references unknown vertex")
-        pair = key(u, v)
+        pair = (v, u) if key is not None and key[v] < key[u] else (u, v)
         if pair in seen:
             raise ValueError(f"repeated {noun} ({u!r}, {v!r})")
         seen.add(pair)
@@ -67,7 +79,7 @@ class Graph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        edges = _checked_pairs(verts, self.edges, _canonical_pair, "edge")
+        edges = _checked_pairs(verts, self.edges, "edge", _vertex_keys(verts))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
 
@@ -144,7 +156,7 @@ class DiGraph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        arcs = _checked_pairs(verts, self.arcs, lambda u, v: (u, v), "arc")
+        arcs = _checked_pairs(verts, self.arcs, "arc")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "arcs", arcs)
 
@@ -412,8 +424,46 @@ def _matrix_tree_count(g: Graph) -> int:
     return _int_determinant(minor)
 
 
+def _joined_later(ends: list, start: int, comp: list, a: int, b: int) -> bool:
+    """True when the edges ``ends[start:]`` join components ``a`` and ``b``.
+
+    ``comp`` labels each vertex index with its component; the scan unions
+    labels and stops as soon as the sets holding ``a`` and ``b`` meet.
+    """
+    parent = list(range(len(comp)))
+    for x, y in ends[start:]:
+        x, y = comp[x], comp[y]
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            parent[x] = y
+            # a and b stay the roots of their sets
+            if x == a:
+                a = y
+            elif x == b:
+                b = y
+            if a == b:
+                return True
+    return False
+
+
 def _spanning_edge_sets(g: Graph) -> list:
-    """The edge tuples of :func:`enumerate_spanning_trees`, in its order."""
+    """The edge tuples of :func:`enumerate_spanning_trees`, in its order.
+
+    Depth-first over the edges in canonical order, including an edge before
+    excluding it, with ``chosen`` the edges taken so far. The invariant is
+    that ``chosen`` plus the edges not yet decided contain a spanning tree,
+    so every branch ends in one. Including an edge that joins two components
+    keeps that edge set as it is, and excluding an edge that closes a cycle
+    in ``chosen`` loses no connection, so neither is tested. Only excluding
+    a joining edge is: the later edges must be at least as many as the tree
+    still needs, and must join its two components in the graph contracted
+    by ``chosen``. The matrix-tree count comes first; above ``TREE_BUDGET``
+    the graph is refused, and otherwise the search must find exactly that
+    many trees.
+    """
     n = len(g.vertices)
     if n > ENUMERATION_GUARD:
         raise ValueError(
@@ -423,43 +473,36 @@ def _spanning_edge_sets(g: Graph) -> list:
         raise ValueError("graph is disconnected; it has no spanning tree")
     if n <= 1:
         return [()]
+    expected = _matrix_tree_count(g)
+    if expected > TREE_BUDGET:
+        raise ValueError(
+            f"graph has {expected} spanning trees, over the enumeration "
+            f"budget of {TREE_BUDGET}"
+        )
 
     idx = {v: i for i, v in enumerate(g.vertices)}
-    edges = sorted(g.edges, key=lambda e: (_vkey(e[0]), _vkey(e[1])))
+    key = _vertex_keys(g.vertices)
+    edges = sorted(g.edges, key=lambda e: (key[e[0]], key[e[1]]))
+    ends = [(idx[u], idx[v]) for u, v in edges]
     trees: list = []
-
-    def feasible(i: int, parent: list, ncomp: int) -> bool:
-        # can the remaining edges still join every component?
-        test = parent[:]
-        c = ncomp
-        for u, v in edges[i:]:
-            ru, rv = _find(test, idx[u]), _find(test, idx[v])
-            if ru != rv:
-                test[ru] = rv
-                c -= 1
-                if c == 1:
-                    return True
-        return c == 1
-
-    # depth-first include/exclude search; the include branch is pushed last
-    # so that it is explored first
-    stack = [(0, list(range(n)), n, ())]
+    # (next edge, component label of each vertex, edges still needed,
+    # chosen); a popped branch takes the include path to its tree and
+    # pushes each exclude branch that still holds one
+    stack = [(0, list(range(n)), n - 1, ())]
     while stack:
-        i, parent, ncomp, chosen = stack.pop()
-        if ncomp == 1:
-            trees.append(chosen)
-            continue
-        if i == len(edges) or not feasible(i, parent, ncomp):
-            continue
-        u, v = edges[i]
-        ru, rv = _find(parent, idx[u]), _find(parent, idx[v])
-        stack.append((i + 1, parent, ncomp, chosen))
-        if ru != rv:
-            inc = parent[:]
-            inc[ru] = rv
-            stack.append((i + 1, inc, ncomp - 1, chosen + (edges[i],)))
+        i, comp, need, chosen = stack.pop()
+        while need:
+            x, y = ends[i]
+            a, b = comp[x], comp[y]
+            if a != b:
+                if len(ends) - i > need and _joined_later(ends, i + 1, comp, a, b):
+                    stack.append((i + 1, comp, need, chosen))
+                comp = [a if c == b else c for c in comp]
+                need -= 1
+                chosen += (edges[i],)
+            i += 1
+        trees.append(chosen)
 
-    expected = _matrix_tree_count(g)
     if len(trees) != expected:
         raise RuntimeError(
             f"enumeration found {len(trees)} spanning trees but the "
@@ -471,10 +514,12 @@ def _spanning_edge_sets(g: Graph) -> list:
 def enumerate_spanning_trees(g: Graph) -> list:
     """Every spanning tree, as a ``Graph`` on g's vertices, in a deterministic order.
 
-    Exhaustive include/exclude search over edges in canonical order, pruned
-    by reachability, then cross-checked against the matrix-tree determinant.
-    Guarded to graphs of at most ``ENUMERATION_GUARD`` vertices. The entropy
-    extrema fold the same search's edge tuples and build no Graph per tree.
+    Exhaustive include-first search over edges in canonical order, which
+    tests feasibility only when it excludes an edge joining two components.
+    The matrix-tree count is taken first and cross-checked afterwards.
+    Guarded to graphs of at most ``ENUMERATION_GUARD`` vertices and
+    ``TREE_BUDGET`` trees. The entropy extrema fold the same search's edge
+    tuples and build no Graph per tree.
     """
     return [Graph(g.vertices, t) for t in _spanning_edge_sets(g)]
 
@@ -483,20 +528,27 @@ def _entropy_extrema(vertices: tuple, trees) -> tuple:
     """(min, max, argmin, argmax) of entropy over spanning trees' edge tuples.
 
     Entropy comes from the degree counts by :func:`graph_entropy`'s formula,
-    so the values are equal. Ties resolve to the first tree. A graph of at
-    most one vertex has only the empty tree, which has no entropy.
+    so the values are equal. It depends on the degree vector alone, so it is
+    computed once per distinct vector and cached for this fold; equal
+    vectors give equal values, so ties still resolve to the first tree. A
+    graph of at most one vertex has only the empty tree, which has no
+    entropy.
     """
     if len(vertices) <= 1:
         raise ValueError("spanning trees of a trivial graph have no edges")
     idx = {v: i for i, v in enumerate(vertices)}
     total = 2 * (len(idx) - 1)
+    known: dict = {}
     lo = hi = arg_lo = arg_hi = None
     for t in trees:
         deg = [0] * len(idx)
         for u, v in t:
             deg[idx[u]] += 1
             deg[idx[v]] += 1
-        h = _entropy((c / total for c in deg), 2.0)
+        deg = tuple(deg)
+        h = known.get(deg)
+        if h is None:
+            h = known[deg] = _entropy((c / total for c in deg), 2.0)
         if lo is None or h < lo:
             lo, arg_lo = h, t
         if hi is None or h > hi:
@@ -517,7 +569,8 @@ def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
     """Kruskal MST; ties broken by weight then canonical endpoint order."""
     n = len(g.vertices)
     idx = {v: i for i, v in enumerate(g.vertices)}
-    order = sorted(g.edges, key=lambda e: (e[2], _vkey(e[0]), _vkey(e[1])))
+    key = _vertex_keys(g.vertices)
+    order = sorted(g.edges, key=lambda e: (e[2], key[e[0]], key[e[1]]))
     parent = list(range(n))
     picked = []
     for u, v, w in order:
@@ -540,8 +593,9 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     """
     trees = _spanning_edge_sets(g.graph())
     best = minimum_spanning_tree(g).total_weight()
+    weight = g._weight.__getitem__
     lo, hi, _, _ = _entropy_extrema(
-        g.vertices, (t for t in trees if math.fsum(g._weight[e] for e in t) == best)
+        g.vertices, (t for t in trees if math.fsum(map(weight, t)) == best)
     )
     return lo, hi
 

@@ -442,6 +442,20 @@ def test_span_entropy_trivial_graph_is_one_error_for_both_scopes(scope, tmp_path
     assert err == "prefixcast span-entropy: spanning trees of a trivial graph have no edges\n"
 
 
+@pytest.mark.parametrize("scope", [[], ["--msts-only"]])
+def test_span_entropy_over_the_tree_budget_is_one_error(scope, tmp_path):
+    # K9 has 9**7 spanning trees; the count is taken before the search
+    p = tmp_path / "k9.edges"
+    p.write_text("".join(f"{i} {j} 1\n" for i in range(9) for j in range(i + 1, 9)))
+    code, out, err = cli("span-entropy", "--graph", str(p), *scope)
+    assert code == VALIDATION_EXIT
+    assert out == ""
+    assert err == (
+        "prefixcast span-entropy: graph has 4782969 spanning trees, over the "
+        f"enumeration budget of {graphs.TREE_BUDGET}\n"
+    )
+
+
 # --------------------------------------------------- hierarchy / multicast
 
 

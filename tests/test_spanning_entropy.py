@@ -7,7 +7,9 @@ extremal ones in ``enumerate_spanning_trees`` order, and the MST scope keeps
 exactly the trees of least ``math.fsum`` weight. Weights in tenths make
 left-to-right sums of one tree's weights depend on their order, which fsum
 does not, and weights near 2**53 make a tree that is not an MST round to
-the MST's weight, which the MST scope keeps.
+the MST's weight, which the MST scope keeps. The search's order is the
+subset oracle's order over the canonically sorted edges, and the fold
+evaluates the entropy once per distinct degree vector.
 """
 
 import gc
@@ -31,6 +33,44 @@ from prefixcast.graphs import (
 from oracles import random_weighted_connected, spanning_trees_by_subsets
 
 TENTHS = (0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 1.0, 1.1)
+
+
+def _order(v):
+    # ints before strings, each in its own order
+    return (0, v, "") if isinstance(v, int) else (1, 0, v)
+
+
+def _graph_with_bridges(rng):
+    """One or two random blocks joined by a bridge, then pendant vertices,
+    at most 7 vertices, with some ids renamed to strings."""
+    edges, n = [], 0
+    sizes = [rng.randint(1, 4)]
+    if rng.random() < 0.6:
+        sizes.append(rng.randint(1, 3))
+    for k in sizes:
+        _, block = random_weighted_connected(rng, k, rng.randint(0, (k - 1) * (k - 2) // 2))
+        edges += [(u + n, v + n) for u, v, _ in block]
+        if n:
+            edges.append((rng.randrange(n), n + rng.randrange(k)))
+        n += k
+    while n < 7 and rng.random() < 0.5:
+        edges.append((rng.randrange(n), n))
+        n += 1
+    names = {v: rng.choice((v, f"v{v}", str(9 - v))) for v in range(n)}
+    vertices = [names[v] for v in range(n)]
+    rng.shuffle(vertices)
+    return Graph(tuple(vertices), tuple((names[u], names[v]) for u, v in edges))
+
+
+def test_search_order_is_subset_order_over_sorted_edges():
+    mixed = 0
+    for seed in range(60):
+        g = _graph_with_bridges(random.Random(9100 + seed))
+        mixed += len({type(v) for v in g.vertices}) == 2
+        edges = sorted(g.edges, key=lambda e: (_order(e[0]), _order(e[1])))
+        trees = graphs._spanning_edge_sets(g)
+        assert [frozenset(t) for t in trees] == spanning_trees_by_subsets(g.vertices, edges)
+    assert mixed > 0
 
 
 def _random_graph(rng):
@@ -116,3 +156,33 @@ def test_spanning_search_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_fold_evaluates_entropy_once_per_degree_vector(monkeypatch):
+    k6 = complete_graph(6)
+    weighted = WeightedGraph(k6.vertices, tuple((u, v, float((u + v) % 3 + 1)) for u, v in k6.edges))
+    trees = enumerate_spanning_trees(k6)
+    assert len(trees) == 1296
+    hs = [graph_entropy(t) for t in trees]
+    weights = [math.fsum(weighted.weight_of(u, v) for u, v in t.edges) for t in trees]
+    msts = [i for i, w in enumerate(weights) if w == min(weights)]
+
+    def degree_vector(t):
+        return tuple(t.degree()[v] for v in k6.vertices)
+
+    calls = []
+    entropy = graphs._entropy
+
+    def counted(probs, base):
+        calls.append(1)
+        return entropy(probs, base)
+
+    monkeypatch.setattr(graphs, "_entropy", counted)
+    lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(k6)
+    assert len(calls) == len({degree_vector(t) for t in trees})
+    assert (lo, hi) == (min(hs), max(hs))
+    assert t_lo == trees[hs.index(lo)] and t_hi == trees[hs.index(hi)]
+
+    calls.clear()
+    assert mst_entropy_extrema(weighted) == (min(hs[i] for i in msts), max(hs[i] for i in msts))
+    assert len(calls) == len({degree_vector(trees[i]) for i in msts})
