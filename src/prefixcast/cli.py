@@ -510,20 +510,13 @@ def cmd_gossip(args, rep):
     if cfg.allow_nonmonotone:
         rep.field("allow_nonmonotone", True)
     if args.trial_log:
-        log = []
-
-        def logged():
-            for t, (ok, tx, hops) in enumerate(outcomes):
-                log.append((
-                    {"trial": t, "delivered": ok, "transmissions": tx, "hops": hops},
-                    f"trial {t} {'1' if ok else '0'} {tx} {hops if ok else '-'}",
-                ))
-                yield ok, tx, hops
-
-        result = summarize_trials(cfg, logged())
-        rep.table("trial_log", log)
-    else:
-        result = summarize_trials(cfg, outcomes)
+        outcomes = list(outcomes)
+        rep.table("trial_log", (
+            ({"trial": t, "delivered": ok, "transmissions": tx, "hops": hops},
+             f"trial {t} {'1' if ok else '0'} {tx} {hops if ok else '-'}")
+            for t, (ok, tx, hops) in enumerate(outcomes)
+        ))
+    result = summarize_trials(cfg, outcomes)
     rep.field("delivered", result.delivered)
     rep.field("delivery_ratio", result.delivery_ratio)
     rep.field("mean_transmissions", result.mean_transmissions)

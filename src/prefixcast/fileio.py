@@ -8,6 +8,8 @@ exactly as written; numeric interpretation is never guessed.
 
 from __future__ import annotations
 
+import math
+
 from .fusion import Interval
 from .graphs import DiGraph, Graph, VertexColoring, WeightedGraph
 from .source_coding import CodeLengthSet, ProbabilityMassFunction
@@ -142,17 +144,17 @@ def parse_vertex_map(text: str, source: str = "<map>") -> dict:
 
 
 def parse_positions(text: str, source: str = "<positions>") -> dict:
-    """``vertex x y`` per line."""
+    """``vertex x y`` per line; coordinates must be finite."""
     positions: dict = {}
     for lineno, tokens in _rows(text):
         if len(tokens) != 3:
             _fail(source, lineno, f"expected 'vertex x y', got {len(tokens)} tokens")
         if tokens[0] in positions:
             _fail(source, lineno, f"vertex {tokens[0]!r} positioned twice")
-        positions[tokens[0]] = (
-            _number(tokens[1], source, lineno, "x"),
-            _number(tokens[2], source, lineno, "y"),
-        )
+        xy = tuple(_number(t, source, lineno, c) for c, t in zip("xy", tokens[1:]))
+        if not all(map(math.isfinite, xy)):
+            _fail(source, lineno, f"position ({tokens[1]}, {tokens[2]}) is not finite")
+        positions[tokens[0]] = xy
     return _build(source, "entries", positions, dict, positions)
 
 

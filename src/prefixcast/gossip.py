@@ -13,7 +13,9 @@ and kind 1 is a directed link attempt (index = sender_pos * n + receiver_pos).
 Two simulations with the same seed therefore share randomness decision by
 decision, which makes per-seed comparisons across parameter values exact
 couplings rather than noisy re-rolls, and results reproduce bit-for-bit on
-any platform.
+any platform. The draw of a decision is z / 2.0**64 for the four-stage
+chain z = s(s(s(s(seed) + trial) + kind) + index), each argument taken
+mod 2**64, where s is :func:`_splitmix64`; it succeeds when draw < p.
 
 Because a draw is a pure function of its key, a trial can be evaluated in
 any order. The simulator runs it level by level: the nodes that fire at
@@ -23,7 +25,7 @@ themselves. The first three stages of the chain depend only on (seed),
 once per trial, with the last stage's splitmix64 increment folded into the
 trial's gate and link keys. Each decision is then one inlined splitmix64
 stage, compared as an integer against a threshold computed once per run
-(see :func:`_threshold`), and draws exactly the values of :func:`_draw`.
+(see :func:`_threshold`), and draws exactly the values of the chain above.
 """
 
 from __future__ import annotations
@@ -69,15 +71,6 @@ def _threshold(p: float) -> int:
         else:
             lo = mid + 1
     return lo
-
-
-def _draw(seed: int, trial: int, kind: int, index: int) -> float:
-    """Uniform value in [0, 1) for one decision; pure function of its key."""
-    z = _splitmix64(seed & _MASK64)
-    z = _splitmix64((z + trial) & _MASK64)
-    z = _splitmix64((z + kind) & _MASK64)
-    z = _splitmix64((z + index) & _MASK64)
-    return z / 2.0**64
 
 
 @dataclass(frozen=True)
@@ -249,10 +242,10 @@ def _run_trial(level, downhill, gate_t, link_t, source, broadcast, root, trial):
     ``root`` is ``_splitmix64(seed)``. The trial's gate and link keys are
     derived from it here with the last stage's increment added, so a
     decision on index i mixes ``(key + i) & _MASK64`` by the three
-    splitmix64 rounds and reads the value ``_draw`` would; ``z < t`` with
-    ``t = _threshold(p)`` decides ``_draw(...) < p``. ``gate_t[j-1]`` is the
-    gate threshold at level j and ``link_t`` the threshold of a surviving
-    link.
+    splitmix64 rounds and reads the last stage of the draw chain in the
+    module docstring; ``z < t`` with ``t = _threshold(p)`` decides
+    ``draw < p``. ``gate_t[j-1]`` is the gate threshold at level j and
+    ``link_t`` the threshold of a surviving link.
 
     The source fires with its level's probability and then costs one
     transmission per incident link, ``broadcast`` of them to neighbors not

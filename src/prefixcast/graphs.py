@@ -12,7 +12,10 @@ only when it excludes an edge that joins two components, since no other
 step can lose a tree. The entropy extrema fold its edge tuples, evaluate
 the entropy once per distinct degree vector, and build a Graph only for
 the argmin and argmax. A graph is checked once, when built, and a
-WeightedGraph keeps the Graph it built.
+WeightedGraph keeps the Graph it built. Every tie follows one vertex order,
+``_vkey``'s. A Graph builds its ``_order_key`` map on first use, and every
+order decision reads it; construction orients the edges without keeping
+the map, since the enumerator makes a Graph per tree.
 """
 
 from __future__ import annotations
@@ -37,15 +40,6 @@ def _vkey(v):
     if isinstance(v, int) and not isinstance(v, bool):
         return (0, v, "")
     return (1, 0, str(v))
-
-
-def _vertex_keys(vertices) -> dict:
-    """``_vkey`` of each vertex, taken once so that pairs compare by lookup."""
-    return {v: _vkey(v) for v in vertices}
-
-
-def _canonical_pair(u, v):
-    return (u, v) if _vkey(u) <= _vkey(v) else (v, u)
 
 
 def _checked_pairs(vertices: tuple, pairs, noun: str, key: dict | None = None) -> tuple:
@@ -79,7 +73,7 @@ class Graph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        edges = _checked_pairs(verts, self.edges, "edge", _vertex_keys(verts))
+        edges = _checked_pairs(verts, self.edges, "edge", {v: _vkey(v) for v in verts})
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
 
@@ -102,8 +96,12 @@ class Graph:
     def _edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
+    @cached_property
+    def _order_key(self) -> dict:
+        return {v: _vkey(v) for v in self.vertices}
+
     def has_edge(self, u, v) -> bool:
-        return _canonical_pair(u, v) in self._edge_set
+        return (u, v) in self._edge_set or (v, u) in self._edge_set
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,9 @@ class WeightedGraph:
         return {(u, v): w for u, v, w in self.edges}
 
     def weight_of(self, u, v) -> float:
+        weight = self._weight
         try:
-            return self._weight[_canonical_pair(u, v)]
+            return weight[u, v] if (u, v) in weight else weight[v, u]
         except KeyError:
             raise KeyError(f"no edge ({u!r}, {v!r})") from None
 
@@ -218,7 +217,10 @@ def tsallis_graph_entropy(g: Graph, q: float) -> float:
         raise ValueError(f"q must be finite, got {q}")
     if q == 1.0:
         raise ValueError("q=1 is the Shannon limit, where the Tsallis form is undefined")
-    s = math.fsum(p**q for _, p in _degree_distribution(g) if p > 0.0)
+    try:
+        s = math.fsum(p**q for _, p in _degree_distribution(g) if p > 0.0)
+    except OverflowError:
+        raise ValueError(f"the Tsallis sum overflows at q={q}") from None
     return (1.0 - s) / (q - 1.0)
 
 
@@ -364,9 +366,13 @@ def _is_mst(g: WeightedGraph, carrier) -> bool:
     ties: every carrier edge must join two components and every other edge
     must find its endpoints already joined. The second condition is the
     cycle property (no edge is lighter than the heaviest carrier edge on
-    the path it closes), so the verdict is exact, in O(E log E).
+    the path it closes), so the verdict is exact, in O(E log E). A carrier
+    edge that names a vertex absent from g fails it.
     """
-    tree = {(*_canonical_pair(u, v), w) for u, v, w in carrier}
+    key = g.graph()._order_key
+    if any(u not in key or v not in key for u, v, _ in carrier):
+        return False
+    tree = {(u, v, w) if key[u] <= key[v] else (v, u, w) for u, v, w in carrier}
     idx = {v: i for i, v in enumerate(g.vertices)}
     parent = list(range(len(g.vertices)))
     joined = 0
@@ -481,7 +487,7 @@ def _spanning_edge_sets(g: Graph) -> list:
         )
 
     idx = {v: i for i, v in enumerate(g.vertices)}
-    key = _vertex_keys(g.vertices)
+    key = g._order_key
     edges = sorted(g.edges, key=lambda e: (key[e[0]], key[e[1]]))
     ends = [(idx[u], idx[v]) for u, v in edges]
     trees: list = []
@@ -569,7 +575,7 @@ def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
     """Kruskal MST; ties broken by weight then canonical endpoint order."""
     n = len(g.vertices)
     idx = {v: i for i, v in enumerate(g.vertices)}
-    key = _vertex_keys(g.vertices)
+    key = g.graph()._order_key
     order = sorted(g.edges, key=lambda e: (e[2], key[e[0]], key[e[1]]))
     parent = list(range(n))
     picked = []

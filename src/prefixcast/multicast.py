@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import WeightedGraph, _is_mst, _vkey, minimum_spanning_tree
+from .graphs import WeightedGraph, _is_mst, minimum_spanning_tree
 from .hierarchy import DaryTree, LeaderAssignment, SecurityReport, verify_secure
 from .source_coding import (
     CodeLengthSet,
@@ -131,6 +131,7 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
         )
 
     adj = spanning_tree.graph().adjacency()
+    key = spanning_tree.graph()._order_key
     children: dict = {}
     parent: dict = {}
     vertex_at: dict = {(): root}
@@ -145,7 +146,7 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
             if path is None:
                 nxt.extend((w, None) for w in kids)
                 continue
-            kids.sort(key=lambda w: (spanning_tree.weight_of(v, w), _vkey(w)))
+            kids.sort(key=lambda w: (spanning_tree.weight_of(v, w), key[w]))
             keep, cut = kids[:d], kids[d:]
             children[v] = tuple(keep)
             for i, w in enumerate(keep):
@@ -163,7 +164,7 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
         children=children,
         parent=parent,
         vertex_at=vertex_at,
-        pruned=tuple(sorted(reached.difference(vertex_at.values()), key=_vkey)),
+        pruned=tuple(sorted(reached.difference(vertex_at.values()), key=key.__getitem__)),
     )
 
 

@@ -42,7 +42,9 @@ class ProbabilityMassFunction:
         if len(index) != len(self.entries):
             raise ValueError("duplicate labels in probability mass function")
         for label, p in self.entries:
-            if not (p >= 0.0):
+            if math.isnan(p):
+                raise ValueError(f"probability {p!r} for label {label!r} is not a number")
+            if p < 0.0:
                 raise ValueError(f"negative probability {p!r} for label {label!r}")
         total = math.fsum(p for _, p in self.entries)
         if abs(total - 1.0) > PMF_TOL:

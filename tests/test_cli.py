@@ -107,6 +107,19 @@ def test_huge_integer_flag_is_validation_error(argv, uniform3):
     assert "too large" in err
 
 
+def _non_finite_files(tmp_path) -> dict:
+    """Input files, by placeholder, that hold a non-finite number."""
+    texts = {
+        "WIDE": "-1e308 1e308\n-1e308 1e308\n",
+        "NANPOS": "BS 0 0\nA nan 1\n",
+        "INFPOS": "BS 0 0\nA 1 -inf\n",
+        "NANPMF": "a nan\nb 1\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in texts}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -115,15 +128,18 @@ def test_huge_integer_flag_is_validation_error(argv, uniform3):
         ["graph-entropy", "--graph", "GRAPH", "--tsallis", "inf"],
         ["fuse", "--intervals", "WIDE", "--f", "0"],
         ["fuse", "--intervals", "WIDE", "--f", "0", "--function", "m"],
+        ["graph-entropy", "--graph", "GRAPH", "--tsallis", "-2000"],
+        ["sectors", "--positions", "NANPOS", "--bs", "BS", "--K", "4"],
+        ["sectors", "--positions", "INFPOS", "--bs", "BS", "--K", "4"],
+        ["entropy", "--pmf", "NANPMF"],
     ],
     ids=" ".join,
 )
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
 def test_non_finite_value_is_validation_error(argv, mode, uniform3, line3, tmp_path):
-    # such values used to reach --json output as NaN or Infinity, not JSON
-    wide = tmp_path / "wide.intervals"
-    wide.write_text("-1e308 1e308\n-1e308 1e308\n")
-    files = {"PMF": uniform3, "GRAPH": line3, "WIDE": str(wide)}
+    # such values used to reach --json output as NaN or Infinity, not JSON,
+    # or to end in an error line that did not name them
+    files = {"PMF": uniform3, "GRAPH": line3, **_non_finite_files(tmp_path)}
     code, out, err = cli(*(files.get(a, a) for a in argv + mode))
     assert code == VALIDATION_EXIT
     assert out == ""
@@ -150,12 +166,33 @@ def test_non_finite_value_is_validation_error(argv, mode, uniform3, line3, tmp_p
             "prefixcast kraft: --consecutive M=99999999999999999999 "
             "is more lengths than can be listed",
         ),
+        (
+            ["graph-entropy", "--graph", "GRAPH", "--tsallis", "-2000"],
+            "prefixcast graph-entropy: the Tsallis sum overflows at q=-2000.0",
+        ),
+        (
+            ["sectors", "--positions", "NANPOS", "--bs", "BS", "--K", "4"],
+            "prefixcast sectors: NANPOS:2: position (nan, 1) is not finite",
+        ),
+        (
+            ["sectors", "--positions", "INFPOS", "--bs", "BS", "--K", "4"],
+            "prefixcast sectors: INFPOS:2: position (1, -inf) is not finite",
+        ),
+        (
+            ["entropy", "--pmf", "NANPMF"],
+            "prefixcast entropy: NANPMF: probability nan for label 'a' is not a number",
+        ),
     ],
-    ids=["gossip", "graph-entropy", "kraft"],
+    ids=["gossip", "graph-entropy", "kraft", "tsallis-overflow", "nan-position",
+         "inf-position", "nan-probability"],
 )
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
-def test_stderr_names_flags_not_library_internals(argv, line, mode, line3):
-    code, out, err = cli(*(line3 if a == "GRAPH" else a for a in argv + mode))
+def test_stderr_names_flags_not_library_internals(argv, line, mode, line3, tmp_path):
+    files = {"GRAPH": line3, **_non_finite_files(tmp_path)}
+    code, out, err = cli(*(files.get(a, a) for a in argv + mode))
+    # an input file is named in the error line by its path
+    for name, path in files.items():
+        line = line.replace(f" {name}:", f" {path}:")
     assert (code, out, err) == (VALIDATION_EXIT, "", line + "\n")
 
 

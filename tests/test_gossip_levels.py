@@ -20,7 +20,6 @@ from prefixcast.gossip import (
     GossipConfig,
     LeveledNetwork,
     SimResult,
-    _draw,
     _threshold,
     assign_levels,
     summarize_trials,
@@ -28,7 +27,7 @@ from prefixcast.gossip import (
 )
 from prefixcast.graphs import Graph
 
-from oracles import gossip_draw, gossip_trials_queue, shortest_hops
+from oracles import _splitmix64, gossip_draw, gossip_trials_queue, shortest_hops
 
 LINE3 = Graph(("BS", "A", "B"), (("BS", "A"), ("A", "B")))
 
@@ -107,14 +106,14 @@ def test_delivered_trials_take_exactly_source_level_hops(case):
         assert hops == (net.level[source] if ok else None)
 
 
-@given(
-    st.integers(-(2**63), 2**65),
-    st.integers(0, 2**20),
-    st.integers(0, 1),
-    st.integers(0, 2**40),
-)
-def test_oracle_draw_chain_is_the_documented_one(seed, trial, kind, index):
-    assert gossip_draw(seed, trial, kind, index) == _draw(seed, trial, kind, index)
+def test_oracle_splitmix64_gives_the_published_outputs():
+    # splitmix64 seeded with 0 adds the increment to its state before each
+    # mix, so its first three outputs come from states 0, gamma and 2 gamma
+    gamma = 0x9E3779B97F4A7C15
+    states = (0, gamma, (2 * gamma) & ((1 << 64) - 1))
+    assert [_splitmix64(s) for s in states] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
 
 
 @settings(max_examples=300, deadline=None)

@@ -77,6 +77,11 @@ def test_keyed_lookups_and_value_semantics():
     assert g.weight_of("a", 3) == 1.0
     with pytest.raises(KeyError):
         g.weight_of("b", 3)
+    with pytest.raises(KeyError) as err:
+        g.weight_of("z", "a")  # "z" is not a vertex
+    assert err.value.args == ("no edge ('z', 'a')",)
+    zero = WeightedGraph(("a", "b"), (("b", "a", 0.0),))
+    assert zero.weight_of("a", "b") == zero.weight_of("b", "a") == 0.0
     twin = WeightedGraph(("a", "b", 3), (("a", "b", 2.5), ("a", 3, 1.0)))
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
     assert "_weight" not in repr(g)
@@ -84,6 +89,7 @@ def test_keyed_lookups_and_value_semantics():
     bare = g.graph()
     assert bare.has_edge("b", "a") and bare.has_edge(3, "a")
     assert not bare.has_edge("b", 3)
+    assert not bare.has_edge("z", "a") and not bare.has_edge("3", "a")
     assert bare == twin.graph() and "_edge_set" not in repr(bare)
 
     colors = VertexColoring.from_dict({"a": "red", 3: "blue"})
@@ -398,6 +404,23 @@ def test_mst_all_equal_weights_is_deterministic():
     assert mst.total_weight() == pytest.approx(7.5)
     again = minimum_spanning_tree(g)
     assert mst.edges == again.edges
+
+
+def test_tied_mixed_ids_pick_mst_edges_in_canonical_order():
+    # ints by value, then strings by text: 2 < 10 < "10" < "2" < "a"
+    ids = ("a", "10", 10, "2", 2)
+    complete = WeightedGraph(
+        ids, tuple((v, u, 1.0) for i, u in enumerate(ids) for v in ids[i + 1:])
+    )
+    assert minimum_spanning_tree(complete).edges == (
+        (2, 10, 1.0), (2, "10", 1.0), (2, "2", 1.0), (2, "a", 1.0),
+    )
+    ring = WeightedGraph(
+        ids[1:], (("10", 10, 1.0), (10, 2, 1.0), (2, "2", 1.0), ("2", "10", 1.0))
+    )
+    assert minimum_spanning_tree(ring).edges == (
+        (2, 10, 1.0), (2, "2", 1.0), (10, "10", 1.0),
+    )
 
 
 def test_mst_disconnected_raises():

@@ -89,14 +89,20 @@ def test_embed_rejects_non_trees_and_bad_root():
         embed_dary_tree(wpath("a", "b"), "z", 2)
 
 
-def test_embed_tie_break_by_vertex_id():
-    star = WeightedGraph(
-        ("h", "y", "x", "z"),
-        (("h", "y", 1.0), ("h", "x", 1.0), ("h", "z", 1.0)),
-    )
-    emb = embed_dary_tree(star, "h", 2)
-    assert emb.children["h"] == ("x", "y")
-    assert emb.pruned == ("z",)
+@pytest.mark.parametrize(
+    "kids, d, kept, pruned",
+    [
+        (("y", "x", "z"), 2, ("x", "y"), ("z",)),
+        # ints by value, then strings by text: 2 < 10 < "10" < "2" < "a"
+        ((10, 2, "10", "2", "a"), 3, (2, 10, "10"), ("2", "a")),
+        ((10, "a", 3, 2), 2, (2, 3), (10, "a")),
+    ],
+)
+def test_embed_tie_break_by_vertex_id(kids, d, kept, pruned):
+    star = WeightedGraph(("h",) + kids, tuple(("h", k, 1.0) for k in kids))
+    emb = embed_dary_tree(star, "h", d)
+    assert emb.children["h"] == kept
+    assert emb.pruned == pruned
 
 
 def test_embedding_monotone_in_arity():
@@ -304,10 +310,13 @@ def test_plan_carries_its_minimum_spanning_tree():
         ((0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0), (1, 0, 1.0)),
         # too few edges
         ((0, 1, 1.0), (0, 2, 1.0)),
+        # 2-3 named by the string "3", which is not a vertex of the graph
+        ((0, 1, 1.0), (0, 2, 1.0), (2, "3", 1.0)),
     ],
 )
 def test_audit_rejects_a_carrier_that_is_not_a_minimum_spanning_tree(carrier):
     plan = plan_multicast(TIED, 0, pmf_of(X=1.0), 2)
+    # a false verdict, not an exception
     audit = plan_cost_audit(_with_carrier(plan, carrier), TIED)
     assert audit.mst_weight_minimal is False
     assert audit.ok is False
