@@ -60,7 +60,6 @@ from .gossip import (
     trial_outcomes,
 )
 from .graphs import (
-    _vkey,
     conditional_graph_entropy,
     degree_pmf,
     graph_entropy,
@@ -381,8 +380,8 @@ def cmd_span_entropy(args, rep):
     for name, tree in trees:
         rep.field(
             f"{name}_edges",
-            [{"u": u, "v": v} for u, v in tree.edges],
-            f"{name} " + " ".join(f"{u}-{v}" for u, v in tree.edges),
+            [{"u": u, "v": v} for u, v in tree],
+            f"{name} " + " ".join(f"{u}-{v}" for u, v in tree),
         )
 
 
@@ -497,7 +496,8 @@ def cmd_gossip(args, rep):
         # deepest vertex, smallest id on ties: the farthest sensor reports
         deepest = max(net.level.values())
         source = min(
-            (v for v in g.vertices if net.level[v] == deepest), key=_vkey
+            (v for v in g.vertices if net.level[v] == deepest),
+            key=g._order_key.__getitem__,
         )
     # validates the source before the report looks up its level
     outcomes = trial_outcomes(net, cfg, source)

@@ -9,13 +9,12 @@ The matrix-tree determinant counts the trees first: a graph with more than
 ``TREE_BUDGET`` is refused, and the search must find exactly that many, so
 a bug in either route cannot pass silently. The search tests feasibility
 only when it excludes an edge that joins two components, since no other
-step can lose a tree. The entropy extrema fold its edge tuples, evaluate
-the entropy once per distinct degree vector, and build a Graph only for
-the argmin and argmax. A graph is checked once, when built, and a
-WeightedGraph keeps the Graph it built. Every tie follows one vertex order,
-``_vkey``'s. A Graph builds its ``_order_key`` map on first use, and every
-order decision reads it; construction orients the edges without keeping
-the map, since the enumerator makes a Graph per tree.
+step can lose a tree. A tree is the tuple of its edges; the entropy
+extrema fold those tuples and evaluate the entropy once per distinct
+degree vector. A graph is checked once, when built, and a WeightedGraph
+keeps the Graph it built. Every tie follows one vertex order, ``_vkey``'s:
+a Graph keeps the ``_order_key`` map it orients its edges by, and every
+order decision reads it.
 """
 
 from __future__ import annotations
@@ -73,9 +72,11 @@ class Graph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        edges = _checked_pairs(verts, self.edges, "edge", {v: _vkey(v) for v in verts})
+        key = {v: _vkey(v) for v in verts}
+        edges = _checked_pairs(verts, self.edges, "edge", key)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_order_key", key)
 
     def degree(self) -> dict:
         deg = {v: 0 for v in self.vertices}
@@ -91,14 +92,10 @@ class Graph:
             adj[v].append(u)
         return adj
 
-    # built on first use: the public enumerate_spanning_trees makes one Graph per tree
+    # built on first use: most graphs never look up an edge
     @cached_property
     def _edge_set(self) -> frozenset:
         return frozenset(self.edges)
-
-    @cached_property
-    def _order_key(self) -> dict:
-        return {v: _vkey(v) for v in self.vertices}
 
     def has_edge(self, u, v) -> bool:
         return (u, v) in self._edge_set or (v, u) in self._edge_set
@@ -143,7 +140,10 @@ class WeightedGraph:
             raise KeyError(f"no edge ({u!r}, {v!r})") from None
 
     def total_weight(self) -> float:
-        return math.fsum(w for _, _, w in self.edges)
+        try:
+            return math.fsum(w for _, _, w in self.edges)
+        except OverflowError:
+            raise ValueError("the total weight overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -455,8 +455,8 @@ def _joined_later(ends: list, start: int, comp: list, a: int, b: int) -> bool:
     return False
 
 
-def _spanning_edge_sets(g: Graph) -> list:
-    """The edge tuples of :func:`enumerate_spanning_trees`, in its order.
+def enumerate_spanning_trees(g: Graph) -> list:
+    """Every spanning tree of g as a tuple of its edges, in a deterministic order.
 
     Depth-first over the edges in canonical order, including an edge before
     excluding it, with ``chosen`` the edges taken so far. The invariant is
@@ -466,20 +466,22 @@ def _spanning_edge_sets(g: Graph) -> list:
     in ``chosen`` loses no connection, so neither is tested. Only excluding
     a joining edge is: the later edges must be at least as many as the tree
     still needs, and must join its two components in the graph contracted
-    by ``chosen``. The matrix-tree count comes first; above ``TREE_BUDGET``
-    the graph is refused, and otherwise the search must find exactly that
-    many trees.
+    by ``chosen``. Guarded to graphs of at most ``ENUMERATION_GUARD``
+    vertices. The matrix-tree count comes first: 0 means g is disconnected,
+    above ``TREE_BUDGET`` the graph is refused, and otherwise the search
+    must find exactly that many trees. ``Graph(g.vertices, t)`` rebuilds a
+    tree as a Graph.
     """
     n = len(g.vertices)
     if n > ENUMERATION_GUARD:
         raise ValueError(
             f"{n} vertices exceeds the enumeration guard of {ENUMERATION_GUARD}"
         )
-    if not is_connected(g):
-        raise ValueError("graph is disconnected; it has no spanning tree")
     if n <= 1:
         return [()]
     expected = _matrix_tree_count(g)
+    if expected == 0:
+        raise ValueError("graph is disconnected; it has no spanning tree")
     if expected > TREE_BUDGET:
         raise ValueError(
             f"graph has {expected} spanning trees, over the enumeration "
@@ -517,19 +519,6 @@ def _spanning_edge_sets(g: Graph) -> list:
     return trees
 
 
-def enumerate_spanning_trees(g: Graph) -> list:
-    """Every spanning tree, as a ``Graph`` on g's vertices, in a deterministic order.
-
-    Exhaustive include-first search over edges in canonical order, which
-    tests feasibility only when it excludes an edge joining two components.
-    The matrix-tree count is taken first and cross-checked afterwards.
-    Guarded to graphs of at most ``ENUMERATION_GUARD`` vertices and
-    ``TREE_BUDGET`` trees. The entropy extrema fold the same search's edge
-    tuples and build no Graph per tree.
-    """
-    return [Graph(g.vertices, t) for t in _spanning_edge_sets(g)]
-
-
 def _entropy_extrema(vertices: tuple, trees) -> tuple:
     """(min, max, argmin, argmax) of entropy over spanning trees' edge tuples.
 
@@ -565,10 +554,10 @@ def _entropy_extrema(vertices: tuple, trees) -> tuple:
 def spanning_tree_entropy_extrema(g: Graph):
     """(min, max, argmin tree, argmax tree) of entropy over all spanning trees.
 
-    Ties resolve to the first tree in enumeration order.
+    The trees are edge tuples, as :func:`enumerate_spanning_trees` gives
+    them, and ties resolve to the first tree in its order.
     """
-    lo, hi, arg_lo, arg_hi = _entropy_extrema(g.vertices, _spanning_edge_sets(g))
-    return lo, hi, Graph(g.vertices, arg_lo), Graph(g.vertices, arg_hi)
+    return _entropy_extrema(g.vertices, enumerate_spanning_trees(g))
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
@@ -595,14 +584,23 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     """Entropy extrema over every spanning tree of minimum total weight.
 
     A tree counts when the fsum of its weights equals the MST's: fsum rounds
-    correctly and rounding is monotone, so that is the least such sum.
+    correctly and rounding is monotone, so that is the least such sum. A
+    tree whose sum overflows is heavier than any finite minimum.
     """
-    trees = _spanning_edge_sets(g.graph())
+    trees = enumerate_spanning_trees(g.graph())
     best = minimum_spanning_tree(g).total_weight()
     weight = g._weight.__getitem__
-    lo, hi, _, _ = _entropy_extrema(
-        g.vertices, (t for t in trees if math.fsum(map(weight, t)) == best)
-    )
+
+    def lightest():
+        for t in trees:
+            try:
+                w = math.fsum(map(weight, t))
+            except OverflowError:
+                continue
+            if w == best:
+                yield t
+
+    lo, hi, _, _ = _entropy_extrema(g.vertices, lightest())
     return lo, hi
 
 

@@ -493,6 +493,48 @@ def test_span_entropy_over_the_tree_budget_is_one_error(scope, tmp_path):
     )
 
 
+@pytest.mark.parametrize("fmt_flag", [[], ["--json"]])
+@pytest.mark.parametrize("scope", [[], ["--msts-only"]])
+@pytest.mark.parametrize("pairs, message", [
+    # the matrix-tree count of 0 reports the disconnection
+    ("a b\nc d\n", "graph is disconnected; it has no spanning tree"),
+    # the vertex guard comes before any count
+    ("a b\nc d\ne f\ng h\ni j\n", "10 vertices exceeds the enumeration guard of 9"),
+])
+def test_span_entropy_disconnected_graph_errors_in_order(pairs, message, scope, fmt_flag, tmp_path):
+    p = tmp_path / "split.edges"
+    p.write_text(pairs)
+    code, out, err = cli("span-entropy", "--graph", str(p), *scope, *fmt_flag)
+    assert code == VALIDATION_EXIT
+    assert out == ""
+    assert err == f"prefixcast span-entropy: {message}\n"
+
+
+@pytest.mark.parametrize("args", [["mst"], ["plan-multicast", "--root", "b"]])
+def test_total_weight_overflow_is_one_error(args, tmp_path):
+    g = tmp_path / "huge.edges"
+    g.write_text("a b 1e308\nb c 1e308\n")
+    pmf = tmp_path / "p.pmf"
+    pmf.write_text("a 0.5\nc 0.5\n")
+    extra = ["--pmf", str(pmf)] if args[0] == "plan-multicast" else []
+    code, out, err = cli(*args, "--graph", str(g), *extra)
+    assert code == VALIDATION_EXIT
+    assert out == ""
+    assert err == f"prefixcast {args[0]}: the total weight overflows a float\n"
+
+
+def test_msts_only_skips_trees_whose_weight_overflows(tmp_path):
+    # the path a-b-c-d is the one MST; every other tree takes a 1e308 edge,
+    # and those with both sum past the largest float
+    p = tmp_path / "heavy.edges"
+    p.write_text("a b 1\nb c 1\nc d 1\na c 1e308\nb d 1e308\n")
+    code, out, err = cli("span-entropy", "--graph", str(p), "--msts-only", "--json")
+    assert code == 0 and err == ""
+    path = graphs.graph_entropy(graphs.path_graph(4))
+    result = json.loads(out)["result"]
+    assert result["min_entropy_bits"] == result["max_entropy_bits"] == path
+
+
 # --------------------------------------------------- hierarchy / multicast
 
 

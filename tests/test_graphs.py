@@ -326,15 +326,14 @@ def test_enumerate_triangle():
     trees = enumerate_spanning_trees(tri)
     assert len(trees) == 3
     for t in trees:
-        assert len(t.edges) == 2
-        assert is_connected(t)
+        assert type(t) is tuple and len(t) == 2
+        assert is_connected(Graph(tri.vertices, t))
 
 
 def test_enumerate_tree_returns_itself():
     t = path_graph(5)
     trees = enumerate_spanning_trees(t)
-    assert len(trees) == 1
-    assert set(trees[0].edges) == set(t.edges)
+    assert trees == [t.edges]
 
 
 def test_enumerate_k4_matches_cayley_and_oracle():
@@ -342,13 +341,13 @@ def test_enumerate_k4_matches_cayley_and_oracle():
     trees = enumerate_spanning_trees(k4)
     assert len(trees) == 16  # Cayley: 4**2
     oracle = spanning_trees_by_subsets(k4.vertices, k4.edges)
-    assert {frozenset(t.edges) for t in trees} == set(oracle)
+    assert {frozenset(t) for t in trees} == set(oracle)
 
 
 def test_enumerate_guard_and_disconnected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^10 vertices exceeds the enumeration guard of 9$"):
         enumerate_spanning_trees(complete_graph(10))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^graph is disconnected; it has no spanning tree$"):
         enumerate_spanning_trees(Graph((0, 1, 2), ((0, 1),)))
 
 
@@ -358,21 +357,22 @@ def test_enumeration_count_matches_matrix_tree_random():
         g = random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 8))
         trees = enumerate_spanning_trees(g)
         assert len(trees) == _matrix_tree_count(g)
-        assert len({frozenset(t.edges) for t in trees}) == len(trees)
+        assert len({frozenset(t) for t in trees}) == len(trees)
 
 
 def test_spanning_tree_extrema_triangle():
     lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(ring_graph(3))
     assert lo == pytest.approx(1.5, abs=1e-12)
     assert hi == pytest.approx(1.5, abs=1e-12)
-    assert len(t_lo.edges) == 2 and len(t_hi.edges) == 2
+    assert len(t_lo) == 2 and len(t_hi) == 2
+    assert t_lo == t_hi == enumerate_spanning_trees(ring_graph(3))[0]
 
 
 def test_spanning_tree_extrema_tree_input():
     t = star_graph(3)
     lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(t)
     assert lo == hi == pytest.approx(graph_entropy(t))
-    assert set(t_lo.edges) == set(t.edges)
+    assert t_lo == t_hi == t.edges
 
 
 def test_spanning_tree_extrema_k4_against_oracle():

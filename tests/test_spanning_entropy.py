@@ -68,7 +68,7 @@ def test_search_order_is_subset_order_over_sorted_edges():
         g = _graph_with_bridges(random.Random(9100 + seed))
         mixed += len({type(v) for v in g.vertices}) == 2
         edges = sorted(g.edges, key=lambda e: (_order(e[0]), _order(e[1])))
-        trees = graphs._spanning_edge_sets(g)
+        trees = enumerate_spanning_trees(g)
         assert [frozenset(t) for t in trees] == spanning_trees_by_subsets(g.vertices, edges)
     assert mixed > 0
 
@@ -102,7 +102,7 @@ def test_extrema_match_subset_oracle():
         assert mst_entropy_extrema(g) == (min(h for _, h in msts), max(h for _, h in msts))
 
         trees = enumerate_spanning_trees(g.graph())
-        hs = [graph_entropy(t) for t in trees]
+        hs = [graph_entropy(Graph(g.vertices, t)) for t in trees]
         assert t_lo == trees[hs.index(lo)]
         assert t_hi == trees[hs.index(hi)]
     # some cases have minimum trees whose plain sums depend on summation order
@@ -119,8 +119,9 @@ def test_mst_scope_keeps_trees_whose_fsum_rounds_to_the_minimum():
     assert mst_entropy_extrema(g) == (2.0, 2.25)
 
 
-def test_k5_extrema_build_at_most_two_graphs_and_no_pmf(monkeypatch):
+def test_extrema_and_enumeration_build_no_graph_per_tree(monkeypatch):
     k5 = complete_graph(5)
+    k6 = complete_graph(6)
     weighted = WeightedGraph(k5.vertices, tuple((u, v, float(u + v) % 3) for u, v in k5.edges))
     built = {"Graph": 0, "pmf": 0}
     graph_init = graphs.Graph.__post_init__
@@ -137,10 +138,13 @@ def test_k5_extrema_build_at_most_two_graphs_and_no_pmf(monkeypatch):
     monkeypatch.setattr(graphs.Graph, "__post_init__", count_graph)
     monkeypatch.setattr(source_coding.ProbabilityMassFunction, "__post_init__", count_pmf)
     spanning_tree_entropy_extrema(k5)
-    assert built == {"Graph": 2, "pmf": 0}
-    built["Graph"] = 0
+    assert built == {"Graph": 0, "pmf": 0}
     mst_entropy_extrema(weighted)
-    assert built["Graph"] <= 2 and built["pmf"] == 0
+    # the one Graph is Kruskal's tree, inside its WeightedGraph
+    assert built["Graph"] <= 1 and built["pmf"] == 0
+    built["Graph"] = 0
+    assert len(enumerate_spanning_trees(k6)) == 1296
+    assert built == {"Graph": 0, "pmf": 0}
 
 
 def test_spanning_search_leaves_no_cyclic_garbage():
@@ -150,7 +154,7 @@ def test_spanning_search_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        trees = graphs._spanning_edge_sets(k5)
+        trees = enumerate_spanning_trees(k5)
         assert len(trees) == 125
         del trees
         assert gc.collect() == 0
@@ -163,12 +167,12 @@ def test_fold_evaluates_entropy_once_per_degree_vector(monkeypatch):
     weighted = WeightedGraph(k6.vertices, tuple((u, v, float((u + v) % 3 + 1)) for u, v in k6.edges))
     trees = enumerate_spanning_trees(k6)
     assert len(trees) == 1296
-    hs = [graph_entropy(t) for t in trees]
-    weights = [math.fsum(weighted.weight_of(u, v) for u, v in t.edges) for t in trees]
+    hs = [graph_entropy(Graph(k6.vertices, t)) for t in trees]
+    weights = [math.fsum(weighted.weight_of(u, v) for u, v in t) for t in trees]
     msts = [i for i, w in enumerate(weights) if w == min(weights)]
 
     def degree_vector(t):
-        return tuple(t.degree()[v] for v in k6.vertices)
+        return tuple(Graph(k6.vertices, t).degree()[v] for v in k6.vertices)
 
     calls = []
     entropy = graphs._entropy
