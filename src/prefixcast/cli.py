@@ -9,10 +9,13 @@ Output discipline: every run prints a manifest header (tool version,
 subcommand, the flags verbatim, a sha256 per input file, and the seed when
 randomness is involved) followed by the results, so any output file is
 self-describing and a rerun of the same invocation is byte-identical.
-Both modes render from the same records (see :class:`Report`): text mode
-prints numbers with six decimal places, trailing zeros trimmed; ``--json``
-emits one strict JSON document (no NaN or Infinity) with a fixed key order
-and full-precision floats.
+Both modes render from the same records (see :class:`Report`), and only the
+mode asked for is rendered: text mode prints numbers with six decimal
+places, trailing zeros trimmed; ``--json`` emits one strict JSON document
+(no NaN or Infinity) with a fixed key order and full-precision floats. Its
+bytes are those of ``json.dumps(document, indent=2)``. Before CPython 3.13
+an indent forces the pure-Python encoder, so there :func:`json_text` writes
+the same bytes with its scalars, lists and table columns encoded in C.
 
 Exit codes: 0 on success, 2 for input or validation problems (one line on
 stderr), 64 for usage errors such as unknown subcommands or malformed flags.
@@ -27,6 +30,7 @@ import json
 import math
 import shlex
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .fileio import (
@@ -120,10 +124,83 @@ def fmt(x) -> str:
     return s if s and s != "-0" else "0"
 
 
+def _json_float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# the JSON text of a scalar, by exact type; subclasses take the general path
+_JSON_SCALAR = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_SCALAR_TYPES = frozenset(_JSON_SCALAR)
+
+
+@functools.cache
+def _c_list(separator: str):
+    """The C encoder of a list of scalars, with ``separator`` between items."""
+    return json.JSONEncoder(separators=(separator, ": ")).encode
+
+
+def json_text(obj, level: int = 0) -> str:
+    """The bytes of ``json.dumps(obj, indent=2)``, for the shapes a Report
+    emits, with the scalars, lists of scalars and table columns encoded in C.
+
+    The text continues a line ``level`` indents deep. A list of dicts with one
+    key order is a table: one ``%`` template per row, and each column is one
+    C call split on newlines, which the ASCII encoder never writes inside a
+    value. Empty containers, non-str keys and any other type are left to
+    ``json.dumps``.
+    """
+    kind = type(obj)
+    scalar = _JSON_SCALAR.get(kind)
+    if scalar is not None:
+        return scalar(obj)
+    close = "\n" + "  " * level
+    pad = close + "  "
+    if kind is dict and set(map(type, obj)) == {str}:
+        items = (f"{encode_basestring_ascii(k)}: {json_text(v, level + 1)}"
+                 for k, v in obj.items())
+        return "{" + pad + ("," + pad).join(items) + close + "}"
+    if (kind is list or kind is tuple) and obj:
+        kinds = set(map(type, obj))
+        if kinds <= _SCALAR_TYPES:
+            return "[" + pad + _c_list("," + pad)(obj)[1:-1] + close + "]"
+        if (kinds == {dict} and len(set(map(tuple, obj))) == 1
+                and set(map(type, obj[0])) == {str}):
+            items = _json_rows(obj, level + 2)
+        else:
+            items = (json_text(v, level + 1) for v in obj)
+        return "[" + pad + ("," + pad).join(items) + close + "]"
+    return json.dumps(obj, indent=2).replace("\n", close)
+
+
+def _json_rows(records: list, level: int):
+    """The JSON text of each record of a table whose fields sit ``level``
+    indents deep."""
+    pad = "\n" + "  " * level
+    template = "{" + pad + ("," + pad).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in records[0]
+    ) + pad[:-2] + "}"
+    columns = []
+    for column in zip(*map(dict.values, records)):
+        if set(map(type, column)) <= _SCALAR_TYPES:
+            columns.append(_c_list("\n")(column)[1:-1].split("\n"))
+        else:
+            columns.append([json_text(v, level) for v in column])
+    return map(template.__mod__, zip(*columns))
+
+
 class Report:
     """The manifest and results of one run. Each input is read through it and
     listed with its sha256 in read order. Each result is written once, as a
-    record with its text line, and both output modes render from it."""
+    record and the way to its text line, and only the mode asked for is
+    rendered."""
 
     def __init__(self, subcommand: str, argv: list, seed=None):
         self.manifest = {
@@ -135,8 +212,8 @@ class Report:
         }
         if seed is not None:
             self.manifest["seed"] = seed
-        self.lines = []   # text-mode body
-        self.result = {}  # machine-mode body, insertion order = output order
+        self._result = {}  # --json body, insertion order = output order
+        self._text = []    # text body: lines, and (records, line function) pairs
         self._stdin = None
 
     def read(self, path: str) -> str:
@@ -163,31 +240,45 @@ class Report:
 
     def field(self, key: str, value, line=None):
         """One named value; its text line is ``key fmt(value)`` unless given."""
-        self.result[key] = value
-        self.lines.append(f"{key} {fmt(value)}" if line is None else line)
+        self._result[key] = value
+        self._text.append(f"{key} {fmt(value)}" if line is None else line)
 
-    def table(self, key: str, rows):
-        """A list of records under ``key`` from (record, text line) pairs."""
-        self.result[key] = []
-        for record, line in rows:
-            self.result[key].append(record)
-            self.lines.append(line)
+    def json_only(self, key: str, value):
+        """One named value that has no text line."""
+        self._result[key] = value
+
+    def text_only(self, line: str):
+        """One text line that is a reading aid, not a result."""
+        self._text.append(line)
+
+    def table(self, key: str, records: list, line):
+        """A list of records under ``key``; ``line(record)`` is a record's text
+        line, called only when text is rendered."""
+        self._result[key] = records
+        self._text.append((records, line))
 
     def render(self, as_json: bool) -> str:
         if as_json:
-            return json.dumps(
-                {"manifest": self.manifest, "result": self.result}, indent=2
-            )
-        head = [
+            doc = {"manifest": self.manifest, "result": self._result}
+            if sys.version_info >= (3, 13):  # json's C encoder indents from 3.13
+                return json.dumps(doc, indent=2)
+            return json_text(doc)
+        lines = [
             f"# prefixcast {self.manifest['version']}",
             f"# subcommand: {self.manifest['subcommand']}",
             f"# flags: {self.manifest['flags']}",
         ]
         for rec in self.manifest["inputs"]:
-            head.append(f"# input: {rec['path']} sha256={rec['sha256']}")
+            lines.append(f"# input: {rec['path']} sha256={rec['sha256']}")
         if "seed" in self.manifest:
-            head.append(f"# seed: {self.manifest['seed']}")
-        return "\n".join(head + self.lines)
+            lines.append(f"# seed: {self.manifest['seed']}")
+        for block in self._text:
+            if isinstance(block, str):
+                lines.append(block)
+            else:
+                records, line = block
+                lines.extend(map(line, records))
+        return "\n".join(lines)
 
 
 def _csv(text: str, what: str, kind=int) -> tuple:
@@ -271,14 +362,13 @@ def cmd_huffman(args, rep):
     code = huffman_code(pmf, args.D)
     rep.field("D", args.D)
     rep.field("symbols", len(pmf))
-    rows = []
-    for label, p in pmf.entries:
-        word = code.assignments[label]
-        rows.append((
-            {"label": label, "codeword": str(word), "length": word.length, "probability": p},
-            f"{label} {word} {word.length} {fmt(p)}",
-        ))
-    rep.table("code", rows)
+    words = code.assignments
+    rep.table(
+        "code",
+        [{"label": label, "codeword": str(words[label]), "length": words[label].length,
+          "probability": p} for label, p in pmf.entries],
+        lambda r: f"{r['label']} {r['codeword']} {r['length']} {fmt(r['probability'])}",
+    )
     rep.field("expected_length", expected_length(code, pmf))
     rep.field("entropy_base_D", shannon_entropy(pmf, base=float(args.D)))
     rep.field("kraft_sum", kraft_sum(code.length_set()))
@@ -291,11 +381,9 @@ def cmd_code_from_lengths(args, rep):
     labels = tuple(args.labels.split(",")) if args.labels else None
     code = code_from_lengths(lengths, labels)
     rep.field("D", args.D)
-    rep.table("code", (
-        ({"label": label, "codeword": str(word), "length": word.length},
-         f"{label} {word} {word.length}")
-        for label, word in code.assignments.items()
-    ))
+    rep.table("code", [{"label": label, "codeword": str(word), "length": word.length}
+                       for label, word in code.assignments.items()],
+              lambda r: f"{r['label']} {r['codeword']} {r['length']}")
     rep.field("kraft_sum", kraft_sum(code.length_set()))
 
 
@@ -315,10 +403,8 @@ def cmd_graph_entropy(args, rep):
         rep.field("vertices", len(dg.vertices))
         rep.field("arcs", len(dg.arcs))
         for name, pmf in (("in", in_pmf), ("out", out_pmf)):
-            rep.table(f"{name}_pmf", (
-                ({"vertex": label, "probability": p}, f"{name}_pmf {label} {fmt(p)}")
-                for label, p in pmf.entries
-            ))
+            rep.table(f"{name}_pmf", [{"vertex": v, "probability": p} for v, p in pmf.entries],
+                      lambda r, name=name: f"{name}_pmf {r['vertex']} {fmt(r['probability'])}")
             rep.field(f"{name}_entropy", shannon_entropy(pmf))
         return
 
@@ -328,10 +414,8 @@ def cmd_graph_entropy(args, rep):
         coloring = parse_coloring(rep.read(args.coloring), args.coloring)
     rep.field("vertices", len(g.vertices))
     rep.field("edges", len(g.edges))
-    rep.table("degree_pmf", (
-        ({"vertex": label, "probability": p}, f"pmf {label} {fmt(p)}")
-        for label, p in degree_pmf(g).entries
-    ))
+    rep.table("degree_pmf", [{"vertex": v, "probability": p} for v, p in degree_pmf(g).entries],
+              lambda r: f"pmf {r['vertex']} {fmt(r['probability'])}")
     rep.field("entropy_bits", graph_entropy(g))
     rep.field("regular_degree", is_regular(g))
     rep.field("max_entropy_bits", math.log2(len(g.vertices)))
@@ -358,10 +442,8 @@ def cmd_mst(args, rep):
     mst = minimum_spanning_tree(g)
     rep.field("vertices", len(g.vertices))
     rep.field("input_edges", len(g.edges))
-    rep.table("edges", (
-        ({"u": u, "v": v, "weight": w}, f"edge {u} {v} {fmt(w)}")
-        for u, v, w in mst.edges
-    ))
+    rep.table("edges", [{"u": u, "v": v, "weight": w} for u, v, w in mst.edges],
+              lambda r: f"edge {r['u']} {r['v']} {fmt(r['weight'])}")
     rep.field("total_weight", mst.total_weight())
 
 
@@ -390,23 +472,20 @@ def cmd_assign_leaders(args, rep):
     assignment = assign_leaders(pmf, args.D)
     report = verify_secure(assignment)
     rep.field("D", args.D)
-    rows = []
-    for label, p in pmf.entries:
-        path = assignment.leaders[label]
-        digits = str(Codeword(path))
-        rows.append((
-            {"label": label, "path": digits, "depth": len(path), "probability": p},
-            f"{label} {digits} {len(path)} {fmt(p)}",
-        ))
-    rep.table("leaders", rows)
+    paths = assignment.leaders
+    rep.table(
+        "leaders",
+        [{"label": label, "path": str(Codeword(paths[label])), "depth": len(paths[label]),
+          "probability": p} for label, p in pmf.entries],
+        lambda r: f"{r['label']} {r['path']} {r['depth']} {fmt(r['probability'])}",
+    )
     rep.field("expected_depth", assignment.expected_depth())
     rep.field("entropy_bound", shannon_entropy(pmf, base=float(args.D)))
     rep.field("kraft_sum", assignment.depth_kraft_sum())
     rep.field("tree_depth", assignment.tree.max_depth)
     rep.field("tree_nodes", assignment.tree.total_nodes())
     if args.D > 2:
-        # text only: a reading aid, not a result
-        rep.lines.append(
+        rep.text_only(
             "# note: node counts use the geometric series "
             "(D^(depth+1)-1)/(D-1); the binary shortcut D^(depth+1)-1 "
             "applies only at D=2"
@@ -425,16 +504,13 @@ def cmd_plan_multicast(args, rep):
     rep.field("kraft_sum", plan.kraft_sum())
     rep.field("secure", plan.security.secure)
     rep.field("relaxed", plan.relaxed)
-    rows = []
-    for label in sorted(plan.leader_digits, key=str):
-        digits = str(Codeword(plan.leader_digits[label]))
-        route = plan.leader_route[label]
-        vertex = plan.leader_vertex[label]
-        rows.append((
-            {"label": label, "path": digits, "vertex": vertex, "route": list(route)},
-            f"{label} {digits} {'->'.join(str(v) for v in route)}",
-        ))
-    rep.table("leaders", rows)
+    rep.table(
+        "leaders",
+        [{"label": label, "path": str(Codeword(plan.leader_digits[label])),
+          "vertex": plan.leader_vertex[label], "route": list(plan.leader_route[label])}
+         for label in sorted(plan.leader_digits, key=str)],
+        lambda r: f"{r['label']} {r['path']} {'->'.join(map(str, r['route']))}",
+    )
     if args.audit:
         audit = plan_cost_audit(plan, g)
         rep.field("audit_mst_weight_minimal", audit.mst_weight_minimal)
@@ -456,10 +532,8 @@ def cmd_levels(args, rep):
     g = parse_graph(rep.read(args.graph), args.graph)
     net = assign_levels(g, args.bs)
     rep.field("base_station", args.bs)
-    rep.table("levels", (
-        ({"vertex": v, "level": net.level[v]}, f"{v} {net.level[v]}")
-        for v in g.vertices
-    ))
+    rep.table("levels", [{"vertex": v, "level": net.level[v]} for v in g.vertices],
+              lambda r: f"{r['vertex']} {r['level']}")
     rep.field("max_level", net.max_level())
 
 
@@ -468,10 +542,8 @@ def cmd_sectors(args, rep):
     sectors = assign_sectors(positions, args.bs, args.K)
     rep.field("base_station", args.bs)
     rep.field("K", args.K)
-    rep.table("sectors", (
-        ({"vertex": v, "sector": sectors[v]}, f"{v} {sectors[v]}")
-        for v in positions  # file order
-    ))
+    rep.table("sectors", [{"vertex": v, "sector": sectors[v]} for v in positions],  # file order
+              lambda r: f"{r['vertex']} {r['sector']}")
 
 
 def cmd_gossip(args, rep):
@@ -511,11 +583,13 @@ def cmd_gossip(args, rep):
         rep.field("allow_nonmonotone", True)
     if args.trial_log:
         outcomes = list(outcomes)
-        rep.table("trial_log", (
-            ({"trial": t, "delivered": ok, "transmissions": tx, "hops": hops},
-             f"trial {t} {'1' if ok else '0'} {tx} {hops if ok else '-'}")
-            for t, (ok, tx, hops) in enumerate(outcomes)
-        ))
+        rep.table(
+            "trial_log",
+            [{"trial": t, "delivered": ok, "transmissions": tx, "hops": hops}
+             for t, (ok, tx, hops) in enumerate(outcomes)],
+            lambda r: f"trial {r['trial']} {'1' if r['delivered'] else '0'} "
+            f"{r['transmissions']} {r['hops'] if r['delivered'] else '-'}",
+        )
     result = summarize_trials(cfg, outcomes)
     rep.field("delivered", result.delivered)
     rep.field("delivery_ratio", result.delivery_ratio)
@@ -532,12 +606,11 @@ def cmd_fuse(args, rep):
     which = args.function
     if which == "omega":
         omega = overlap_function(s)
-        rep.table("omega", (
-            ({"breakpoint": x, "count": c}, f"{fmt(x)} {c}")
-            for x, c in zip(omega.breakpoints, omega.at_points)
-        ))
-        # JSON only: the counts between breakpoints have no text row
-        rep.result["between"] = list(omega.between)
+        rep.table("omega", [{"breakpoint": x, "count": c}
+                            for x, c in zip(omega.breakpoints, omega.at_points)],
+                  lambda r: f"{fmt(r['breakpoint'])} {r['count']}")
+        # the counts between breakpoints have no text row
+        rep.json_only("between", list(omega.between))
     elif which == "compare":
         cmp_ = fusion_compare(s)
         _interval_field(rep, "m", cmp_.m_result)

@@ -212,16 +212,25 @@ def tsallis_graph_entropy(g: Graph, q: float) -> float:
 
     q must differ from 1; as q approaches 1 the value approaches the Shannon
     entropy in nats. Zero-probability vertices contribute nothing.
+
+    Near q = 1 the subtraction 1 - sum p**q cancels. Within 1/2 of it the sum
+    is taken as -sum p * expm1((q - 1) ln p) / (q - 1), the same value since
+    the p sum to 1, whose terms are all nonnegative; farther out the direct
+    form rounds less.
     """
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
     if q == 1.0:
         raise ValueError("q=1 is the Shannon limit, where the Tsallis form is undefined")
+    d = q - 1.0
+    probs = [p for _, p in _degree_distribution(g) if p > 0.0]
+    if abs(d) < 0.5:
+        return -math.fsum(p * math.expm1(d * math.log(p)) for p in probs) / d
     try:
-        s = math.fsum(p**q for _, p in _degree_distribution(g) if p > 0.0)
+        s = math.fsum(p**q for p in probs)
     except OverflowError:
         raise ValueError(f"the Tsallis sum overflows at q={q}") from None
-    return (1.0 - s) / (q - 1.0)
+    return (1.0 - s) / d
 
 
 def conditional_graph_entropy(g: Graph, coloring: VertexColoring) -> float:

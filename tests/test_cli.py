@@ -427,6 +427,16 @@ def test_graph_entropy_ring_hits_log2_n(tmp_path):
     assert "regular_degree 2" in out
 
 
+@pytest.mark.parametrize("q", ["1.0000000000000002", "0.9999999999999999"])
+def test_tsallis_one_ulp_from_one_is_the_shannon_limit(line3, q):
+    # degrees 1, 2, 1: the limit is 1.5 ln 2 = 1.0397207708399179 nats
+    code, out, _ = cli("graph-entropy", "--graph", line3, "--tsallis", q)
+    assert code == 0
+    assert "tsallis_entropy 1.039721" in out.splitlines()
+    code, out, _ = cli("graph-entropy", "--graph", line3, "--tsallis", q, "--json")
+    assert json.loads(out)["result"]["tsallis_entropy"] == 1.0397207708399179
+
+
 def test_graph_entropy_digraph_rejects_undirected_only_flags(line3):
     code, _, err = cli("graph-entropy", "--graph", line3, "--digraph", "--tsallis", "2")
     assert code == VALIDATION_EXIT

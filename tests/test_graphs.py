@@ -30,7 +30,7 @@ from prefixcast.graphs import (
     tsallis_graph_entropy,
 )
 
-from oracles import min_spanning_weight, spanning_trees_by_subsets
+from oracles import min_spanning_weight, spanning_trees_by_subsets, tsallis_degree_entropy
 
 
 def random_connected_graph(rng, n, extra_edges):
@@ -171,6 +171,23 @@ def test_tsallis_limit_approaches_shannon_nats():
         nats = graph_entropy(g) * math.log(2.0)
         for q in (1.0 - 1e-4, 1.0 + 1e-4):
             assert tsallis_graph_entropy(g, q) == pytest.approx(nats, abs=5e-4)
+
+
+def test_tsallis_matches_exact_reference_on_both_sides_of_the_expm1_switch():
+    # the expm1 form runs for |q - 1| < 1/2 and the direct form elsewhere
+    near_one = [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1.0 - 1e-9, 1.0 + 1e-9]
+    switch = [math.nextafter(0.5, 1.0), 0.5, math.nextafter(1.5, 1.0), 1.5]
+    far = [-1.0, 0.25, 2.0, 3.0]
+    rng = random.Random(11)
+    graphs = [path_graph(3), ring_graph(5), star_graph(4)] + [
+        random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 6)) for _ in range(8)
+    ]
+    for g in graphs:
+        for q in near_one + switch + far:
+            exact = tsallis_degree_entropy(g.edges, q)
+            got = tsallis_graph_entropy(g, q)
+            assert got > 0.0
+            assert got == pytest.approx(exact, rel=1e-14, abs=0.0), (g.edges, q)
 
 
 def test_conditional_entropy_examples():

@@ -10,8 +10,10 @@ must reproduce the same stdout, byte for byte. Inputs are named by relative
 paths so the manifest's flags line does not depend on where the suite runs.
 """
 
+import functools
 import hashlib
 import io
+import operator
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -53,7 +55,8 @@ def _write_seeded_inputs(directory, seed=2011, depth=9, extra=2000, leaders=250)
     raw = [rng.randint(90, 110) for _ in range(leaders)]
     total = sum(raw)
     probs = [r / total for r in raw]
-    probs[-1] = 1.0 - sum(probs[:-1])
+    # a left-to-right fold: sum() of floats is compensated from CPython 3.12 on
+    probs[-1] = 1.0 - functools.reduce(operator.add, probs[:-1], 0.0)
     (directory / "seeded.pmf").write_text(
         "".join(f"L{i} {p!r}\n" for i, p in enumerate(probs))
     )

@@ -12,8 +12,10 @@ subset oracle's order over the canonically sorted edges, and the fold
 evaluates the entropy once per distinct degree vector.
 """
 
+import functools
 import gc
 import math
+import operator
 import random
 
 import pytest
@@ -82,6 +84,11 @@ def _random_graph(rng):
     return WeightedGraph(vertices, edges)
 
 
+def _left_sum(xs):
+    """Float sum in list order; sum() is compensated from CPython 3.12 on."""
+    return functools.reduce(operator.add, xs, 0.0)
+
+
 def test_extrema_match_subset_oracle():
     order_sensitive = 0
     for seed in range(60):
@@ -95,7 +102,8 @@ def test_extrema_match_subset_oracle():
         entropies = [h for _, h in oracle]
         least = min(math.fsum(ws) for ws, _ in oracle)
         msts = [(ws, h) for ws, h in oracle if math.fsum(ws) == least]
-        order_sensitive += len({sum(ws) for ws, _ in msts} | {sum(ws[::-1]) for ws, _ in msts}) > 1
+        sums = {_left_sum(ws) for ws, _ in msts} | {_left_sum(ws[::-1]) for ws, _ in msts}
+        order_sensitive += len(sums) > 1
 
         lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(g.graph())
         assert (lo, hi) == (min(entropies), max(entropies))
@@ -105,7 +113,7 @@ def test_extrema_match_subset_oracle():
         hs = [graph_entropy(Graph(g.vertices, t)) for t in trees]
         assert t_lo == trees[hs.index(lo)]
         assert t_hi == trees[hs.index(hi)]
-    # some cases have minimum trees whose plain sums depend on summation order
+    # some cases have minimum trees whose left-to-right sums depend on the order
     assert order_sensitive > 0
 
 
