@@ -71,32 +71,35 @@ def parse_lengths(text: str, d: int, source: str = "<lengths>") -> CodeLengthSet
     return _build(source, "lengths", lengths, CodeLengthSet, tuple(lengths), d)
 
 
-def _parse_edge_lines(text: str, source: str):
+def _parse_edge_lines(text: str, source: str, bare=None):
     """Shared reader: `u v`, `u v w`, and `vertex u` lines, order preserved.
 
-    Returns the vertices in order of first mention and (u, v, weight or
-    None) triples. It splits the lines itself, in one loop, because a graph
-    file is the largest input any command reads.
+    Returns the vertices in order of first mention and (u, v, w) triples,
+    with w = ``bare`` on a `u v` line. Each line is split once, in one loop,
+    as a graph file is the largest input any command reads.
     """
     vertices: dict = {}  # insertion-ordered set
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 _fail(source, lineno, "expected 'vertex u'")
             vertices[tokens[1]] = None
+        elif len(tokens) == 3:
+            u, v, w = tokens
+            try:
+                w = float(w)
+            except ValueError:
+                _fail(source, lineno, f"weight {w!r} is not a number")
+            vertices[u] = vertices[v] = None
+            edges.append((u, v, w))
         elif len(tokens) == 2:
             u, v = tokens
             vertices[u] = vertices[v] = None
-            edges.append((u, v, None))
-        elif len(tokens) == 3:
-            u, v, w = tokens
-            w = _number(w, source, lineno, "weight")
-            vertices[u] = vertices[v] = None
-            edges.append((u, v, w))
+            edges.append((u, v, bare))
         else:
             _fail(source, lineno, f"expected 'u v', 'u v w' or 'vertex u', got {len(tokens)} tokens")
     return tuple(vertices), edges
@@ -110,9 +113,8 @@ def parse_graph(text: str, source: str = "<graph>") -> Graph:
 
 def parse_weighted_graph(text: str, source: str = "<graph>") -> WeightedGraph:
     """Weighted variant; bare `u v` lines default to weight 1 (hop count)."""
-    vertices, edges = _parse_edge_lines(text, source)
-    weighted = tuple((u, v, 1.0 if w is None else w) for u, v, w in edges)
-    return _build(source, "vertices", vertices, WeightedGraph, vertices, weighted)
+    vertices, edges = _parse_edge_lines(text, source, 1.0)
+    return _build(source, "vertices", vertices, WeightedGraph, vertices, edges)
 
 
 def parse_digraph(text: str, source: str = "<digraph>") -> DiGraph:

@@ -12,9 +12,9 @@ only when it excludes an edge that joins two components, since no other
 step can lose a tree. A tree is the tuple of its edges; the entropy
 extrema fold those tuples and evaluate the entropy once per distinct
 degree vector. A graph is checked once, when built, and a WeightedGraph
-keeps the Graph it built. Every tie follows one vertex order, ``_vkey``'s:
-a Graph keeps the ``_order_key`` map it orients its edges by, and every
-order decision reads it.
+keeps the Graph it built. Every tie follows one order: ``_order_key`` maps
+each vertex to its int rank in ``_vkey`` order, and every order decision
+compares ranks. An MST shares its graph's ranks and checked edge triples.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ def _vkey(v):
     return (1, 0, str(v))
 
 
-def _checked_pairs(vertices: tuple, pairs, noun: str, key: dict | None = None) -> tuple:
-    """Each pair, ordered by ``key`` (vertex -> sort key) when one is given;
-    rejects duplicate vertex ids, self-loops, unknown endpoints and repeated
-    pairs, naming a pair as given."""
-    vset = set(vertices)
+def _checked_pairs(vertices: tuple, pairs, noun: str, rank: dict | None = None) -> tuple:
+    """Each pair, the lower-ranked vertex first when ``rank`` (vertex -> int)
+    is given; rejects duplicate vertex ids, self-loops, unknown endpoints
+    and repeated pairs, naming a pair as given."""
+    vset = set(vertices) if rank is None else rank
     if len(vset) != len(vertices):
         raise ValueError("duplicate vertex ids")
     seen = set()
@@ -55,7 +55,7 @@ def _checked_pairs(vertices: tuple, pairs, noun: str, key: dict | None = None) -
             raise ValueError(f"self-loop at {u!r}")
         if u not in vset or v not in vset:
             raise ValueError(f"{noun} ({u!r}, {v!r}) references unknown vertex")
-        pair = (v, u) if key is not None and key[v] < key[u] else (u, v)
+        pair = (v, u) if rank is not None and rank[v] < rank[u] else (u, v)
         if pair in seen:
             raise ValueError(f"repeated {noun} ({u!r}, {v!r})")
         seen.add(pair)
@@ -72,11 +72,15 @@ class Graph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        key = {v: _vkey(v) for v in verts}
-        edges = _checked_pairs(verts, self.edges, "edge", key)
+        # stable: ids with equal _vkey keep their input order, so ranks are
+        # one-to-one; only strs, or only ints, are in _vkey order as they are
+        kinds = set(map(type, verts))
+        order = sorted(verts) if kinds in ({str}, {int}) else sorted(verts, key=_vkey)
+        rank = dict(zip(order, range(len(order))))
+        edges = _checked_pairs(verts, self.edges, "edge", rank)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_order_key", key)
+        object.__setattr__(self, "_order_key", rank)
 
     def degree(self) -> dict:
         deg = {v: 0 for v in self.vertices}
@@ -120,7 +124,7 @@ class WeightedGraph:
             weights.append(w)
         g = Graph(self.vertices, pairs)
         object.__setattr__(self, "vertices", g.vertices)
-        object.__setattr__(self, "edges", tuple((*e, w) for e, w in zip(g.edges, weights)))
+        object.__setattr__(self, "edges", tuple((u, v, w) for (u, v), w in zip(g.edges, weights)))
         object.__setattr__(self, "_graph", g)
 
     def graph(self) -> Graph:
@@ -378,15 +382,14 @@ def _is_mst(g: WeightedGraph, carrier) -> bool:
     the path it closes), so the verdict is exact, in O(E log E). A carrier
     edge that names a vertex absent from g fails it.
     """
-    key = g.graph()._order_key
-    if any(u not in key or v not in key for u, v, _ in carrier):
+    rank = g.graph()._order_key
+    if any(u not in rank or v not in rank for u, v, _ in carrier):
         return False
-    tree = {(u, v, w) if key[u] <= key[v] else (v, u, w) for u, v, w in carrier}
-    idx = {v: i for i, v in enumerate(g.vertices)}
+    tree = {(u, v, w) if rank[u] <= rank[v] else (v, u, w) for u, v, w in carrier}
     parent = list(range(len(g.vertices)))
     joined = 0
     for e in sorted(g.edges, key=lambda e: (e[2], e not in tree)):
-        ru, rv = _find(parent, idx[e[0]]), _find(parent, idx[e[1]])
+        ru, rv = _find(parent, rank[e[0]]), _find(parent, rank[e[1]])
         joins = ru != rv
         if joins != (e in tree):
             return False
@@ -497,10 +500,9 @@ def enumerate_spanning_trees(g: Graph) -> list:
             f"budget of {TREE_BUDGET}"
         )
 
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    key = g._order_key
-    edges = sorted(g.edges, key=lambda e: (key[e[0]], key[e[1]]))
-    ends = [(idx[u], idx[v]) for u, v in edges]
+    rank = g._order_key
+    edges = sorted(g.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
+    ends = [(rank[u], rank[v]) for u, v in edges]
     trees: list = []
     # (next edge, component label of each vertex, edges still needed,
     # chosen); a popped branch takes the include path to its tree and
@@ -570,23 +572,30 @@ def spanning_tree_entropy_extrema(g: Graph):
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
-    """Kruskal MST; ties broken by weight then canonical endpoint order."""
+    """Kruskal MST; ties broken by weight, then by the endpoints' ranks.
+
+    The tree is not checked again: it shares g's vertex tuple and rank map,
+    and its edges are g's own checked (u, v, w) triples, in pick order.
+    """
     n = len(g.vertices)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    key = g.graph()._order_key
-    order = sorted(g.edges, key=lambda e: (e[2], key[e[0]], key[e[1]]))
+    rank = g.graph()._order_key
+    # (w, rank u, rank v) is unique per edge, so e itself is never compared
+    order = sorted([(e[2], rank[e[0]], rank[e[1]], e) for e in g.edges])
     parent = list(range(n))
     picked = []
-    for u, v, w in order:
-        ru, rv = _find(parent, idx[u]), _find(parent, idx[v])
-        if ru != rv:
-            parent[ru] = rv
-            picked.append((u, v, w))
+    for _, a, b, e in order:
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            picked.append(e)
             if len(picked) == n - 1:
                 break
     if len(picked) != max(n - 1, 0):
         raise ValueError("graph is disconnected; it has no spanning tree")
-    return WeightedGraph(g.vertices, tuple(picked))
+    tree, mst = object.__new__(Graph), object.__new__(WeightedGraph)
+    tree.__dict__.update(vertices=g.vertices, edges=tuple(e[:2] for e in picked), _order_key=rank)
+    mst.__dict__.update(vertices=g.vertices, edges=tuple(picked), _graph=tree)
+    return mst
 
 
 def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:

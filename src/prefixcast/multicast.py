@@ -113,12 +113,12 @@ class PlanAudit:
 def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryTree:
     """Root the tree and retain at most D children per node.
 
-    Children are kept in increasing order of (edge weight, vertex id); the
-    digit of a child is its index among the retained siblings. Dropping a
-    child discards its entire subtree, and every vertex so discarded is
-    reported in ``pruned``. One breadth-first walk from the root does all
-    of this and proves the input a tree: with n-1 edges, reaching every
-    vertex rules out a cycle.
+    Children are kept in increasing order of (edge weight, vertex rank);
+    the digit of a child is its index among the retained siblings. Dropping
+    a child discards its entire subtree, and every vertex so discarded is
+    reported in ``pruned``. One breadth-first walk over (weight, rank,
+    neighbour) lists built from the edges does all of this and proves the
+    input a tree: with n-1 edges, reaching every vertex rules out a cycle.
     """
     if d < 2:
         raise ValueError(f"arity must be >= 2, got {d}")
@@ -130,8 +130,11 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
             f"not a tree: {len(spanning_tree.edges)} edges on {n} vertices"
         )
 
-    adj = spanning_tree.graph().adjacency()
-    key = spanning_tree.graph()._order_key
+    rank = spanning_tree.graph()._order_key
+    near: dict = {v: [] for v in spanning_tree.vertices}
+    for u, v, w in spanning_tree.edges:
+        near[u].append((w, rank[v], v))
+        near[v].append((w, rank[u], u))
     children: dict = {}
     parent: dict = {}
     vertex_at: dict = {(): root}
@@ -141,19 +144,24 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
     while frontier:
         nxt = []
         for v, path in frontier:
-            kids = [w for w in adj[v] if w not in reached]
-            reached.update(kids)
+            kids = [k for k in near[v] if k[2] not in reached]
             if path is None:
-                nxt.extend((w, None) for w in kids)
+                reached.update(k[2] for k in kids)
+                nxt.extend((k[2], None) for k in kids)
                 continue
-            kids.sort(key=lambda w: (spanning_tree.weight_of(v, w), key[w]))
-            keep, cut = kids[:d], kids[d:]
+            kids.sort()
+            keep = []
+            for i, (_, _, w) in enumerate(kids):
+                reached.add(w)
+                if i < d:
+                    keep.append(w)
+                    parent[w] = v
+                    at = path + (i,)
+                    vertex_at[at] = w
+                    nxt.append((w, at))
+                else:
+                    nxt.append((w, None))
             children[v] = tuple(keep)
-            for i, w in enumerate(keep):
-                parent[w] = v
-                vertex_at[path + (i,)] = w
-                nxt.append((w, path + (i,)))
-            nxt.extend((w, None) for w in cut)
         frontier = nxt
     if len(reached) != n:
         raise ValueError("not a tree: graph is disconnected")
@@ -164,7 +172,7 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
         children=children,
         parent=parent,
         vertex_at=vertex_at,
-        pruned=tuple(sorted(reached.difference(vertex_at.values()), key=key.__getitem__)),
+        pruned=tuple(sorted(reached.difference(vertex_at.values()), key=rank.__getitem__)),
     )
 
 

@@ -194,6 +194,39 @@ def prim_min_spanning_weight(vertices, edges):
     return total
 
 
+def kruskal_edges(vertices, edges):
+    """Kruskal's picks as (u, v, w) triples, in the order they are picked.
+
+    The vertex order is rebuilt here: ints (not bools) by value, then every
+    other id by its text, ids of equal text in input order. Each edge names
+    its earlier vertex first, and edges are scanned by (weight, earlier
+    position, later position). Components are merged by relabelling every
+    member, with no union-find.
+    """
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    ordered = sorted(v for v in vertices if is_int(v))
+    ordered += sorted((v for v in vertices if not is_int(v)), key=str)
+    position = {v: i for i, v in enumerate(ordered)}
+    scan = []
+    for u, v, w in edges:
+        if position[v] < position[u]:
+            u, v = v, u
+        scan.append((float(w), position[u], position[v], u, v))
+    scan.sort(key=lambda e: e[:3])
+    component = {v: i for i, v in enumerate(vertices)}
+    picked = []
+    for w, _, _, u, v in scan:
+        old, new = component[v], component[u]
+        if old != new:
+            for x, c in component.items():
+                if c == old:
+                    component[x] = new
+            picked.append((u, v, w))
+    return tuple(picked)
+
+
 def random_weighted_connected(rng, n, extra_edges, weight_range=(1, 9)):
     """Random spanning tree plus extra edges, integer weights; always connected.
 

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixcast.graphs import (
     DiGraph,
@@ -30,7 +32,12 @@ from prefixcast.graphs import (
     tsallis_graph_entropy,
 )
 
-from oracles import min_spanning_weight, spanning_trees_by_subsets, tsallis_degree_entropy
+from oracles import (
+    kruskal_edges,
+    min_spanning_weight,
+    spanning_trees_by_subsets,
+    tsallis_degree_entropy,
+)
 
 
 def random_connected_graph(rng, n, extra_edges):
@@ -438,6 +445,51 @@ def test_tied_mixed_ids_pick_mst_edges_in_canonical_order():
     assert minimum_spanning_tree(ring).edges == (
         (2, 10, 1.0), (2, "2", 1.0), (10, "10", 1.0),
     )
+
+
+@pytest.mark.parametrize(("vertices", "ranks"), [
+    (("b", "a", "c"), {"a": 0, "b": 1, "c": 2}),
+    ((3, 1, 2), {1: 0, 2: 1, 3: 2}),
+    (("a", "10", 10, "2", 2), {2: 0, 10: 1, "10": 2, "2": 3, "a": 4}),
+    # a bool is not an int here, and ids of equal text keep their input order
+    ((True, "True", 2), {2: 0, True: 1, "True": 2}),
+    (("True", True, 2), {2: 0, "True": 1, True: 2}),
+])
+def test_order_key_is_the_rank_in_vertex_order(vertices, ranks):
+    assert Graph(vertices, ())._order_key == ranks
+
+
+@st.composite
+def mixed_weighted_graphs(draw):
+    """A connected graph of 1-12 int and str ids, weights from {1, 2, 3}."""
+    ids = draw(st.lists(
+        st.one_of(st.integers(-3, 12), st.text("ab12", min_size=1, max_size=2)),
+        min_size=1, max_size=12, unique=True,
+    ))
+    n = len(ids)
+    pairs = {frozenset((i, draw(st.integers(0, i - 1)))) for i in range(1, n)}
+    if n > 1:
+        extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs |= {frozenset(p) for p in draw(st.lists(extra, max_size=20)) if p[0] != p[1]}
+    edges = []
+    for pair in sorted(pairs, key=sorted):
+        i, j = draw(st.permutations(sorted(pair)))
+        edges.append((ids[i], ids[j], draw(st.sampled_from((1, 2, 3)))))
+    return tuple(draw(st.permutations(ids))), tuple(draw(st.permutations(edges)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_weighted_graphs())
+def test_kruskal_ties_match_an_independent_kruskal(case):
+    vertices, edges = case
+    mst = minimum_spanning_tree(WeightedGraph(vertices, edges))
+    assert mst.edges == kruskal_edges(vertices, edges)
+    # the tree skips the second check; checking it changes nothing
+    checked = WeightedGraph(mst.vertices, mst.edges)
+    assert checked.vertices == mst.vertices
+    assert checked.edges == mst.edges
+    assert checked.graph().edges == mst.graph().edges
+    assert checked.graph()._order_key == mst.graph()._order_key
 
 
 def test_mst_disconnected_raises():
