@@ -90,10 +90,7 @@ def _parse_edge_lines(text: str, source: str, bare=None):
             vertices[tokens[1]] = None
         elif len(tokens) == 3:
             u, v, w = tokens
-            try:
-                w = float(w)
-            except ValueError:
-                _fail(source, lineno, f"weight {w!r} is not a number")
+            w = _number(w, source, lineno, "weight")
             vertices[u] = vertices[v] = None
             edges.append((u, v, w))
         elif len(tokens) == 2:

@@ -12,9 +12,9 @@ only when it excludes an edge that joins two components, since no other
 step can lose a tree. A tree is the tuple of its edges; the entropy
 extrema fold those tuples and evaluate the entropy once per distinct
 degree vector. A graph is checked once, when built, and a WeightedGraph
-keeps the Graph it built. Every tie follows one order: ``_order_key`` maps
-each vertex to its int rank in ``_vkey`` order, and every order decision
-compares ranks. An MST shares its graph's ranks and checked edge triples.
+keeps the Graph it built. Every tie follows one order, each vertex's int
+rank in ``_vkey`` order, which a Graph keeps as ``_order_key``. An MST
+shares its graph's ranks and checked edge triples and is not checked again.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ def _vkey(v):
 
 
 def _checked_pairs(vertices: tuple, pairs, noun: str, rank: dict | None = None) -> tuple:
-    """Each pair, the lower-ranked vertex first when ``rank`` (vertex -> int)
-    is given; rejects duplicate vertex ids, self-loops, unknown endpoints
-    and repeated pairs, naming a pair as given."""
+    """Each pair, lower rank first when ``rank`` (vertex -> int) is given; rejects
+    duplicate vertex ids, self-loops, unknown endpoints and repeats, naming a pair as given."""
     vset = set(vertices) if rank is None else rank
     if len(vset) != len(vertices):
         raise ValueError("duplicate vertex ids")
@@ -72,15 +71,19 @@ class Graph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        # stable: ids with equal _vkey keep their input order, so ranks are
-        # one-to-one; only strs, or only ints, are in _vkey order as they are
-        kinds = set(map(type, verts))
-        order = sorted(verts) if kinds in ({str}, {int}) else sorted(verts, key=_vkey)
+        # stable: ids with equal _vkey keep their input order, so ranks are one-to-one
+        order = sorted(verts, key=_vkey)
         rank = dict(zip(order, range(len(order))))
-        edges = _checked_pairs(verts, self.edges, "edge", rank)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_order_key", rank)
+        self._set(verts, _checked_pairs(verts, self.edges, "edge", rank), rank)
+
+    @classmethod
+    def _trusted(cls, vertices: tuple, edges: tuple, rank: dict) -> Graph:
+        """A Graph of pairs already checked and oriented by ``rank``, not checked again."""
+        return object.__new__(cls)._set(vertices, edges, rank)
+
+    def _set(self, vertices: tuple, edges: tuple, rank: dict) -> Graph:
+        self.__dict__.update(vertices=vertices, edges=edges, _order_key=rank)
+        return self
 
     def degree(self) -> dict:
         deg = {v: 0 for v in self.vertices}
@@ -123,9 +126,16 @@ class WeightedGraph:
             pairs.append((u, v))
             weights.append(w)
         g = Graph(self.vertices, pairs)
-        object.__setattr__(self, "vertices", g.vertices)
-        object.__setattr__(self, "edges", tuple((u, v, w) for (u, v), w in zip(g.edges, weights)))
-        object.__setattr__(self, "_graph", g)
+        self._set(tuple((u, v, w) for (u, v), w in zip(g.edges, weights)), g)
+
+    @classmethod
+    def _trusted(cls, edges: tuple, g: Graph) -> WeightedGraph:
+        """``g`` with its checked, oriented (u, v, w) triples, not checked again."""
+        return object.__new__(cls)._set(edges, g)
+
+    def _set(self, edges: tuple, g: Graph) -> WeightedGraph:
+        self.__dict__.update(vertices=g.vertices, edges=edges, _graph=g)
+        return self
 
     def graph(self) -> Graph:
         """The unweighted graph, built and checked along with this one."""
@@ -572,11 +582,7 @@ def spanning_tree_entropy_extrema(g: Graph):
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
-    """Kruskal MST; ties broken by weight, then by the endpoints' ranks.
-
-    The tree is not checked again: it shares g's vertex tuple and rank map,
-    and its edges are g's own checked (u, v, w) triples, in pick order.
-    """
+    """Kruskal MST; ties broken by weight, then by the endpoints' ranks; built unchecked."""
     n = len(g.vertices)
     rank = g.graph()._order_key
     # (w, rank u, rank v) is unique per edge, so e itself is never compared
@@ -592,10 +598,8 @@ def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
                 break
     if len(picked) != max(n - 1, 0):
         raise ValueError("graph is disconnected; it has no spanning tree")
-    tree, mst = object.__new__(Graph), object.__new__(WeightedGraph)
-    tree.__dict__.update(vertices=g.vertices, edges=tuple(e[:2] for e in picked), _order_key=rank)
-    mst.__dict__.update(vertices=g.vertices, edges=tuple(picked), _graph=tree)
-    return mst
+    tree = Graph._trusted(g.vertices, tuple(e[:2] for e in picked), rank)
+    return WeightedGraph._trusted(tuple(picked), tree)
 
 
 def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:

@@ -156,9 +156,8 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
                 if i < d:
                     keep.append(w)
                     parent[w] = v
-                    at = path + (i,)
-                    vertex_at[at] = w
-                    nxt.append((w, at))
+                    vertex_at[path + (i,)] = w
+                    nxt.append((w, path + (i,)))
                 else:
                     nxt.append((w, None))
             children[v] = tuple(keep)
