@@ -47,7 +47,6 @@ from .fileio import (
 )
 from .fusion import (
     Inconsistent,
-    Interval,
     IntervalSet,
     fusion_compare,
     m_function,
@@ -80,7 +79,6 @@ from .hierarchy import (
     assign_leaders,
     last_link_failure_probability,
     path_reliability,
-    total_nodes,
     verify_secure,
 )
 from .multicast import plan_cost_audit, plan_multicast

@@ -440,10 +440,10 @@ def _matrix_tree_count(g: Graph) -> int:
     n = len(g.vertices)
     if n <= 1:
         return 1
-    idx = {v: i for i, v in enumerate(g.vertices)}
+    rank = g._order_key
     lap = [[0] * n for _ in range(n)]
     for u, v in g.edges:
-        iu, iv = idx[u], idx[v]
+        iu, iv = rank[u], rank[v]
         lap[iu][iu] += 1
         lap[iv][iv] += 1
         lap[iu][iv] -= 1
@@ -540,8 +540,10 @@ def enumerate_spanning_trees(g: Graph) -> list:
     return trees
 
 
-def _entropy_extrema(vertices: tuple, trees) -> tuple:
+def _entropy_extrema(rank: dict, trees) -> tuple:
     """(min, max, argmin, argmax) of entropy over spanning trees' edge tuples.
+
+    ``rank`` is the graph's ``_order_key``, indexing each vertex's degree.
 
     Entropy comes from the degree counts by :func:`graph_entropy`'s formula,
     so the values are equal. It depends on the degree vector alone, so it is
@@ -550,17 +552,16 @@ def _entropy_extrema(vertices: tuple, trees) -> tuple:
     graph of at most one vertex has only the empty tree, which has no
     entropy.
     """
-    if len(vertices) <= 1:
+    if len(rank) <= 1:
         raise ValueError("spanning trees of a trivial graph have no edges")
-    idx = {v: i for i, v in enumerate(vertices)}
-    total = 2 * (len(idx) - 1)
+    total = 2 * (len(rank) - 1)
     known: dict = {}
     lo = hi = arg_lo = arg_hi = None
     for t in trees:
-        deg = [0] * len(idx)
+        deg = [0] * len(rank)
         for u, v in t:
-            deg[idx[u]] += 1
-            deg[idx[v]] += 1
+            deg[rank[u]] += 1
+            deg[rank[v]] += 1
         deg = tuple(deg)
         h = known.get(deg)
         if h is None:
@@ -578,7 +579,7 @@ def spanning_tree_entropy_extrema(g: Graph):
     The trees are edge tuples, as :func:`enumerate_spanning_trees` gives
     them, and ties resolve to the first tree in its order.
     """
-    return _entropy_extrema(g.vertices, enumerate_spanning_trees(g))
+    return _entropy_extrema(g._order_key, enumerate_spanning_trees(g))
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
@@ -622,7 +623,7 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
             if w == best:
                 yield t
 
-    lo, hi, _, _ = _entropy_extrema(g.vertices, lightest())
+    lo, hi, _, _ = _entropy_extrema(g.graph()._order_key, lightest())
     return lo, hi
 
 

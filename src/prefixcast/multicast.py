@@ -2,15 +2,15 @@
 
 The pipeline is: extract the minimum spanning tree, root it, keep at most D
 children per node (cheapest edges first) to obtain an embedded D-ary tree,
-then place leaders at the digit-paths of an optimal prefix code for their
-importance distribution. The resulting plan is optimal twice over: the
-carrier tree has minimal total weight, and the placement has minimal
-expected hop depth among all prefix-free placements.
+then place leaders as ``assign_leaders`` does, at the digit-paths of an
+optimal prefix code for their importance distribution. The resulting plan
+is optimal twice over: the carrier tree has minimal total weight, and the
+placement has minimal expected hop depth among all prefix-free placements.
 
 When a codeword addresses a node the embedded tree does not have, the graph
 simply cannot host that placement at the requested arity and planning fails
-with :class:`CapacityExceeded`; the relax mode retries with uniformly longer
-codewords and is a heuristic, not an optimality claim.
+with :class:`CapacityExceeded`; relax mode's one loop shifts every path
+behind zero digits until it fits, a heuristic, not an optimality claim.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import WeightedGraph, _is_mst, minimum_spanning_tree
-from .hierarchy import DaryTree, LeaderAssignment, SecurityReport, verify_secure
+from .hierarchy import DaryTree, LeaderAssignment, SecurityReport, assign_leaders, verify_secure
 from .source_coding import (
     CodeLengthSet,
+    Codeword,
     ProbabilityMassFunction,
-    huffman_code,
     kraft_sum,
     prefix_violations,
 )
@@ -175,24 +175,6 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
     )
 
 
-def _place(
-    emb: EmbeddedDaryTree, digits_by_label: dict
-) -> tuple[dict, dict]:
-    leader_vertex = {}
-    leader_route = {}
-    for label, digits in digits_by_label.items():
-        if digits not in emb.vertex_at:
-            raise CapacityExceeded(
-                f"no tree node at digit-path {''.join(map(str, digits))!r} "
-                f"for leader {label!r}; the embedded tree cannot host this "
-                f"placement at arity {emb.arity}"
-            )
-        v = emb.vertex_at[digits]
-        leader_vertex[label] = v
-        leader_route[label] = emb.graph_path(v)
-    return leader_vertex, leader_route
-
-
 def plan_multicast(
     g: WeightedGraph,
     root,
@@ -202,10 +184,11 @@ def plan_multicast(
 ) -> MulticastPlan:
     """Plan a multicast: MST, embedded D-ary tree, prefix-free placement.
 
-    Raises :class:`CapacityExceeded` when the optimal codeword set does not
-    fit the embedded tree. With ``relax=True`` the codeword lengths are
-    uniformly extended one level at a time until the placement fits or
-    exceeds the embedded tree's depth; a plan produced this way is marked
+    Leaders go where :func:`assign_leaders` puts them. Raises
+    :class:`CapacityExceeded` for the first leader, in label order, whose
+    path the embedded tree lacks. With ``relax=True`` one loop shifts every
+    path behind 0, 1, ... zero digits, up to the embedded tree's depth, and
+    stops at the first shift that fits; a plan so shifted is marked
     ``relaxed`` and forfeits the expected-depth optimality claim.
 
     Extending every length by ``b`` yields the optimal codewords behind
@@ -214,36 +197,37 @@ def plan_multicast(
     """
     mst = minimum_spanning_tree(g)
     emb = embed_dary_tree(mst, root, d)
-    code = huffman_code(importance, d)
-    optimal = {label: code.assignments[label].digits for label in importance.labels()}
-    longest = max(len(w) for w in optimal.values())
+    optimal = assign_leaders(importance, d)
+    longest = optimal.tree.max_depth
     bumps = range(max(1, emb.max_depth() - longest + 1)) if relax else (0,)
-
-    last_err = None
     for bump in bumps:
-        digits_by_label = {label: (0,) * bump + w for label, w in optimal.items()}
-        try:
-            leader_vertex, leader_route = _place(emb, digits_by_label)
-        except CapacityExceeded as err:
-            last_err = err
-            continue
-        assignment = LeaderAssignment(
-            DaryTree(d, longest + bump), digits_by_label, importance
+        shifted = {label: (0,) * bump + p for label, p in optimal.leaders.items()}
+        missing = next((label for label, p in shifted.items() if p not in emb.vertex_at), None)
+        if missing is None:
+            break
+    else:
+        raise CapacityExceeded(
+            f"no tree node at digit-path {str(Codeword(shifted[missing]))!r} "
+            f"for leader {missing!r}; the embedded tree cannot host this "
+            f"placement at arity {d}"
         )
-        return MulticastPlan(
-            root=root,
-            arity=d,
-            leader_vertex=leader_vertex,
-            leader_digits=dict(digits_by_label),
-            leader_route=leader_route,
-            importance=importance,
-            carrier=mst.edges,
-            mst_weight=mst.total_weight(),
-            expected_depth=assignment.expected_depth(),
-            security=verify_secure(assignment),
-            relaxed=bump > 0,
-        )
-    raise last_err
+    leader_vertex = {label: emb.vertex_at[p] for label, p in shifted.items()}
+    assignment = optimal
+    if bump:
+        assignment = LeaderAssignment(DaryTree(d, longest + bump), shifted, importance)
+    return MulticastPlan(
+        root=root,
+        arity=d,
+        leader_vertex=leader_vertex,
+        leader_digits=shifted,
+        leader_route={label: emb.graph_path(v) for label, v in leader_vertex.items()},
+        importance=importance,
+        carrier=mst.edges,
+        mst_weight=mst.total_weight(),
+        expected_depth=assignment.expected_depth(),
+        security=verify_secure(assignment),
+        relaxed=bump > 0,
+    )
 
 
 def plan_cost_audit(plan: MulticastPlan, g: WeightedGraph) -> PlanAudit:

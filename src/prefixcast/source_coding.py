@@ -112,9 +112,12 @@ class Codeword:
 class PrefixCode:
     """A prefix-free assignment of codewords to labels.
 
-    Construction validates digit range, prefix-freeness (by
-    :func:`prefix_violations`), and the Kraft inequality, so a ``PrefixCode``
-    value is a certificate that the assignment is actually decodable.
+    Construction validates digit range and prefix-freeness (by
+    :func:`prefix_violations`), so a ``PrefixCode`` value is a certificate
+    that the assignment is actually decodable. It satisfies the Kraft
+    inequality without a further check: the long digit strings that start
+    with a length-n codeword are a D**-n share of all of them, and no string
+    starts with two codewords of a prefix-free code.
     """
 
     alphabet_size: int
@@ -137,8 +140,6 @@ class PrefixCode:
             raise ValueError(
                 f"codewords for {labels[i]!r} and {labels[j]!r} are not prefix-free"
             )
-        if not satisfies_kraft(self.length_set()):
-            raise KraftViolation("prefix code violates the Kraft inequality")
 
     def lengths(self) -> dict[str, int]:
         return {label: word.length for label, word in self.assignments.items()}
@@ -365,13 +366,11 @@ def huffman_code(pmf: ProbabilityMassFunction, d: int = 2) -> PrefixCode:
 
 
 def expected_length(code: PrefixCode, pmf: ProbabilityMassFunction) -> float:
-    """Probability-weighted mean codeword length."""
-    total = 0.0
-    for label, p in pmf.entries:
-        if label not in code.assignments:
-            raise KeyError(f"code has no codeword for label {label!r}")
-        total += p * code.assignments[label].length
-    return total
+    """Probability-weighted mean codeword length, correctly rounded by fsum."""
+    try:
+        return math.fsum(p * code.assignments[label].length for label, p in pmf.entries)
+    except KeyError as err:
+        raise KeyError(f"code has no codeword for label {err.args[0]!r}") from None
 
 
 def shannon_entropy(pmf: ProbabilityMassFunction, base: float = 2.0) -> float:

@@ -590,6 +590,37 @@ def test_plan_multicast_capacity_exceeded(square, tmp_path):
     assert "cannot host" in err
 
 
+STAR14 = "".join(f"h s{i} 1\n" for i in range(14))
+PMF13 = "".join(f"L{i} {1 / 13!r}\n" for i in range(13))
+
+
+@pytest.mark.parametrize(
+    "edges, root, pmf, flags, path, leader",
+    [
+        ("A B 1\nB C 2\nC A 3\n", "A", "X 0.5\nY 0.5\n", ["--D", "2"], "1", "Y"),
+        ("A B 1\nB C 2\nC A 3\n", "A", "X 0.5\nY 0.5\n", ["--D", "2", "--relax"], "01", "Y"),
+        # at D >= 11 a digit-path is written dotted, as Codeword prints it
+        (STAR14, "h", PMF13, ["--D", "11"], "10.0", "L0"),
+    ],
+    ids=["triangle", "triangle-relax", "star-D11"],
+)
+def test_plan_multicast_capacity_error_names_path_and_leader(
+    tmp_path, edges, root, pmf, flags, path, leader
+):
+    g = tmp_path / "g.edges"
+    g.write_text(edges)
+    p = tmp_path / "p.pmf"
+    p.write_text(pmf)
+    code, out, err = cli(
+        "plan-multicast", "--graph", str(g), "--root", root, "--pmf", str(p), *flags
+    )
+    assert (code, out) == (VALIDATION_EXIT, "")
+    assert err == (
+        f"prefixcast plan-multicast: no tree node at digit-path {path!r} for leader "
+        f"{leader!r}; the embedded tree cannot host this placement at arity {flags[1]}\n"
+    )
+
+
 def test_reliability_exact_values():
     code, out, _ = cli("reliability", "--q", "0.1", "--depth", "2")
     assert code == 0

@@ -19,7 +19,12 @@ from prefixcast.hierarchy import (
     total_nodes,
     verify_secure,
 )
-from prefixcast.source_coding import ProbabilityMassFunction, shannon_entropy
+from prefixcast.source_coding import (
+    ProbabilityMassFunction,
+    expected_length,
+    huffman_code,
+    shannon_entropy,
+)
 
 from oracles import is_prefix_free
 
@@ -200,6 +205,23 @@ def test_importance_monotonicity():
             for y in probs:
                 if probs[x] > probs[y]:
                     assert depths[x] <= depths[y]
+
+
+def test_expected_length_equals_expected_depth():
+    # both sum p * depth by fsum, so huffman and assign-leaders print one float
+    pmf = pmf_of(a=0.1, b=0.1, c=0.15, d=0.65)
+    assert expected_length(huffman_code(pmf, 2), pmf) == 1.55
+    rng = random.Random(15)
+    for _ in range(400):
+        raw = [rng.random() + 1e-6 for _ in range(rng.randint(2, 40))]
+        total = sum(raw)
+        pmf = ProbabilityMassFunction.from_pairs(
+            [(f"L{i}", p / total) for i, p in enumerate(raw)]
+        )
+        d = rng.choice([2, 3])
+        assert expected_length(huffman_code(pmf, d), pmf) == (
+            assign_leaders(pmf, d).expected_depth()
+        )
 
 
 # ----------------------------------------------------------------- reliability
