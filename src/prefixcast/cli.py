@@ -99,6 +99,8 @@ from .source_coding import (
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 INTERNAL_EXIT = 70  # EX_SOFTWARE: an internal invariant broke
+# most lengths kraft lists, and most digits code-from-lengths writes
+_LISTING_BOUND = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -328,7 +330,7 @@ def cmd_kraft(args, rep):
             raise ValueError("--consecutive needs exactly N1,M")
         n1, m = parts
         total = consecutive_lengths_sum(n1, m, d)
-        if m > sys.maxsize:
+        if m > _LISTING_BOUND:
             raise ValueError(f"--consecutive M={m} is more lengths than can be listed")
         lengths = CodeLengthSet(tuple(range(n1, n1 + m)), d)
     elif args.progression is not None:
@@ -336,7 +338,9 @@ def cmd_kraft(args, rep):
         if len(parts) != 3:
             raise ValueError("--progression needs exactly N1,STEP,M")
         n1, step, m = parts
-        # called first: it validates n1, step, M and D in its own order
+        # checked first: the call lists the lengths once n1, step, M and D are valid
+        if m > _LISTING_BOUND:
+            raise ValueError(f"--progression M={m} is more lengths than can be listed")
         total, _ = arithmetic_progression_satisfies_kraft(n1, step, m, d)
         lengths = CodeLengthSet(tuple(n1 + k * step for k in range(m)), d)
     else:
@@ -350,8 +354,6 @@ def cmd_kraft(args, rep):
     verdict = "SATISFIED" if ok else "VIOLATED"
     rep.field("verdict", verdict, line=verdict)
     if args.check_at is not None:
-        if not ok:
-            raise ValueError("Kraft fails at the base alphabet; nothing to enlarge")
         rep.field(f"satisfied_at_{args.check_at}", kraft_alphabet_monotonicity(lengths, args.check_at))
 
 
@@ -377,6 +379,10 @@ def cmd_code_from_lengths(args, rep):
         raise ValueError("exactly one of --lengths or --lengths-file is required")
     lengths = _lengths(args, rep)
     labels = tuple(args.labels.split(",")) if args.labels else None
+    digits = sum(lengths.lengths)
+    # a set that admits no code keeps code_from_lengths's Kraft error
+    if digits > _LISTING_BOUND and satisfies_kraft(lengths):
+        raise ValueError(f"the code's {digits} digits are more than can be listed")
     code = code_from_lengths(lengths, labels)
     rep.field("D", args.D)
     rep.table("code", [{"label": label, "codeword": str(word), "length": word.length}

@@ -99,35 +99,30 @@ class IntervalSet:
 def agreement_regions(s: IntervalSet) -> tuple:
     """Maximal closed intervals where at least n-f inputs overlap.
 
-    Endpoint sweep: starts are applied before ends at equal x, so closed
-    intervals touching at a point count as overlapping there. Returns
-    disjoint regions in increasing order; empty tuple when no quorum point
-    exists.
+    Endpoint sweep in one pass: starts sort before ends at equal x, so
+    closed intervals touching at a point count as overlapping there. A
+    region opens when the count reaches n-f and closes when it falls from
+    it. A run of equal endpoints is named by its first, which fixes the
+    sign of a zero. Returns disjoint regions in increasing order; empty
+    tuple when no quorum point exists.
     """
     k = s.quorum
-    events = []  # (x, phase) with starts in phase 0, ends in phase 1
-    for iv in s.intervals:
-        events.append((iv.lo, 0))
-        events.append((iv.hi, 1))
-    events.sort(key=lambda e: (e[0], e[1]))
-
+    starts = [(iv.lo, 0) for iv in s.intervals]
+    ends = [(iv.hi, 1) for iv in s.intervals]
     regions = []
     count = 0
-    start = None
-    i = 0
-    while i < len(events):
-        x = events[i][0]
-        while i < len(events) and events[i][0] == x and events[i][1] == 0:
-            count += 1
-            i += 1
-        if count >= k and start is None:
-            start = x
-        while i < len(events) and events[i][0] == x:
+    at = None
+    for x, end in sorted(starts + ends):
+        if x != at:
+            at = x
+        if end:
             count -= 1
-            i += 1
-        if start is not None and count < k:
-            regions.append(Interval(start, x))
-            start = None
+            if count == k - 1:
+                regions.append(Interval(start, at))
+        else:
+            count += 1
+            if count == k:
+                start = at
     return tuple(regions)
 
 

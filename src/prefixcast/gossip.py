@@ -179,7 +179,7 @@ class SimResult:
 
 def assign_levels(g: Graph, base_station) -> LeveledNetwork:
     """Label every vertex with its hop distance from the base station."""
-    if base_station not in g.vertices:
+    if base_station not in g._order_key:
         raise ValueError(f"base station {base_station!r} is not a vertex")
     level = _hop_levels(g, base_station)
     if len(level) < len(g.vertices):
@@ -304,7 +304,7 @@ def trial_outcomes(net: LeveledNetwork, cfg: GossipConfig, event_source):
     consuming this lazily, partially, or in parallel batches cannot change
     any outcome.
     """
-    if event_source not in net.graph.vertices:
+    if event_source not in net.graph._order_key:
         raise ValueError(f"event source {event_source!r} is not a vertex")
     if net.max_level() > len(cfg.level_probabilities):
         raise ValueError(

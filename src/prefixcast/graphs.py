@@ -41,20 +41,20 @@ def _vkey(v):
     return (1, 0, str(v))
 
 
-def _checked_pairs(vertices: tuple, pairs, noun: str, rank: dict | None = None) -> tuple:
-    """Each pair, lower rank first when ``rank`` (vertex -> int) is given; rejects
-    duplicate vertex ids, self-loops, unknown endpoints and repeats, naming a pair as given."""
-    vset = set(vertices) if rank is None else rank
-    if len(vset) != len(vertices):
+def _checked_pairs(vertices: tuple, pairs, noun: str, rank: dict) -> tuple:
+    """Each pair, lower ``rank`` (vertex -> int) first, so equal ranks keep it as
+    given; rejects duplicate vertex ids, self-loops, unknown endpoints and
+    repeats, naming a pair as given."""
+    if len(rank) != len(vertices):
         raise ValueError("duplicate vertex ids")
     seen = set()
     out = []
     for u, v in pairs:
         if u == v:
             raise ValueError(f"self-loop at {u!r}")
-        if u not in vset or v not in vset:
+        if u not in rank or v not in rank:
             raise ValueError(f"{noun} ({u!r}, {v!r}) references unknown vertex")
-        pair = (v, u) if rank is not None and rank[v] < rank[u] else (u, v)
+        pair = (v, u) if rank[v] < rank[u] else (u, v)
         if pair in seen:
             raise ValueError(f"repeated {noun} ({u!r}, {v!r})")
         seen.add(pair)
@@ -169,7 +169,7 @@ class DiGraph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        arcs = _checked_pairs(verts, self.arcs, "arc")
+        arcs = _checked_pairs(verts, self.arcs, "arc", dict.fromkeys(verts, 0))
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "arcs", arcs)
 
@@ -411,28 +411,24 @@ def _is_mst(g: WeightedGraph, carrier) -> bool:
 
 
 def _int_determinant(m: list) -> int:
-    """Exact integer determinant by fraction-free Gaussian elimination."""
+    """Exact determinant of a nonempty positive semidefinite integer matrix,
+    such as a reduced Laplacian, by fraction-free Gaussian elimination.
+
+    What is left after each step is a positive multiple of a Schur
+    complement, which is positive semidefinite, so a zero pivot has only
+    zeros below it: no row swap can help and the determinant is 0.
+    """
     n = len(m)
-    if n == 0:
-        return 1
     m = [row[:] for row in m]
-    sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
         prev = m[k][k]
-    return sign * m[-1][-1]
+    return m[-1][-1]
 
 
 def _matrix_tree_count(g: Graph) -> int:

@@ -122,7 +122,8 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
     """
     if d < 2:
         raise ValueError(f"arity must be >= 2, got {d}")
-    if root not in spanning_tree.vertices:
+    rank = spanning_tree.graph()._order_key
+    if root not in rank:
         raise ValueError(f"root {root!r} is not a vertex")
     n = len(spanning_tree.vertices)
     if len(spanning_tree.edges) != n - 1:
@@ -130,7 +131,6 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
             f"not a tree: {len(spanning_tree.edges)} edges on {n} vertices"
         )
 
-    rank = spanning_tree.graph()._order_key
     near: dict = {v: [] for v in spanning_tree.vertices}
     for u, v, w in spanning_tree.edges:
         near[u].append((w, rank[v], v))

@@ -261,24 +261,17 @@ def kraft_alphabet_monotonicity(lengths: CodeLengthSet, d_prime: int) -> bool:
     return satisfies_kraft(CodeLengthSet(lengths.lengths, d_prime))
 
 
-def _digits_of(value: int, length: int, d: int) -> tuple[int, ...]:
-    digits = [0] * length
-    for i in range(length - 1, -1, -1):
-        digits[i] = value % d
-        value //= d
-    return tuple(digits)
-
-
 def code_from_lengths(
     lengths: CodeLengthSet, labels: tuple[str, ...] | None = None
 ) -> PrefixCode:
     """Canonical prefix code for a Kraft-satisfying length set.
 
-    Lengths are sorted ascending (ties broken by input order) and codewords
-    assigned in increasing numeric order, extending with zero digits whenever
-    the length grows. Raises :class:`KraftViolation` when no prefix code
-    exists and ``ValueError`` when the label count is wrong or a label
-    repeats; the count is checked first.
+    Lengths are sorted ascending (ties broken by input order). Each codeword
+    is the previous one plus one in its last digit, with carry, padded with
+    zero digits to its length, so the work is linear in the digits written.
+    Raises :class:`KraftViolation` when no prefix code exists and
+    ``ValueError`` when the label count is wrong or a label repeats; the
+    count is checked first.
     """
     if labels is None:
         labels = tuple(str(i) for i in range(len(lengths)))
@@ -291,16 +284,17 @@ def code_from_lengths(
     d = lengths.alphabet_size
     order = sorted(range(len(lengths)), key=lambda i: (lengths.lengths[i], i))
     assignments: dict[str, Codeword] = {}
-    value = 0
-    prev_len = lengths.lengths[order[0]]
-    for rank, idx in enumerate(order):
-        n = lengths.lengths[idx]
-        if rank > 0:
-            value = (value + 1) * d ** (n - prev_len)
+    digits: list[int] = []
+    for idx in order:
+        if digits:
+            # Kraft holds, so a digit below d - 1 is left to carry into
+            while digits[-1] == d - 1:
+                digits.pop()
+            digits[-1] += 1
+        digits += [0] * (lengths.lengths[idx] - len(digits))
         if labels[idx] in assignments:
             raise ValueError(f"label {labels[idx]!r} appears more than once")
-        assignments[labels[idx]] = Codeword(_digits_of(value, n, d))
-        prev_len = n
+        assignments[labels[idx]] = Codeword(tuple(digits))
     # re-emit in input-label order for stable downstream iteration
     ordered = {label: assignments[label] for label in labels}
     return PrefixCode(d, ordered)

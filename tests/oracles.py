@@ -54,6 +54,27 @@ def is_prefix_free(words):
     return True
 
 
+def canonical_code(lengths, d):
+    """Canonical D-ary codewords for Kraft-feasible lengths, in input order.
+
+    By integer arithmetic: taking lengths ascending, ties by position, the
+    first codeword is 0 and each next is (previous + 1) * D**(growth in
+    length), written as that many base-D digits.
+    """
+    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
+    words = [None] * len(lengths)
+    value, prev = -1, lengths[order[0]]
+    for i in order:
+        value = (value + 1) * d ** (lengths[i] - prev)
+        prev = lengths[i]
+        digits, rest = [], value
+        for _ in range(prev):
+            rest, digit = divmod(rest, d)
+            digits.append(digit)
+        words[i] = tuple(reversed(digits))
+    return words
+
+
 def prefix_pairs(paths):
     """Every (i, j), i != j, with paths[i] a prefix of paths[j], by nested loops.
 

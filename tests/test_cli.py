@@ -7,6 +7,7 @@ reruns.
 
 import io
 import json
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -107,13 +108,16 @@ def test_huge_integer_flag_is_validation_error(argv, uniform3):
     assert "too large" in err
 
 
-def _non_finite_files(tmp_path) -> dict:
-    """Input files, by placeholder, that hold a non-finite number."""
+def _bad_files(tmp_path) -> dict:
+    """Input files, by placeholder, that each hold one bad value."""
     texts = {
         "WIDE": "-1e308 1e308\n-1e308 1e308\n",
         "NANPOS": "BS 0 0\nA nan 1\n",
         "INFPOS": "BS 0 0\nA 1 -inf\n",
         "NANPMF": "a nan\nb 1\n",
+        "TWICEMAP": "a b\na c\n",
+        "TWICEPOS": "a 0 0\na 1 1\n",
+        "EMPTYIV": "2 1\n",
     }
     for name, text in texts.items():
         (tmp_path / name).write_text(text)
@@ -139,7 +143,7 @@ def _non_finite_files(tmp_path) -> dict:
 def test_non_finite_value_is_validation_error(argv, mode, uniform3, line3, tmp_path):
     # such values used to reach --json output as NaN or Infinity, not JSON,
     # or to end in an error line that did not name them
-    files = {"PMF": uniform3, "GRAPH": line3, **_non_finite_files(tmp_path)}
+    files = {"PMF": uniform3, "GRAPH": line3, **_bad_files(tmp_path)}
     code, out, err = cli(*(files.get(a, a) for a in argv + mode))
     assert code == VALIDATION_EXIT
     assert out == ""
@@ -161,7 +165,7 @@ def test_non_finite_value_is_validation_error(argv, mode, uniform3, line3, tmp_p
             "where the Tsallis form is undefined",
         ),
         (
-            # M is past what a list can hold; a smaller one would be built
+            # M is past the listing bound, so no list of lengths is built
             ["kraft", "--consecutive", "1,99999999999999999999"],
             "prefixcast kraft: --consecutive M=99999999999999999999 "
             "is more lengths than can be listed",
@@ -182,13 +186,49 @@ def test_non_finite_value_is_validation_error(argv, mode, uniform3, line3, tmp_p
             ["entropy", "--pmf", "NANPMF"],
             "prefixcast entropy: NANPMF: probability nan for label 'a' is not a number",
         ),
+        (["kraft", "--consecutive", "1"], "prefixcast kraft: --consecutive needs exactly N1,M"),
+        (
+            ["kraft", "--progression", "1,2"],
+            "prefixcast kraft: --progression needs exactly N1,STEP,M",
+        ),
+        (
+            ["code-from-lengths"],
+            "prefixcast code-from-lengths: exactly one of --lengths or --lengths-file is required",
+        ),
+        (
+            ["code-from-lengths", "--lengths", "1", "--lengths-file", "EMPTYIV"],
+            "prefixcast code-from-lengths: exactly one of --lengths or --lengths-file is required",
+        ),
+        (
+            ["kraft", "--lengths", "1,x"],
+            "prefixcast kraft: --lengths must be comma-separated integers, got '1,x'",
+        ),
+        (
+            ["gossip", "--graph", "GRAPH", "--bs", "BS", "--levels-probs", "a,b",
+             "--trials", "1", "--seed", "1"],
+            "prefixcast gossip: --levels-probs must be comma-separated numbers, got 'a,b'",
+        ),
+        (
+            ["kl", "--graph", "GRAPH", "--graph2", "GRAPH", "--map", "TWICEMAP"],
+            "prefixcast kl: TWICEMAP:2: vertex 'a' mapped twice",
+        ),
+        (
+            ["sectors", "--positions", "TWICEPOS", "--bs", "BS", "--K", "4"],
+            "prefixcast sectors: TWICEPOS:2: vertex 'a' positioned twice",
+        ),
+        (
+            ["fuse", "--intervals", "EMPTYIV", "--f", "0"],
+            "prefixcast fuse: EMPTYIV:1: empty interval: lo 2.0 > hi 1.0",
+        ),
     ],
     ids=["gossip", "graph-entropy", "kraft", "tsallis-overflow", "nan-position",
-         "inf-position", "nan-probability"],
+         "inf-position", "nan-probability", "consecutive-arity", "progression-arity",
+         "no-lengths", "both-lengths", "lengths-not-int", "levels-probs-not-number",
+         "map-twice", "positions-twice", "empty-interval"],
 )
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
 def test_stderr_names_flags_not_library_internals(argv, line, mode, line3, tmp_path):
-    files = {"GRAPH": line3, **_non_finite_files(tmp_path)}
+    files = {"GRAPH": line3, **_bad_files(tmp_path)}
     code, out, err = cli(*(files.get(a, a) for a in argv + mode))
     # an input file is named in the error line by its path
     for name, path in files.items():
@@ -331,6 +371,45 @@ def test_kraft_source_flags_are_mutually_exclusive():
     code, _, err = cli("kraft", "--lengths", "1,2", "--consecutive", "1,2")
     assert code == VALIDATION_EXIT
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["kraft", "--consecutive", "1,100000000000"],
+            "prefixcast kraft: --consecutive M=100000000000 is more lengths than can be listed",
+        ),
+        (
+            ["kraft", "--progression", "1,1,1000000000000"],
+            "prefixcast kraft: --progression M=1000000000000 is more lengths than can be listed",
+        ),
+        (
+            ["code-from-lengths", "--lengths", "1000000000"],
+            "prefixcast code-from-lengths: the code's 1000000000 digits "
+            "are more than can be listed",
+        ),
+    ],
+    ids=["consecutive", "progression", "code-from-lengths"],
+)
+def test_unlistable_request_is_refused_before_building(argv, line):
+    # these used to end in a MemoryError traceback or an out-of-memory kill;
+    # a 1 GiB address-space cap makes such a regression fail fast
+    proc = subprocess.run(
+        [sys.executable, "-m", "prefixcast.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (VALIDATION_EXIT, "", line + "\n")
+
+
+def test_check_at_words_a_failing_base_alphabet_as_the_library_does():
+    assert cli("kraft", "--lengths", "1,1,1", "--check-at", "3") == (
+        VALIDATION_EXIT,
+        "",
+        "prefixcast kraft: Kraft inequality fails at the base alphabet size; "
+        "monotonicity undefined\n",
+    )
 
 
 def test_kraft_lengths_file_from_stdin_records_digest():

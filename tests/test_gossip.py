@@ -137,6 +137,8 @@ def test_config_validation():
         GossipConfig((1.0, 1.5), 0.0, 10, 1, allow_nonmonotone=True)
     with pytest.raises(ValueError):
         GossipConfig((1.0, 0.5), 0.0, 0, 1)
+    with pytest.raises(ValueError, match="^at least one level probability is required$"):
+        GossipConfig((), 0.0, 1, 1)
 
 
 def test_flooding_always_delivers():

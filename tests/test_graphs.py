@@ -373,6 +373,9 @@ def test_enumerate_guard_and_disconnected():
         enumerate_spanning_trees(complete_graph(10))
     with pytest.raises(ValueError, match="^graph is disconnected; it has no spanning tree$"):
         enumerate_spanning_trees(Graph((0, 1, 2), ((0, 1),)))
+    # vertex 1 is isolated, so the tree count's first pivot is 0
+    with pytest.raises(ValueError, match="^graph is disconnected; it has no spanning tree$"):
+        enumerate_spanning_trees(Graph((0, 1, 2), ((0, 2),)))
 
 
 def test_enumeration_count_matches_matrix_tree_random():

@@ -236,6 +236,15 @@ def test_audit_detects_tampered_route():
     assert not audit.ok
 
 
+def test_audit_detects_route_ending_at_another_vertex():
+    plan = plan_multicast(TRIANGLE, "A", pmf_of(X=1.0), 2)
+    assert plan.leader_route == {"X": ("A", "B")}
+    moved = dataclasses.replace(plan, leader_vertex={"X": "C"})
+    audit = plan_cost_audit(moved, TRIANGLE)
+    assert audit.routes_follow_tree is False
+    assert audit.mst_weight_minimal and audit.prefix_free
+
+
 def test_audit_detects_prefix_clash():
     plan = plan_multicast(BALANCED, 0, pmf_of(A=0.5, B=0.5), 2)
     clashed = dataclasses.replace(

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from prefixcast.source_coding import (
     shannon_entropy,
 )
 
-from oracles import is_prefix_free, kraft_holds_exact, optimal_expected_length
+from oracles import canonical_code, is_prefix_free, kraft_holds_exact, optimal_expected_length
 
 
 def words_as_strings(code):
@@ -215,6 +216,59 @@ def test_code_from_lengths_is_prefix_free_with_exact_lengths(data):
     assert is_prefix_free(words)
     got = sorted(w.length for w in code.assignments.values())
     assert got == sorted(lengths)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_code_from_lengths_matches_the_canonical_oracle(data):
+    # the leaves of a complete D-ary tree, grown by splitting a leaf and then
+    # one of its children, and so on down a chain, then a random nonempty
+    # subset of them: every feasible length set up to depth 64 can arise,
+    # and a complete one makes the count carry into the first digit
+    d = data.draw(st.integers(min_value=2, max_value=16))
+    rng = data.draw(st.randoms(use_true_random=False))
+    leaves = [1] * d
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        depth = leaves.pop(rng.randrange(len(leaves)))
+        chain = data.draw(st.integers(min_value=0, max_value=64 - depth))
+        leaves += [depth + k for k in range(1, chain + 1) for _ in range(d - 1)]
+        leaves.append(depth + chain)
+    lengths = [n for n in leaves if rng.random() < 0.5] or leaves
+    rng.shuffle(lengths)
+    code = code_from_lengths(CodeLengthSet(tuple(lengths), d))
+    assert [w.digits for w in code.assignments.values()] == canonical_code(lengths, d)
+
+
+@pytest.mark.parametrize(
+    "lengths, d",
+    [
+        ((1, 2000), 2),
+        ((2, 2000, 2, 1999, 2, 2000), 2),
+        ((1,) * 15 + (2000,), 16),
+        ((2001, 1, 1, 1999, 2000), 3),
+    ],
+    ids=["binary", "binary-ties", "hex", "ternary"],
+)
+def test_code_from_lengths_matches_the_oracle_on_long_codewords(lengths, d):
+    code = code_from_lengths(CodeLengthSet(lengths, d))
+    assert [w.digits for w in code.assignments.values()] == canonical_code(lengths, d)
+
+
+def test_long_codeword_is_linear_in_its_digits():
+    # deriving each codeword's digits from one big integer is quadratic in
+    # its length: about 40 s at this length
+    def timeout(signum, frame):
+        raise TimeoutError("code_from_lengths took over 10 s on lengths (1, 300000)")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        code = code_from_lengths(CodeLengthSet((1, 300000), 3))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code.assignments["0"].digits == (0,)
+    assert code.assignments["1"].digits == (1,) + (0,) * 299999
 
 
 # ------------------------------------------------------------------- huffman
