@@ -7,7 +7,7 @@
 
 from pathlib import Path
 
-from prefixcast import CapacityExceeded, plan_multicast, plan_cost_audit
+from prefixcast import CapacityExceeded, plan_multicast, plan_cost_audit, verify_secure
 from prefixcast.fileio import parse_pmf, parse_weighted_graph
 
 data = Path(__file__).parent / "data"
@@ -18,12 +18,13 @@ print("deployment:", len(g.vertices), "nodes,", len(g.edges), "links")
 
 plan = plan_multicast(g, root="gw", importance=importance, d=2)
 print("carrier tree weight", plan.mst_weight)
-print("expected leader depth", plan.expected_depth)
-print("address kraft sum", plan.kraft_sum())
-print("prefix-free?", plan.security.secure)
+placement = plan.assignment
+print("expected leader depth", placement.expected_depth())
+print("address kraft sum", placement.depth_kraft_sum())
+print("prefix-free?", verify_secure(placement).secure)
 for label in importance.labels():
     route = "->".join(str(v) for v in plan.leader_route[label])
-    digits = "".join(str(d) for d in plan.leader_digits[label])
+    digits = "".join(str(d) for d in placement.leaders[label])
     print(f"  {label:>7} @ {digits:<4} via {route}")
 
 # Check the plan against the graph. The carrier tree is its own certificate:

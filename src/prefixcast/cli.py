@@ -501,18 +501,20 @@ def cmd_plan_multicast(args, rep):
     g = parse_weighted_graph(rep.read(args.graph), args.graph)
     pmf = parse_pmf(rep.read(args.pmf), args.pmf)
     plan = plan_multicast(g, args.root, pmf, args.D, relax=args.relax)
+    assignment = plan.assignment
+    paths = assignment.leaders
     rep.field("root", plan.root)
-    rep.field("D", plan.arity)
+    rep.field("D", assignment.tree.arity)
     rep.field("mst_weight", plan.mst_weight)
-    rep.field("expected_depth", plan.expected_depth)
-    rep.field("kraft_sum", plan.kraft_sum())
-    rep.field("secure", plan.security.secure)
+    rep.field("expected_depth", assignment.expected_depth())
+    rep.field("kraft_sum", assignment.depth_kraft_sum())
+    rep.field("secure", verify_secure(assignment).secure)
     rep.field("relaxed", plan.relaxed)
     rep.table(
         "leaders",
-        [{"label": label, "path": str(Codeword(plan.leader_digits[label])),
+        [{"label": label, "path": str(Codeword(paths[label])),
           "vertex": plan.leader_vertex[label], "route": list(plan.leader_route[label])}
-         for label in sorted(plan.leader_digits, key=str)],
+         for label in sorted(paths, key=str)],
         lambda r: f"{r['label']} {r['path']} {'->'.join(map(str, r['route']))}",
     )
     if args.audit:

@@ -116,9 +116,6 @@ class LeaderAssignment:
             paths[label] = path
         object.__setattr__(self, "leaders", paths)
 
-    def depth_of(self, label: str) -> int:
-        return len(self.leaders[label])
-
     def depths(self) -> dict:
         return {label: len(path) for label, path in self.leaders.items()}
 

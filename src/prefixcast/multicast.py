@@ -20,14 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import WeightedGraph, _is_mst, minimum_spanning_tree
-from .hierarchy import DaryTree, LeaderAssignment, SecurityReport, assign_leaders, verify_secure
-from .source_coding import (
-    CodeLengthSet,
-    Codeword,
-    ProbabilityMassFunction,
-    kraft_sum,
-    prefix_violations,
-)
+from .hierarchy import DaryTree, LeaderAssignment, assign_leaders
+from .source_coding import Codeword, ProbabilityMassFunction, prefix_violations
 
 
 class CapacityExceeded(ValueError):
@@ -73,23 +67,12 @@ class MulticastPlan:
     """A complete placement: who sits where and how traffic reaches them."""
 
     root: object
-    arity: int
+    assignment: LeaderAssignment  # arity, digit paths in the embedded tree, importances
     leader_vertex: dict    # label -> graph vertex
-    leader_digits: dict    # label -> digit path in the embedded tree
     leader_route: dict     # label -> vertex sequence from root
-    importance: ProbabilityMassFunction
     carrier: tuple         # (u, v, w) edges of the minimum spanning tree
     mst_weight: float
-    expected_depth: float
-    security: SecurityReport
     relaxed: bool = False
-
-    def kraft_sum(self) -> float:
-        return kraft_sum(
-            CodeLengthSet(
-                tuple(len(p) for p in self.leader_digits.values()), self.arity
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -217,15 +200,11 @@ def plan_multicast(
         assignment = LeaderAssignment(DaryTree(d, longest + bump), shifted, importance)
     return MulticastPlan(
         root=root,
-        arity=d,
+        assignment=assignment,
         leader_vertex=leader_vertex,
-        leader_digits=shifted,
         leader_route={label: emb.graph_path(v) for label, v in leader_vertex.items()},
-        importance=importance,
         carrier=mst.edges,
         mst_weight=mst.total_weight(),
-        expected_depth=assignment.expected_depth(),
-        security=verify_secure(assignment),
         relaxed=bump > 0,
     )
 
@@ -244,7 +223,7 @@ def plan_cost_audit(plan: MulticastPlan, g: WeightedGraph) -> PlanAudit:
         math.fsum(w for _, _, w in plan.carrier) == plan.mst_weight
     )
 
-    prefix_free = not prefix_violations(list(plan.leader_digits.values()))
+    prefix_free = not prefix_violations(list(plan.assignment.leaders.values()))
 
     tree_pairs = {(u, v) for u, v, _ in plan.carrier}
     routes_ok = True

@@ -194,7 +194,7 @@ def satisfies_kraft(lengths: CodeLengthSet) -> bool:
     remaining = len(lengths)
     free, depth = 1, 0
     for n, count in sorted(Counter(lengths.lengths).items()):
-        if free == 0:
+        if free <= 0:
             return False
         while depth < n and free < remaining:
             free *= d
@@ -203,9 +203,7 @@ def satisfies_kraft(lengths: CodeLengthSet) -> bool:
             return True
         free -= count
         remaining -= count
-        if free < 0:
-            return False
-    return True
+    return False
 
 
 def consecutive_lengths_sum(n1: int, m: int, d: int) -> float:
@@ -317,32 +315,26 @@ def huffman_lengths(pmf: ProbabilityMassFunction, d: int = 2) -> dict[str, int]:
         return {label: 1 for label in labels}
 
     # heap entries: (probability, creation order); creation order breaks ties
-    heap: list[tuple[float, int]] = []
-    parent: dict[int, int] = {}
-    for i, (_, p) in enumerate(pmf.entries):
-        heapq.heappush(heap, (p, i))
-    next_id = len(labels)
-    while (len(heap) - 1) % (d - 1) != 0:
-        heapq.heappush(heap, (0.0, next_id))
-        next_id += 1
+    heap = [(p, i) for i, (_, p) in enumerate(pmf.entries)]
+    heap += [(0.0, i) for i in range(len(heap), len(heap) + (1 - len(heap)) % (d - 1))]
+    heapq.heapify(heap)
+    taken_by: list = [()] * len(heap)  # node id -> ids its merge took
     while len(heap) > 1:
         merged_p = 0.0
+        taken = []
         for _ in range(d):
             p, node = heapq.heappop(heap)
-            parent[node] = next_id
+            taken.append(node)
             merged_p += p
-        heapq.heappush(heap, (merged_p, next_id))
-        next_id += 1
+        heapq.heappush(heap, (merged_p, len(taken_by)))
+        taken_by.append(taken)
 
-    lengths: dict[str, int] = {}
-    for i, label in enumerate(labels):
-        depth = 0
-        node = i
-        while node in parent:
-            node = parent[node]
-            depth += 1
-        lengths[label] = depth
-    return lengths
+    # a merge's id exceeds its children's, so one walk down from the root sets every depth
+    depth = [0] * len(taken_by)
+    for node in reversed(range(len(taken_by))):
+        for child in taken_by[node]:
+            depth[child] = depth[node] + 1
+    return {label: depth[i] for i, label in enumerate(labels)}
 
 
 def huffman_code(pmf: ProbabilityMassFunction, d: int = 2) -> PrefixCode:

@@ -75,6 +75,36 @@ def canonical_code(lengths, d):
     return words
 
 
+def huffman_lengths_by_selection(probs, d):
+    """D-ary Huffman codeword lengths, for the symbols in input order.
+
+    No heap: each round sorts the live nodes by (probability, creation
+    order), merges the first D, and sums their probabilities left to right
+    in that order. Zero-probability dummies, created after the symbols, pad
+    the count to 1 modulo D-1. At most D symbols all get length 1.
+    """
+    m = len(probs)
+    if m <= d:
+        return [1] * m
+    depth = [0] * m
+    live = [(p, i, [i]) for i, p in enumerate(probs)]
+    while (len(live) - 1) % (d - 1):
+        live.append((0.0, len(live), []))
+    created = len(live)
+    while len(live) > 1:
+        live.sort(key=lambda node: node[:2])
+        taken, live = live[:d], live[d:]
+        total, leaves = 0.0, []
+        for p, _, below in taken:
+            total += p
+            leaves += below
+        for i in leaves:
+            depth[i] += 1
+        live.append((total, created, leaves))
+        created += 1
+    return depth
+
+
 def prefix_pairs(paths):
     """Every (i, j), i != j, with paths[i] a prefix of paths[j], by nested loops.
 

@@ -210,7 +210,7 @@ def test_criterion_5_doubly_optimal_plans():
         emb = embed_dary_tree(minimum_spanning_tree(g), root, 2)
         paths = [p for p in emb.vertex_at if p]
         best = best_realizable_depth(paths, [w / total for w in weights])
-        if best is None or abs(plan.expected_depth - best) > 1e-9:
+        if best is None or abs(plan.assignment.expected_depth() - best) > 1e-9:
             depth_mismatches += 1
     ok = weight_mismatches == 0 and depth_mismatches == 0
     elapsed = verdict(

@@ -276,6 +276,38 @@ def test_kl_divergence_error_conditions():
         graph_kl_divergence(g1, ring_graph(3), {0: 0, 1: 1, 2: 1})
 
 
+def test_zero_mass_terms_are_skipped():
+    # c is isolated: its colour class and its KL term carry no mass
+    g = Graph(("a", "b", "c"), (("a", "b"),))
+    colors = VertexColoring.from_dict({"a": "red", "b": "red", "c": "blue"})
+    assert conditional_graph_entropy(g, colors) == 1.0
+    path = Graph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    assert graph_kl_divergence(g, path) == 0.5
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: graph_kl_divergence(ring_graph(3), Graph(("a", "b", "c"), (("a", "b"),))),
+            "vertex id sets differ; an explicit correspondence is required",
+        ),
+        (
+            lambda: graph_kl_divergence(ring_graph(3), ring_graph(3), {0: 0, 1: 1}),
+            "correspondence does not cover the first graph's vertices",
+        ),
+        (lambda: ring_graph(2), "a ring needs at least 3 vertices"),
+        (lambda: complete_graph(1), "a complete graph needs at least 2 vertices"),
+        (lambda: star_graph(0), "a star needs at least 1 leaf"),
+        (lambda: path_graph(1), "a path needs at least 2 vertices"),
+    ],
+)
+def test_out_of_range_arguments_are_named(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_kl_nonnegative_random():
     rng = random.Random(5)
     for _ in range(40):

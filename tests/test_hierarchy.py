@@ -66,6 +66,33 @@ def test_level_leader_counts_validation():
         LevelLeaderCounts((-1,), 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: total_nodes(1, 3), "arity must be >= 2, got 1"),
+        (lambda: total_nodes(2, -1), "depth must be >= 0, got -1"),
+        (lambda: DaryTree(1, 3), "arity must be >= 2, got 1"),
+        (lambda: DaryTree(2, -1), "max depth must be >= 0, got -1"),
+        (lambda: LevelLeaderCounts((1,), 1), "arity must be >= 2, got 1"),
+        (lambda: node_selection_probability(1, 1, 1), "arity must be >= 2, got 1"),
+        (lambda: node_selection_probability(0, -1, 2), "depth must be >= 0, got -1"),
+        (
+            lambda: local_leader_probability(LevelLeaderCounts((1, 2), 2), n_max=1),
+            "n_max=1 smaller than the 2 levels of counts",
+        ),
+        (
+            lambda: last_link_failure_probability(1.5, 2),
+            "link failure probability 1.5 outside [0, 1]",
+        ),
+        (lambda: last_link_failure_probability(0.5, 0), "depth must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_arguments_are_named(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # -------------------------------------------------------------- probability
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from prefixcast.graphs import WeightedGraph
+from prefixcast.hierarchy import DaryTree, LeaderAssignment, verify_secure
 from prefixcast.multicast import (
     CapacityExceeded,
     embed_dary_tree,
@@ -87,6 +88,8 @@ def test_embed_rejects_non_trees_and_bad_root():
         embed_dary_tree(TRIANGLE, "A", 2)  # has a cycle
     with pytest.raises(ValueError):
         embed_dary_tree(wpath("a", "b"), "z", 2)
+    with pytest.raises(ValueError, match=r"^arity must be >= 2, got 1$"):
+        embed_dary_tree(wpath("a", "b"), "a", 1)
 
 
 @pytest.mark.parametrize(
@@ -121,11 +124,11 @@ def test_embedding_monotone_in_arity():
 
 def test_plan_on_balanced_binary_tree():
     plan = plan_multicast(BALANCED, 0, pmf_of(A=0.5, B=0.25, C=0.25), 2)
-    assert plan.leader_digits == {"A": (0,), "B": (1, 0), "C": (1, 1)}
+    assert plan.assignment.leaders == {"A": (0,), "B": (1, 0), "C": (1, 1)}
     assert plan.leader_vertex == {"A": 1, "B": 5, "C": 6}
-    assert plan.expected_depth == pytest.approx(1.5)
+    assert plan.assignment.expected_depth() == pytest.approx(1.5)
     assert plan.mst_weight == pytest.approx(6.0)
-    assert plan.security.secure
+    assert verify_secure(plan.assignment).secure
     assert not plan.relaxed
     assert plan.leader_route["B"] == (0, 2, 5)
 
@@ -134,7 +137,7 @@ def test_plan_single_leader():
     plan = plan_multicast(TRIANGLE, "A", pmf_of(X=1.0), 2)
     assert plan.leader_vertex["X"] == "B"  # cheapest neighbor in the MST
     assert len(plan.leader_route["X"]) == 2
-    assert plan.security.secure
+    assert verify_secure(plan.assignment).secure
 
 
 def test_plan_capacity_exceeded_on_path_mst():
@@ -158,10 +161,10 @@ def test_relax_mode_recovers_with_longer_codes():
         plan_multicast(g, "r", pmf_of(X=0.5, Y=0.5), 2)
     plan = plan_multicast(g, "r", pmf_of(X=0.5, Y=0.5), 2, relax=True)
     assert plan.relaxed
-    assert plan.leader_digits == {"X": (0, 0), "Y": (0, 1)}
-    assert plan.expected_depth == pytest.approx(2.0)
+    assert plan.assignment.leaders == {"X": (0, 0), "Y": (0, 1)}
+    assert plan.assignment.expected_depth() == pytest.approx(2.0)
     assert sorted(plan.leader_vertex.values()) == ["b", "c"]
-    assert plan.security.secure
+    assert verify_secure(plan.assignment).secure
 
 
 def test_plan_preserves_importance_ordering():
@@ -181,12 +184,12 @@ def test_plan_preserves_importance_ordering():
         except CapacityExceeded:
             continue
         done += 1
-        assert plan.security.secure
+        assert verify_secure(plan.assignment).secure
         probs = pmf.as_dict()
         for x in probs:
             for y in probs:
                 if probs[x] > probs[y]:
-                    assert len(plan.leader_digits[x]) <= len(plan.leader_digits[y])
+                    assert len(plan.assignment.leaders[x]) <= len(plan.assignment.leaders[y])
 
 
 def test_plan_depth_is_optimal_for_embedded_tree():
@@ -212,7 +215,7 @@ def test_plan_depth_is_optimal_for_embedded_tree():
         available = [p for p in emb.vertex_at if p != ()]
         oracle = best_realizable_depth(available, list(pmf.as_dict().values()))
         assert oracle is not None
-        assert plan.expected_depth == pytest.approx(oracle, abs=1e-9)
+        assert plan.assignment.expected_depth() == pytest.approx(oracle, abs=1e-9)
 
 
 # --------------------------------------------------------------------- audit
@@ -247,9 +250,10 @@ def test_audit_detects_route_ending_at_another_vertex():
 
 def test_audit_detects_prefix_clash():
     plan = plan_multicast(BALANCED, 0, pmf_of(A=0.5, B=0.5), 2)
-    clashed = dataclasses.replace(
-        plan, leader_digits={"A": (0,), "B": (0, 0)}
+    clashing = LeaderAssignment(
+        DaryTree(2, 2), {"A": (0,), "B": (0, 0)}, plan.assignment.importance
     )
+    clashed = dataclasses.replace(plan, assignment=clashing)
     audit = plan_cost_audit(clashed, BALANCED)
     assert not audit.prefix_free
 

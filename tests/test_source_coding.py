@@ -4,12 +4,14 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefixcast.source_coding import (
     CodeLengthSet,
+    Codeword,
     KraftViolation,
+    PrefixCode,
     ProbabilityMassFunction,
     arithmetic_progression_satisfies_kraft,
     code_from_lengths,
@@ -23,7 +25,13 @@ from prefixcast.source_coding import (
     shannon_entropy,
 )
 
-from oracles import canonical_code, is_prefix_free, kraft_holds_exact, optimal_expected_length
+from oracles import (
+    canonical_code,
+    huffman_lengths_by_selection,
+    is_prefix_free,
+    kraft_holds_exact,
+    optimal_expected_length,
+)
 
 
 def words_as_strings(code):
@@ -419,6 +427,31 @@ def test_huffman_lengths_only_route_agrees_with_code():
         assert huffman_lengths(pmf, d) == huffman_code(pmf, d).lengths()
 
 
+# ties (small integers), zeros and dyadic values decide which node merges first
+HUFFMAN_WEIGHTS = st.one_of(
+    st.integers(min_value=0, max_value=4).map(float),
+    st.integers(min_value=0, max_value=12).map(lambda k: 2.0**-k),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+@given(
+    raw=st.lists(HUFFMAN_WEIGHTS, min_size=1, max_size=40).filter(any),
+    d=st.integers(min_value=2, max_value=16),
+)
+@settings(max_examples=400)
+# a correctly rounded sum of each merge (fsum) would merge these in another order
+@example(raw=[2.0, 5.0, 7.0, 4.0, 1.0, 9.0, 7.0], d=3)
+def test_huffman_lengths_match_selection_oracle(raw, d):
+    total = 0.0
+    for w in raw:
+        total += w
+    probs = [w / total for w in raw]
+    pmf = ProbabilityMassFunction.from_pairs([(f"s{i}", p) for i, p in enumerate(probs)])
+    got = huffman_lengths(pmf, d)
+    assert [got[label] for label in pmf.labels()] == huffman_lengths_by_selection(probs, d)
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -440,6 +473,36 @@ def test_length_set_rejects_bad_input():
         CodeLengthSet((1, 2), 1)
     with pytest.raises(ValueError):
         CodeLengthSet((), 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PrefixCode(1, {"a": Codeword((0,))}), "alphabet size must be >= 2, got 1"),
+        (lambda: PrefixCode(2, {}), "prefix code has no assignments"),
+        (lambda: PrefixCode(2, {"a": Codeword((2,))}), "digit 2 out of range for D=2 in 'a'"),
+        (lambda: consecutive_lengths_sum(0, 1, 2), "n1 and M must be >= 1"),
+        (lambda: consecutive_lengths_sum(1, 1, 1), "alphabet size must be >= 2"),
+        (lambda: arithmetic_progression_satisfies_kraft(0, 1, 1, 2), "n1, step and M must be >= 1"),
+        (lambda: arithmetic_progression_satisfies_kraft(1, 1, 1, 1), "alphabet size must be >= 2"),
+        (
+            lambda: huffman_lengths(ProbabilityMassFunction.from_pairs([("a", 1.0)]), 1),
+            "alphabet size must be >= 2, got 1",
+        ),
+    ],
+)
+def test_out_of_range_arguments_are_named(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_expected_length_names_a_label_the_code_lacks():
+    code = PrefixCode(2, {"a": Codeword((0,))})
+    pmf = ProbabilityMassFunction.from_pairs([("a", 0.5), ("b", 0.5)])
+    with pytest.raises(KeyError) as err:
+        expected_length(code, pmf)
+    assert err.value.args == ("code has no codeword for label 'b'",)
 
 
 def test_entropy_base_and_zero_handling():
