@@ -4,17 +4,22 @@ The entropy of a graph here is the Shannon entropy of its degree
 distribution: each vertex gets probability deg(v) divided by the total
 degree. Conditional entropy, mutual information against a vertex coloring,
 Tsallis entropy, and Kullback-Leibler divergence between two graphs all
-derive from the same distribution. Spanning-tree enumeration is exhaustive.
-The matrix-tree determinant counts the trees first: a graph with more than
-``TREE_BUDGET`` is refused, and the search must find exactly that many, so
-a bug in either route cannot pass silently. The search tests feasibility
-only when it excludes an edge that joins two components, since no other
-step can lose a tree. A tree is the tuple of its edges; the entropy
-extrema fold those tuples and evaluate the entropy once per distinct
-degree vector. A graph is checked once, when built, and a WeightedGraph
-keeps the Graph it built. Every tie follows one order, each vertex's int
-rank in ``_vkey`` order, which a Graph keeps as ``_order_key``. An MST
-shares its graph's ranks and checked edge triples and is not checked again.
+derive from the same distribution. Spanning-tree enumeration over every
+tree is exhaustive. The matrix-tree determinant counts the trees first: a
+graph with more than ``TREE_BUDGET`` is refused, and the search must find
+exactly that many, so a bug in either route cannot pass silently. The
+search tests feasibility only when it excludes an edge that joins two
+components, since no other step can lose a tree. The minimum-weight scope
+passes the same guards but searches only the minimum spanning trees: it
+cuts a branch once the fsum of its least tree, the chosen edges plus the
+lightest completion, exceeds the MST's, which loses no tree because fsum
+rounds correctly and rounding is monotone. A tree is the tuple of its
+edges; the entropy extrema fold those tuples and evaluate the entropy once
+per distinct degree vector. A graph is checked once, when built, and a
+WeightedGraph keeps the Graph it built. Every tie follows one order, each
+vertex's int rank in ``_vkey`` order, which a Graph keeps as
+``_order_key``. An MST shares its graph's ranks and checked edge triples
+and is not checked again.
 """
 
 from __future__ import annotations
@@ -389,16 +394,24 @@ def _is_mst(g: WeightedGraph, carrier) -> bool:
     ties: every carrier edge must join two components and every other edge
     must find its endpoints already joined. The second condition is the
     cycle property (no edge is lighter than the heaviest carrier edge on
-    the path it closes), so the verdict is exact, in O(E log E). A carrier
-    edge that names a vertex absent from g fails it.
+    the path it closes), so the verdict is exact, in O(E log E). The scan
+    takes only the edges no heavier than the heaviest carrier edge, since a
+    heavier edge closes a cycle of lighter carrier edges, and it stops once
+    n - 1 carrier edges have joined, since every later edge is then a
+    non-carrier edge with joined endpoints. A carrier edge that names a
+    vertex absent from g, or that g does not have, fails it.
     """
+    n = len(g.vertices)
     rank = g.graph()._order_key
     if any(u not in rank or v not in rank for u, v, _ in carrier):
         return False
     tree = {(u, v, w) if rank[u] <= rank[v] else (v, u, w) for u, v, w in carrier}
-    parent = list(range(len(g.vertices)))
+    if not len(carrier) == len(tree) == n - 1:
+        return False
+    top = max((w for _, _, w in tree), default=0.0)
+    parent = list(range(n))
     joined = 0
-    for e in sorted(g.edges, key=lambda e: (e[2], e not in tree)):
+    for e in sorted([e for e in g.edges if e[2] <= top], key=lambda e: (e[2], e not in tree)):
         ru, rv = _find(parent, rank[e[0]]), _find(parent, rank[e[1]])
         joins = ru != rv
         if joins != (e in tree):
@@ -406,8 +419,10 @@ def _is_mst(g: WeightedGraph, carrier) -> bool:
         if joins:
             parent[ru] = rv
             joined += 1
-    # joined == len(tree) only if every carrier edge is an edge of g
-    return len(carrier) == len(tree) == joined == len(g.vertices) - 1
+            if joined == n - 1:
+                return True
+    # the carrier has an edge g lacks, unless n == 1 and there is none to join
+    return joined == n - 1
 
 
 def _int_determinant(m: list) -> int:
@@ -446,6 +461,29 @@ def _matrix_tree_count(g: Graph) -> int:
         lap[iv][iu] -= 1
     minor = [row[1:] for row in lap[1:]]
     return _int_determinant(minor)
+
+
+def _enumerable_tree_count(g: Graph) -> int:
+    """The matrix-tree count of g, once g passes both guards of a search.
+
+    A graph of more than ``ENUMERATION_GUARD`` vertices is refused first;
+    then a count of 0 means g is disconnected, and a count above
+    ``TREE_BUDGET`` is refused.
+    """
+    n = len(g.vertices)
+    if n > ENUMERATION_GUARD:
+        raise ValueError(
+            f"{n} vertices exceeds the enumeration guard of {ENUMERATION_GUARD}"
+        )
+    count = _matrix_tree_count(g)
+    if count == 0:
+        raise ValueError("graph is disconnected; it has no spanning tree")
+    if count > TREE_BUDGET:
+        raise ValueError(
+            f"graph has {count} spanning trees, over the enumeration "
+            f"budget of {TREE_BUDGET}"
+        )
+    return count
 
 
 def _joined_later(ends: list, start: int, comp: list, a: int, b: int) -> bool:
@@ -490,21 +528,10 @@ def enumerate_spanning_trees(g: Graph) -> list:
     must find exactly that many trees. ``Graph(g.vertices, t)`` rebuilds a
     tree as a Graph.
     """
+    expected = _enumerable_tree_count(g)
     n = len(g.vertices)
-    if n > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{n} vertices exceeds the enumeration guard of {ENUMERATION_GUARD}"
-        )
     if n <= 1:
         return [()]
-    expected = _matrix_tree_count(g)
-    if expected == 0:
-        raise ValueError("graph is disconnected; it has no spanning tree")
-    if expected > TREE_BUDGET:
-        raise ValueError(
-            f"graph has {expected} spanning trees, over the enumeration "
-            f"budget of {TREE_BUDGET}"
-        )
 
     rank = g._order_key
     edges = sorted(g.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
@@ -599,27 +626,132 @@ def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
     return WeightedGraph._trusted(tuple(picked), tree)
 
 
+def _minimum_spanning_trees(g: WeightedGraph, best: float):
+    """Yield each spanning tree of g whose weights fsum to ``best``, the MST's.
+
+    g is connected and has a vertex. This is the search of
+    :func:`enumerate_spanning_trees`, in its order, but each branch carries
+    its least tree: the chosen edges plus the lightest completion from the
+    undecided ones, as a set of edge indices. A branch is cut when it has
+    no completion, or when the fsum of its least tree overflows or exceeds
+    ``best``, which :func:`mst_entropy_extrema` shows loses no tree. At a
+    leaf the least tree is the tree itself.
+
+    A child whose decision on edge i agrees with its parent's least tree
+    keeps that tree. Otherwise the include child takes Kruskal on the
+    graph contracted by the chosen edges, and the exclude child swaps edge
+    i for the lightest later edge that rejoins the tree's two parts, the
+    cycle property's exchange.
+    """
+    rank = g.graph()._order_key
+    n = len(rank)
+    edges = sorted(g.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
+    m = len(edges)
+    pairs = [e[:2] for e in edges]
+    ends = [(rank[u], rank[v]) for u, v in pairs]
+    weights = [w for _, _, w in edges]
+    by_weight = sorted(range(m), key=weights.__getitem__)
+    # later[i]: the edges i.. in Kruskal's order, each as (index, ends)
+    later = [[(j, *ends[j]) for j in by_weight if j >= i] for i in range(m + 1)]
+
+    def light(tree: set) -> bool:
+        """True when the fsum of tree's weights is finite and at most best."""
+        try:
+            return math.fsum(map(weights.__getitem__, tree)) <= best
+        except OverflowError:
+            return False
+
+    def least_tree(comp: list, i: int, need: int, tree: set):
+        """``tree`` plus the lightest ``need`` edges from i.. that complete it
+        on the components ``comp``, or None."""
+        if need:
+            parent = list(range(n))
+            for j, x, y in later[i]:
+                x, y = comp[x], comp[y]
+                while parent[x] != x:
+                    x = parent[x]
+                while parent[y] != y:
+                    y = parent[y]
+                if x != y:
+                    parent[x] = y
+                    tree.add(j)
+                    need -= 1
+                    if not need:
+                        break
+            else:
+                return None
+        return tree if light(tree) else None
+
+    def swap_out(comp: list, tree: set, i: int):
+        """``tree`` less edge i plus the lightest edge after i that joins the
+        two parts its other undecided edges leave on ``comp``, or None."""
+        parent = list(range(n))
+        for j in tree:
+            if j > i:
+                x, y = ends[j]
+                x, y = comp[x], comp[y]
+                while parent[x] != x:
+                    x = parent[x]
+                while parent[y] != y:
+                    y = parent[y]
+                parent[x] = y
+        for j, x, y in later[i + 1]:
+            x, y = comp[x], comp[y]
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                tree = tree - {i}
+                tree.add(j)
+                # a swap between equal weights keeps the fsum
+                return tree if weights[j] == weights[i] or light(tree) else None
+        return None
+
+    # (next edge, component label of each vertex, edges still needed,
+    # chosen, least tree); the root's least tree is an MST, so it is kept
+    stack = [(0, list(range(n)), n - 1, (), least_tree(list(range(n)), 0, n - 1, set()))]
+    while stack:
+        i, comp, need, chosen, tree = stack.pop()
+        while need:
+            x, y = ends[i]
+            a, b = comp[x], comp[y]
+            if a != b:
+                merged = [a if c == b else c for c in comp]
+                if i in tree:
+                    if m - i > need:
+                        other = swap_out(comp, tree, i)
+                        if other is not None:
+                            stack.append((i + 1, comp, need, chosen, other))
+                else:
+                    stack.append((i + 1, comp, need, chosen, tree))
+                    # the chosen edges are the least tree's edges before i
+                    tree = least_tree(merged, i + 1, need - 1, {j for j in tree if j < i} | {i})
+                    if tree is None:
+                        break
+                comp = merged
+                need -= 1
+                chosen += (pairs[i],)
+            i += 1
+        else:
+            yield chosen
+
+
 def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     """Entropy extrema over every spanning tree of minimum total weight.
 
     A tree counts when the fsum of its weights equals the MST's: fsum rounds
     correctly and rounding is monotone, so that is the least such sum. A
-    tree whose sum overflows is heavier than any finite minimum.
+    tree whose sum overflows is heavier than any finite minimum. The guards
+    of :func:`enumerate_spanning_trees` refuse the same graphs, in the same
+    order, but the search does not visit every tree: it cuts a branch once
+    the fsum of its least tree overflows or exceeds the MST's. Every tree
+    below the branch weighs at least that much, and rounding is monotone,
+    so the cut keeps every tree that counts.
     """
-    trees = enumerate_spanning_trees(g.graph())
+    _enumerable_tree_count(g.graph())
     best = minimum_spanning_tree(g).total_weight()
-    weight = g._weight.__getitem__
-
-    def lightest():
-        for t in trees:
-            try:
-                w = math.fsum(map(weight, t))
-            except OverflowError:
-                continue
-            if w == best:
-                yield t
-
-    lo, hi, _, _ = _entropy_extrema(g.graph()._order_key, lightest())
+    lo, hi, _, _ = _entropy_extrema(g.graph()._order_key, _minimum_spanning_trees(g, best))
     return lo, hi
 
 

@@ -11,6 +11,7 @@ from prefixcast.graphs import (
     InfiniteDivergence,
     VertexColoring,
     WeightedGraph,
+    _is_mst,
     _matrix_tree_count,
     complete_graph,
     conditional_graph_entropy,
@@ -34,6 +35,7 @@ from prefixcast.graphs import (
 
 from oracles import (
     kruskal_edges,
+    random_weighted_connected,
     min_spanning_weight,
     spanning_trees_by_subsets,
     tsallis_degree_entropy,
@@ -574,3 +576,57 @@ def test_mst_entropy_extrema_ties_are_exact():
     lo, hi = mst_entropy_extrema(g)
     assert lo == hi == graph_entropy(star_graph(3))
 
+
+
+def _carriers(rng, vertices, edges):
+    """Candidate carriers for the MST certificate: every spanning tree; n - 1
+    edges with a cycle, an edge g lacks, a wrong weight, a repeated edge, or
+    edges given in the other orientation; and a tree with one more edge."""
+    trees = spanning_trees_by_subsets(vertices, edges)
+    weight = {(u, v): w for u, v, w in edges}
+    out = [[(u, v, weight[u, v]) for u, v in sorted(t)] for t in trees]
+    k = len(vertices) - 1
+    if len(edges) > k:
+        out += [rng.sample(edges, k) for _ in range(3)]
+    missing = [(u, v) for u in vertices for v in vertices if u < v and (u, v) not in weight]
+    for base in rng.sample(out, min(6, len(out))):
+        if not base:
+            continue
+        i = rng.randrange(len(base))
+        u, v, w = base[i]
+        if missing:
+            out.append(base[:i] + [(*rng.choice(missing), w)] + base[i + 1:])
+        out.append(base[:i] + [(u, v, w + 1.0)] + base[i + 1:])
+        out.append(base[:i] + [(v, u, w)] + base[i + 1:])
+        out.append([(v, u, w) for u, v, w in base])
+        out.append(base + [base[i]])
+        out.append(base + [rng.choice(edges)])
+        if len(base) > 1:
+            out.append(base[:i] + [base[i - 1]] + base[i + 1:])
+            out.append(base[:i] + [(base[i - 1][1], base[i - 1][0], base[i - 1][2])] + base[i + 1:])
+    return out
+
+
+def test_mst_certificate_matches_oracle_on_random_carriers():
+    verdicts = {True: 0, False: 0}
+    for seed in range(40):
+        rng = random.Random(6400 + seed)
+        n = rng.randint(1, 8)
+        extra = rng.randint(0, min(5, (n - 1) * (n - 2) // 2))
+        vertices, edges = random_weighted_connected(rng, n, extra, (1, 4))
+        g = WeightedGraph(vertices, edges)
+        weight = {frozenset((u, v)): w for u, v, w in edges}
+        trees = {frozenset(map(frozenset, t)) for t in spanning_trees_by_subsets(vertices, edges)}
+        least = min_spanning_weight(vertices, edges)
+        for carrier in _carriers(rng, vertices, list(edges)):
+            # a spanning tree of g, each edge with g's weight, of least total weight
+            pairs = [frozenset((u, v)) for u, v, _ in carrier]
+            want = (
+                len(set(pairs)) == len(carrier)
+                and all(weight.get(p) == w for p, (_, _, w) in zip(pairs, carrier))
+                and frozenset(pairs) in trees
+                and sum(w for _, _, w in carrier) == least
+            )
+            assert _is_mst(g, carrier) == want, (edges, carrier)
+            verdicts[want] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50

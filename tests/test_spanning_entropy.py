@@ -9,7 +9,9 @@ left-to-right sums of one tree's weights depend on their order, which fsum
 does not, and weights near 2**53 make a tree that is not an MST round to
 the MST's weight, which the MST scope keeps. The search's order is the
 subset oracle's order over the canonically sorted edges, and the fold
-evaluates the entropy once per distinct degree vector.
+evaluates the entropy once per distinct degree vector. The MST scope
+searches only the minimum trees, in that order, and never calls the full
+enumerator.
 """
 
 import functools
@@ -17,6 +19,7 @@ import gc
 import math
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -125,6 +128,71 @@ def test_mst_scope_keeps_trees_whose_fsum_rounds_to_the_minimum():
         ("c", "d", 0.5), ("d", "e", 0.5),
     ))
     assert mst_entropy_extrema(g) == (2.0, 2.25)
+
+
+# each forces a weight pattern: every tree minimal, ties at two levels, sums
+# that round at 2**53, and tree sums that overflow
+WEIGHT_PATTERNS = (
+    lambda rng: 1.0,
+    lambda rng: rng.choice((1.0, 2.0)),
+    lambda rng: 2.0**53 + rng.choice((0.0, 1.0, 2.0)),
+    lambda rng: rng.choice((0.0, 1.0, 1e308, 1.7e308)),
+)
+
+
+def test_mst_scope_matches_subset_oracle_under_the_fsum_rule():
+    rounded = overflowing = refused = 0
+    for seed in range(40):
+        rng = random.Random(8300 + seed)
+        for draw in WEIGHT_PATTERNS:
+            n = rng.randint(2, 7)
+            extra = rng.randint(0, min(6, (n - 1) * (n - 2) // 2))
+            vertices, edges = random_weighted_connected(rng, n, extra)
+            edges = tuple((u, v, draw(rng)) for u, v, _ in edges)
+            g = WeightedGraph(vertices, edges)
+            weight = {(u, v): w for u, v, w in edges}
+            sums = []
+            for tree in spanning_trees_by_subsets(vertices, edges):
+                try:
+                    sums.append((tree, math.fsum(weight[p] for p in tree)))
+                except OverflowError:
+                    sums.append((tree, math.inf))
+            least = min(s for _, s in sums)
+            if least == math.inf:
+                refused += 1
+                with pytest.raises(ValueError, match="overflows"):
+                    mst_entropy_extrema(g)
+                continue
+            msts = [tree for tree, s in sums if s == least]
+            overflowing += math.inf in (s for _, s in sums)
+            rounded += len({sum(map(Fraction, (weight[p] for p in t))) for t in msts}) > 1
+            hs = [graph_entropy(Graph(vertices, tuple(t))) for t in msts]
+            assert mst_entropy_extrema(g) == (min(hs), max(hs))
+            # the search's order is the subset oracle's order over sorted edges
+            found = graphs._minimum_spanning_trees(g, least)
+            assert [frozenset(t) for t in found] == msts
+    # some minimum trees differ in exact weight, some trees that are not
+    # minimal overflow, and some minima overflow
+    assert rounded > 0 and overflowing > 0 and refused > 0
+
+
+def test_mst_scope_searches_without_enumerating_every_tree(monkeypatch):
+    k6 = complete_graph(6)
+    weighted = WeightedGraph(k6.vertices, tuple((u, v, float((u + v) % 3 + 1)) for u, v in k6.edges))
+    trees = enumerate_spanning_trees(k6)
+    sums = [math.fsum(weighted.weight_of(u, v) for u, v in t) for t in trees]
+    least = min(sums)
+    hs = [graph_entropy(Graph(k6.vertices, t)) for t, s in zip(trees, sums) if s == least]
+
+    def refuse(g):
+        raise AssertionError("the MST scope enumerated every spanning tree")
+
+    monkeypatch.setattr(graphs, "enumerate_spanning_trees", refuse)
+    assert mst_entropy_extrema(weighted) == (min(hs), max(hs))
+    # the guards still refuse first, with their own messages
+    k9 = complete_graph(9)
+    with pytest.raises(ValueError, match="over the enumeration budget"):
+        mst_entropy_extrema(WeightedGraph(k9.vertices, tuple((u, v, 1.0) for u, v in k9.edges)))
 
 
 def test_extrema_and_enumeration_build_no_graph_per_tree(monkeypatch):
