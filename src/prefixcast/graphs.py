@@ -11,15 +11,15 @@ exactly that many, so a bug in either route cannot pass silently. The
 search tests feasibility only when it excludes an edge that joins two
 components, since no other step can lose a tree. The minimum-weight scope
 passes the same guards but searches only the minimum spanning trees: it
-cuts a branch once the fsum of its least tree, the chosen edges plus the
-lightest completion, exceeds the MST's, which loses no tree because fsum
-rounds correctly and rounding is monotone. A tree is the tuple of its
-edges; the entropy extrema fold those tuples and evaluate the entropy once
-per distinct degree vector. A graph is checked once, when built, and a
-WeightedGraph keeps the Graph it built. Every tie follows one order, each
-vertex's int rank in ``_vkey`` order, which a Graph keeps as
-``_order_key``. An MST shares its graph's ranks and checked edge triples
-and is not checked again.
+tests each child once and searches it only when the fsum of its least
+tree, the picked edges plus the lightest completion, is at most the MST's,
+which loses no tree because fsum rounds correctly and rounding is
+monotone. A tree is the tuple of its edges; the entropy extrema fold those
+tuples and evaluate the entropy once per distinct degree vector. A graph
+is checked once, when built, and a WeightedGraph keeps the Graph it built.
+Every tie follows one order, each vertex's int rank in ``_vkey`` order,
+which a Graph keeps as ``_order_key``. An MST shares its graph's ranks and
+checked edge triples and is not checked again.
 """
 
 from __future__ import annotations
@@ -630,18 +630,15 @@ def _minimum_spanning_trees(g: WeightedGraph, best: float):
     """Yield each spanning tree of g whose weights fsum to ``best``, the MST's.
 
     g is connected and has a vertex. This is the search of
-    :func:`enumerate_spanning_trees`, in its order, but each branch carries
-    its least tree: the chosen edges plus the lightest completion from the
-    undecided ones, as a set of edge indices. A branch is cut when it has
-    no completion, or when the fsum of its least tree overflows or exceeds
+    :func:`enumerate_spanning_trees`, in its order, with one bounded test
+    per child in place of its feasibility test. A child's least tree is
+    its picked edges plus the lightest completion from its undecided ones,
+    Kruskal on the graph contracted by the picked edges; the child is
+    searched only when that tree exists and its fsum is finite and at most
     ``best``, which :func:`mst_entropy_extrema` shows loses no tree. At a
-    leaf the least tree is the tree itself.
-
-    A child whose decision on edge i agrees with its parent's least tree
-    keeps that tree. Otherwise the include child takes Kruskal on the
-    graph contracted by the chosen edges, and the exclude child swaps edge
-    i for the lightest later edge that rejoins the tree's two parts, the
-    cycle property's exchange.
+    leaf the least tree is the tree itself. No tree is carried from one
+    test to the next: a branch holds only its chosen edges and their
+    indices.
     """
     rank = g.graph()._order_key
     n = len(rank)
@@ -654,16 +651,11 @@ def _minimum_spanning_trees(g: WeightedGraph, best: float):
     # later[i]: the edges i.. in Kruskal's order, each as (index, ends)
     later = [[(j, *ends[j]) for j in by_weight if j >= i] for i in range(m + 1)]
 
-    def light(tree: set) -> bool:
-        """True when the fsum of tree's weights is finite and at most best."""
-        try:
-            return math.fsum(map(weights.__getitem__, tree)) <= best
-        except OverflowError:
-            return False
-
-    def least_tree(comp: list, i: int, need: int, tree: set):
-        """``tree`` plus the lightest ``need`` edges from i.. that complete it
-        on the components ``comp``, or None."""
+    def fits(comp: list, i: int, need: int, picked: tuple) -> bool:
+        """True when ``picked`` plus the lightest ``need`` edges from i.. that
+        complete it on the components ``comp`` exist and fsum to a finite
+        total at most ``best``."""
+        tree = list(picked)
         if need:
             parent = list(range(n))
             for j, x, y in later[i]:
@@ -674,64 +666,35 @@ def _minimum_spanning_trees(g: WeightedGraph, best: float):
                     y = parent[y]
                 if x != y:
                     parent[x] = y
-                    tree.add(j)
+                    tree.append(j)
                     need -= 1
                     if not need:
                         break
             else:
-                return None
-        return tree if light(tree) else None
-
-    def swap_out(comp: list, tree: set, i: int):
-        """``tree`` less edge i plus the lightest edge after i that joins the
-        two parts its other undecided edges leave on ``comp``, or None."""
-        parent = list(range(n))
-        for j in tree:
-            if j > i:
-                x, y = ends[j]
-                x, y = comp[x], comp[y]
-                while parent[x] != x:
-                    x = parent[x]
-                while parent[y] != y:
-                    y = parent[y]
-                parent[x] = y
-        for j, x, y in later[i + 1]:
-            x, y = comp[x], comp[y]
-            while parent[x] != x:
-                x = parent[x]
-            while parent[y] != y:
-                y = parent[y]
-            if x != y:
-                tree = tree - {i}
-                tree.add(j)
-                # a swap between equal weights keeps the fsum
-                return tree if weights[j] == weights[i] or light(tree) else None
-        return None
+                return False
+        try:
+            return math.fsum(map(weights.__getitem__, tree)) <= best
+        except OverflowError:
+            return False
 
     # (next edge, component label of each vertex, edges still needed,
-    # chosen, least tree); the root's least tree is an MST, so it is kept
-    stack = [(0, list(range(n)), n - 1, (), least_tree(list(range(n)), 0, n - 1, set()))]
+    # chosen, indices of the chosen edges); the root holds an MST, so it is
+    # not tested
+    stack = [(0, list(range(n)), n - 1, (), ())]
     while stack:
-        i, comp, need, chosen, tree = stack.pop()
+        i, comp, need, chosen, picked = stack.pop()
         while need:
             x, y = ends[i]
             a, b = comp[x], comp[y]
             if a != b:
-                merged = [a if c == b else c for c in comp]
-                if i in tree:
-                    if m - i > need:
-                        other = swap_out(comp, tree, i)
-                        if other is not None:
-                            stack.append((i + 1, comp, need, chosen, other))
-                else:
-                    stack.append((i + 1, comp, need, chosen, tree))
-                    # the chosen edges are the least tree's edges before i
-                    tree = least_tree(merged, i + 1, need - 1, {j for j in tree if j < i} | {i})
-                    if tree is None:
-                        break
-                comp = merged
+                if m - i > need and fits(comp, i + 1, need, picked):
+                    stack.append((i + 1, comp, need, chosen, picked))
+                comp = [a if c == b else c for c in comp]
                 need -= 1
                 chosen += (pairs[i],)
+                picked += (i,)
+                if not fits(comp, i + 1, need, picked):
+                    break
             i += 1
         else:
             yield chosen
@@ -747,7 +710,9 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     order, but the search does not visit every tree: it cuts a branch once
     the fsum of its least tree overflows or exceeds the MST's. Every tree
     below the branch weighs at least that much, and rounding is monotone,
-    so the cut keeps every tree that counts.
+    so the cut keeps every tree that counts. A branch whose include child
+    is cut has already pushed its exclude child, so no tree is lost or
+    found twice.
     """
     _enumerable_tree_count(g.graph())
     best = minimum_spanning_tree(g).total_weight()

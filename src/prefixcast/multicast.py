@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import WeightedGraph, _is_mst, minimum_spanning_tree
+from .graphs import WeightedGraph, _hop_levels, _is_mst, minimum_spanning_tree
 from .hierarchy import DaryTree, LeaderAssignment, assign_leaders
 from .source_coding import Codeword, ProbabilityMassFunction, prefix_violations
 
@@ -99,9 +99,10 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
     Children are kept in increasing order of (edge weight, vertex rank);
     the digit of a child is its index among the retained siblings. Dropping
     a child discards its entire subtree, and every vertex so discarded is
-    reported in ``pruned``. One breadth-first walk over (weight, rank,
-    neighbour) lists built from the edges does all of this and proves the
-    input a tree: with n-1 edges, reaching every vertex rules out a cycle.
+    reported in ``pruned``. The tree is rooted by :func:`_hop_levels`; with
+    n-1 edges, reaching every vertex rules out a cycle. Each edge then runs
+    from the lower level to the higher, and one pass in BFS order, which
+    puts a parent before its children, addresses each retained vertex.
     """
     if d < 2:
         raise ValueError(f"arity must be >= 2, got {d}")
@@ -113,48 +114,33 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
         raise ValueError(
             f"not a tree: {len(spanning_tree.edges)} edges on {n} vertices"
         )
+    level = _hop_levels(spanning_tree.graph(), root)
+    if len(level) != n:
+        raise ValueError("not a tree: graph is disconnected")
 
-    near: dict = {v: [] for v in spanning_tree.vertices}
+    kids: dict = {v: [] for v in level}
     for u, v, w in spanning_tree.edges:
-        near[u].append((w, rank[v], v))
-        near[v].append((w, rank[u], u))
+        if level[u] > level[v]:
+            u, v = v, u
+        kids[u].append((w, rank[v], v))
     children: dict = {}
     parent: dict = {}
-    vertex_at: dict = {(): root}
-    reached = {root}
-    # a vertex below a dropped child walks on with path None
-    frontier = [(root, ())]
-    while frontier:
-        nxt = []
-        for v, path in frontier:
-            kids = [k for k in near[v] if k[2] not in reached]
-            if path is None:
-                reached.update(k[2] for k in kids)
-                nxt.extend((k[2], None) for k in kids)
-                continue
-            kids.sort()
-            keep = []
-            for i, (_, _, w) in enumerate(kids):
-                reached.add(w)
-                if i < d:
-                    keep.append(w)
-                    parent[w] = v
-                    vertex_at[path + (i,)] = w
-                    nxt.append((w, path + (i,)))
-                else:
-                    nxt.append((w, None))
-            children[v] = tuple(keep)
-        frontier = nxt
-    if len(reached) != n:
-        raise ValueError("not a tree: graph is disconnected")
+    # a vertex below a dropped child gets no path
+    path_of = {root: ()}
+    for v in level:
+        if v in path_of:
+            children[v] = tuple(k for _, _, k in sorted(kids[v])[:d])
+            for i, k in enumerate(children[v]):
+                parent[k] = v
+                path_of[k] = path_of[v] + (i,)
 
     return EmbeddedDaryTree(
         root=root,
         arity=d,
         children=children,
         parent=parent,
-        vertex_at=vertex_at,
-        pruned=tuple(sorted(reached.difference(vertex_at.values()), key=rank.__getitem__)),
+        vertex_at={path: v for v, path in path_of.items()},
+        pruned=tuple(sorted((v for v in level if v not in path_of), key=rank.__getitem__)),
     )
 
 
@@ -184,16 +170,19 @@ def plan_multicast(
     longest = optimal.tree.max_depth
     bumps = range(max(1, emb.max_depth() - longest + 1)) if relax else (0,)
     for bump in bumps:
-        shifted = {label: (0,) * bump + p for label, p in optimal.leaders.items()}
-        missing = next((label for label, p in shifted.items() if p not in emb.vertex_at), None)
+        zeros = (0,) * bump
+        missing = next(
+            (label for label, p in optimal.leaders.items() if zeros + p not in emb.vertex_at), None
+        )
         if missing is None:
             break
     else:
         raise CapacityExceeded(
-            f"no tree node at digit-path {str(Codeword(shifted[missing]))!r} "
+            f"no tree node at digit-path {str(Codeword(zeros + optimal.leaders[missing]))!r} "
             f"for leader {missing!r}; the embedded tree cannot host this "
             f"placement at arity {d}"
         )
+    shifted = {label: zeros + p for label, p in optimal.leaders.items()}
     leader_vertex = {label: emb.vertex_at[p] for label, p in shifted.items()}
     assignment = optimal
     if bump:

@@ -671,6 +671,7 @@ def test_plan_multicast_capacity_exceeded(square, tmp_path):
 
 STAR14 = "".join(f"h s{i} 1\n" for i in range(14))
 PMF13 = "".join(f"L{i} {1 / 13!r}\n" for i in range(13))
+PATH10 = "".join(f"v{i} v{i + 1} 1\n" for i in range(9))
 
 
 @pytest.mark.parametrize(
@@ -680,8 +681,10 @@ PMF13 = "".join(f"L{i} {1 / 13!r}\n" for i in range(13))
         ("A B 1\nB C 2\nC A 3\n", "A", "X 0.5\nY 0.5\n", ["--D", "2", "--relax"], "01", "Y"),
         # at D >= 11 a digit-path is written dotted, as Codeword prints it
         (STAR14, "h", PMF13, ["--D", "11"], "10.0", "L0"),
+        # depth 9 against codewords 0, 10, 11: the last shift tried is 7 zeros
+        (PATH10, "v0", "X 0.5\nY 0.25\nZ 0.25\n", ["--D", "2", "--relax"], "000000010", "Y"),
     ],
-    ids=["triangle", "triangle-relax", "star-D11"],
+    ids=["triangle", "triangle-relax", "star-D11", "path-relax-deep"],
 )
 def test_plan_multicast_capacity_error_names_path_and_leader(
     tmp_path, edges, root, pmf, flags, path, leader

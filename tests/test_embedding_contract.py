@@ -1,8 +1,8 @@
 """What ``embed_dary_tree`` promises about the rooted tree it returns.
 
-The embedding walks the spanning tree once, breadth first from the root.
-That one walk must reject an input that is not a tree, address each
-retained vertex, and list each cut-off vertex in ``pruned``. The expected
+The embedding roots the spanning tree by one breadth-first walk from the
+root. It must reject an input that is not a tree, address each retained
+vertex, and list each cut-off vertex in ``pruned``. The expected
 children here come from rooting the tree by a separate walk in this file.
 """
 
@@ -16,12 +16,47 @@ from prefixcast.multicast import embed_dary_tree
 from oracles import random_weighted_connected
 
 
-@pytest.mark.parametrize("root", [0, 3])
-def test_triangle_plus_isolated_vertex_is_not_a_tree(root):
-    # n - 1 edges, but they close a cycle and leave vertex 3 unreached
-    g = WeightedGraph((0, 1, 2, 3), ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
-    with pytest.raises(ValueError, match="^not a tree: graph is disconnected$"):
-        embed_dary_tree(g, root, 2)
+def _cyclic_non_trees(rng):
+    """The triangle plus an isolated vertex, then seeded random graphs whose
+    n - 1 edges include a cycle through random vertices, so some vertex is
+    left unreached; about half the ids are strings."""
+    yield (0, 1, 2, 3), [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
+    for _ in range(40):
+        n = rng.randint(4, 14)
+        order = list(range(n))
+        rng.shuffle(order)
+        k = rng.randint(3, n - 1)
+        pairs = {frozenset((order[i], order[(i + 1) % k])) for i in range(k)}
+        rest = [frozenset((u, v)) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(rest)
+        for pair in rest:
+            if len(pairs) == n - 1:
+                break
+            pairs.add(pair)
+        name = {v: str(v) if rng.random() < 0.5 else v for v in range(n)}
+        edges = [(name[u], name[v], float(rng.randint(1, 4))) for u, v in map(sorted, pairs)]
+        rng.shuffle(edges)
+        yield tuple(name[v] for v in range(n)), edges
+
+
+def test_non_tree_is_rejected_from_every_root():
+    rng = random.Random(905)
+    for vertices, edges in _cyclic_non_trees(rng):
+        n = len(vertices)
+        assert len(edges) == n - 1
+        for root in vertices:
+            with pytest.raises(ValueError, match="^not a tree: graph is disconnected$"):
+                embed_dary_tree(WeightedGraph(vertices, tuple(edges)), root, rng.randint(2, 4))
+        # the edge count is checked first, with one edge too few or too many
+        present = {frozenset(e[:2]) for e in edges}
+        absent = next(
+            (u, v, 1.0) for u in vertices for v in vertices
+            if u != v and frozenset((u, v)) not in present
+        )
+        for wrong in (edges[1:], edges + [absent]):
+            g = WeightedGraph(vertices, tuple(wrong))
+            with pytest.raises(ValueError, match=f"^not a tree: {len(wrong)} edges on {n} vertices$"):
+                embed_dary_tree(g, rng.choice(vertices), 2)
 
 
 def test_weighted_graph_keeps_one_graph():
