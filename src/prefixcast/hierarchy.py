@@ -11,11 +11,12 @@ leader depth weighted by importance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .source_coding import (
     CodeLengthSet,
     ProbabilityMassFunction,
+    _integer_digits,
     huffman_code,
     kraft_sum,
     prefix_violations,
@@ -86,26 +87,42 @@ class LevelLeaderCounts:
 
 
 @dataclass(frozen=True)
+class SecurityReport:
+    """Outcome of auditing an assignment for path containment."""
+
+    secure: bool
+    violations: tuple  # (ancestor label, descendant label) pairs
+
+
+@dataclass(frozen=True)
 class LeaderAssignment:
     """Leaders at digit-path addresses of a D-ary tree, with importances.
 
-    Construction enforces digit ranges, the tree depth bound, and the
-    no-root rule (a depth-0 leader would sit on every other leader's path).
-    Prefix-freeness between leaders is the point of the placement and is
-    audited by :func:`verify_secure` rather than hard-enforced here, so a
+    Construction enforces integer digits in range, the tree depth bound,
+    and the no-root rule (a depth-0 leader would sit on every other leader's
+    path). Prefix-freeness between leaders, the point of the placement, is
+    decided once here into :attr:`security` rather than hard-enforced, so a
     hand-built faulty assignment can be inspected instead of rejected.
     """
 
     tree: DaryTree
     leaders: dict  # label -> digit path tuple
     importance: ProbabilityMassFunction
+    security: SecurityReport = field(init=False, repr=False, compare=False)
+    """Whether any leader lies on the root path of another.
+
+    A violating pair (a, b) means a's path is a proper prefix of b's, i.e.
+    traffic addressed to b passes through a; equal paths violate in both
+    directions. Pairs come from one sorted scan by :func:`prefix_violations`
+    and are listed in label order, by ancestor and then by descendant.
+    """
 
     def __post_init__(self):
         if set(self.leaders) != set(self.importance.labels()):
             raise ValueError("leader labels and importance labels differ")
         paths = {}
         for label, path in self.leaders.items():
-            path = tuple(int(d) for d in path)
+            path = _integer_digits(label, path)
             if len(path) == 0:
                 raise ValueError(f"leader {label!r} placed at the root")
             if not self.tree.contains_path(path):
@@ -114,7 +131,11 @@ class LeaderAssignment:
                     f"(arity {self.tree.arity}, depth {self.tree.max_depth})"
                 )
             paths[label] = path
+        labels = sorted(paths)
+        pairs = prefix_violations([paths[label] for label in labels])
+        violations = tuple((labels[i], labels[j]) for i, j in pairs)
         object.__setattr__(self, "leaders", paths)
+        object.__setattr__(self, "security", SecurityReport(not violations, violations))
 
     def depths(self) -> dict:
         return {label: len(path) for label, path in self.leaders.items()}
@@ -130,14 +151,6 @@ class LeaderAssignment:
                 tuple(len(p) for p in self.leaders.values()), self.tree.arity
             )
         )
-
-
-@dataclass(frozen=True)
-class SecurityReport:
-    """Outcome of auditing an assignment for path containment."""
-
-    secure: bool
-    violations: tuple  # (ancestor label, descendant label) pairs
 
 
 def node_selection_probability(s_j: int, j: int, d: int) -> float:
@@ -192,18 +205,8 @@ def assign_leaders(importance: ProbabilityMassFunction, d: int = 2) -> LeaderAss
 
 
 def verify_secure(assignment: LeaderAssignment) -> SecurityReport:
-    """Audit that no leader lies on the root path of another.
-
-    A violating pair (a, b) means a's path is a proper prefix of b's, i.e.
-    traffic addressed to b passes through a. Equal paths violate in both
-    directions. The assignment is secure exactly when no pairs are found.
-    Pairs are found by the sorted scan of :func:`prefix_violations` and
-    listed in label order, by ancestor and then by descendant.
-    """
-    labels = sorted(assignment.leaders)
-    pairs = prefix_violations([assignment.leaders[label] for label in labels])
-    violations = tuple((labels[i], labels[j]) for i, j in pairs)
-    return SecurityReport(secure=not violations, violations=violations)
+    """The verdict ``assignment`` was built with (:attr:`LeaderAssignment.security`)."""
+    return assignment.security
 
 
 def path_reliability(q: float, n_j: int) -> float:

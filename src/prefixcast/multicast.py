@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .graphs import WeightedGraph, _hop_levels, _is_mst, minimum_spanning_tree
 from .hierarchy import DaryTree, LeaderAssignment, assign_leaders
-from .source_coding import Codeword, ProbabilityMassFunction, prefix_violations
+from .source_coding import Codeword, ProbabilityMassFunction
 
 
 class CapacityExceeded(ValueError):
@@ -204,15 +204,13 @@ def plan_cost_audit(plan: MulticastPlan, g: WeightedGraph) -> PlanAudit:
     The plan's carrier edges are its certificate: they must form a minimum
     spanning tree of ``g`` (checked exactly by the cycle property, at any
     size) whose weights sum to the reported ``mst_weight``. No leader
-    digit-path may be a prefix of another (by :func:`prefix_violations`),
-    and every route must walk carrier edges from the root to its leader's
-    vertex.
+    digit-path may be a prefix of another, as the assignment's own
+    ``security`` verdict says, and every route must walk carrier edges from
+    the root to its leader's vertex.
     """
     weight_ok = _is_mst(g, plan.carrier) and (
         math.fsum(w for _, _, w in plan.carrier) == plan.mst_weight
     )
-
-    prefix_free = not prefix_violations(list(plan.assignment.leaders.values()))
 
     tree_pairs = {(u, v) for u, v, _ in plan.carrier}
     routes_ok = True
@@ -225,6 +223,6 @@ def plan_cost_audit(plan: MulticastPlan, g: WeightedGraph) -> PlanAudit:
                 routes_ok = False
     return PlanAudit(
         mst_weight_minimal=weight_ok,
-        prefix_free=prefix_free,
+        prefix_free=plan.assignment.security.secure,
         routes_follow_tree=routes_ok,
     )

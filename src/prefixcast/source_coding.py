@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -112,7 +113,8 @@ class Codeword:
 class PrefixCode:
     """A prefix-free assignment of codewords to labels.
 
-    Construction validates digit range and prefix-freeness (by
+    Construction validates that every codeword is a non-empty run of
+    integer digits in range, and prefix-freeness (by
     :func:`prefix_violations`), so a ``PrefixCode`` value is a certificate
     that the assignment is actually decodable. It satisfies the Kraft
     inequality without a further check: the long digit strings that start
@@ -129,7 +131,9 @@ class PrefixCode:
         if not self.assignments:
             raise ValueError("prefix code has no assignments")
         for label, word in self.assignments.items():
-            for d in word.digits:
+            if not word.digits:
+                raise ValueError(f"codeword for {label!r} is empty")
+            for d in _integer_digits(label, word.digits):
                 if not (0 <= d < self.alphabet_size):
                     raise ValueError(f"digit {d} out of range for D={self.alphabet_size} in {label!r}")
         clashes = prefix_violations([word.digits for word in self.assignments.values()])
@@ -148,6 +152,14 @@ class PrefixCode:
         return CodeLengthSet(
             tuple(word.length for word in self.assignments.values()), self.alphabet_size
         )
+
+
+def _integer_digits(label, digits) -> tuple[int, ...]:
+    """``digits`` as ints; a float or string digit is refused, not truncated."""
+    try:
+        return tuple(map(operator.index, digits))
+    except TypeError:
+        raise ValueError(f"digits of {label!r} must be integers, got {digits!r}") from None
 
 
 def prefix_violations(paths) -> list[tuple[int, int]]:

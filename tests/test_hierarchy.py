@@ -85,6 +85,27 @@ def test_level_leader_counts_validation():
             "link failure probability 1.5 outside [0, 1]",
         ),
         (lambda: last_link_failure_probability(0.5, 0), "depth must be >= 1, got 0"),
+        # digits are never truncated: 0.9 is not 0, and -0.5 is not in range as 0
+        (
+            lambda: LeaderAssignment(DaryTree(2, 2), {"A": (0.9,)}, pmf_of(A=1.0)),
+            "digits of 'A' must be integers, got (0.9,)",
+        ),
+        (
+            lambda: LeaderAssignment(DaryTree(2, 2), {"A": (0, 1.7)}, pmf_of(A=1.0)),
+            "digits of 'A' must be integers, got (0, 1.7)",
+        ),
+        (
+            lambda: LeaderAssignment(DaryTree(2, 2), {"A": (-0.5,)}, pmf_of(A=1.0)),
+            "digits of 'A' must be integers, got (-0.5,)",
+        ),
+        (
+            lambda: LeaderAssignment(DaryTree(2, 2), {"A": "01"}, pmf_of(A=1.0)),
+            "digits of 'A' must be integers, got '01'",
+        ),
+        (
+            lambda: LeaderAssignment(DaryTree(2, 2), {"A": (-1,)}, pmf_of(A=1.0)),
+            "leader 'A' path (-1,) leaves the tree (arity 2, depth 2)",
+        ),
     ],
 )
 def test_out_of_range_arguments_are_named(call, message):
@@ -157,6 +178,15 @@ def test_assignment_rejects_root_and_overflow():
         LeaderAssignment(tree, {"A": (2,)}, pmf_of(A=1.0))
     with pytest.raises(ValueError):
         LeaderAssignment(tree, {"B": (0,)}, pmf_of(A=1.0))
+
+
+def test_assignment_takes_integer_digits_of_any_integer_type():
+    a = LeaderAssignment(
+        DaryTree(2, 2), {"A": [np.int64(0)], "B": (True, np.uint8(0))}, pmf_of(A=0.5, B=0.5)
+    )
+    assert a.leaders == {"A": (0,), "B": (1, 0)}
+    assert all(type(d) is int for path in a.leaders.values() for d in path)
+    assert a.security.secure
 
 
 def test_verify_secure_examples():

@@ -255,7 +255,7 @@ def test_audit_detects_prefix_clash():
     )
     clashed = dataclasses.replace(plan, assignment=clashing)
     audit = plan_cost_audit(clashed, BALANCED)
-    assert not audit.prefix_free
+    assert audit.prefix_free is verify_secure(clashing).secure is False
 
 
 def test_audit_weight_check_on_random_graphs():

@@ -1,15 +1,20 @@
 """The sorted prefix scan against an all-pairs oracle.
 
-``prefix_violations`` is the one prefix-freeness check behind
-``PrefixCode``, ``verify_secure`` and ``plan_cost_audit``. Paths are drawn
-from a small tree so that duplicates, nested prefixes and disjoint paths
-all occur often.
+``prefix_violations`` is the one prefix-freeness check. It has two
+callers: ``PrefixCode``, which refuses a code that is not prefix-free, and
+``LeaderAssignment``, which keeps its verdict as ``security``;
+``verify_secure`` and ``plan_cost_audit`` read that verdict. Paths are
+drawn from a small tree so that duplicates, nested prefixes and disjoint
+paths all occur often.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prefixcast import hierarchy, multicast, source_coding
 from prefixcast.hierarchy import DaryTree, LeaderAssignment, verify_secure
 from prefixcast.source_coding import (
     Codeword,
@@ -19,6 +24,7 @@ from prefixcast.source_coding import (
 )
 
 from oracles import is_prefix_free, prefix_pairs
+from test_cli_golden import _stdout, data_dir  # noqa: F401 (data_dir is a fixture)
 
 D = 3
 MAX_DEPTH = 3
@@ -61,6 +67,17 @@ def test_verify_secure_violations_match_oracle_in_order(leaders):
     )
     assert report.violations == expected
     assert report.secure == (not expected)
+    assert report is assignment.security
+
+    # a changed placement is judged afresh, and equality ignores the verdict
+    clash = dict.fromkeys(leaders, leaders[labels[0]])
+    moved = dataclasses.replace(assignment, leaders=clash)
+    assert moved.security.secure == (k == 1)
+    assert len(moved.security.violations) == k * (k - 1)
+    restored = dataclasses.replace(moved, leaders=leaders)
+    assert restored.security == report
+    object.__setattr__(restored, "security", moved.security)
+    assert restored == assignment
 
 
 @given(words=labelled_paths())
@@ -81,3 +98,35 @@ def test_prefix_code_accepts_exactly_the_prefix_free_sets(words):
     assert str(err.value) == (
         f"codewords for {labels[i]!r} and {labels[j]!r} are not prefix-free"
     )
+
+
+PLAN = "plan-multicast --graph network.edges --pmf importance.pmf --root gw"
+
+
+@pytest.mark.parametrize(
+    "invocation, scans",
+    [
+        ("assign-leaders --pmf importance.pmf --D 2", 2),
+        (PLAN, 2),
+        (PLAN + " --audit", 2),
+        # a relaxed plan that shifts builds a second, shifted assignment
+        ("plan-multicast --graph relay.edges --pmf importance.pmf --root r --relax --audit", 3),
+    ],
+)
+def test_each_request_scans_once_for_the_code_and_once_per_placement(
+    invocation, scans, data_dir, monkeypatch
+):
+    calls = []
+
+    def counting(paths):
+        calls.append(len(paths))
+        return prefix_violations(paths)
+
+    # wrap the scan wherever a library module binds it
+    for module in (source_coding, hierarchy, multicast):
+        if hasattr(module, "prefix_violations"):
+            monkeypatch.setattr(module, "prefix_violations", counting)
+
+    assert "secure true" in _stdout(invocation.split())
+    assert calls == [3] * scans
+    assert not hasattr(multicast, "prefix_violations")

@@ -481,6 +481,19 @@ def test_length_set_rejects_bad_input():
         (lambda: PrefixCode(1, {"a": Codeword((0,))}), "alphabet size must be >= 2, got 1"),
         (lambda: PrefixCode(2, {}), "prefix code has no assignments"),
         (lambda: PrefixCode(2, {"a": Codeword((2,))}), "digit 2 out of range for D=2 in 'a'"),
+        (
+            lambda: PrefixCode(2, {"a": Codeword((0,)), "b": Codeword((1, 0.5))}),
+            "digits of 'b' must be integers, got (1, 0.5)",
+        ),
+        (
+            lambda: PrefixCode(2, {"a": Codeword(("1",))}),
+            "digits of 'a' must be integers, got ('1',)",
+        ),
+        (lambda: PrefixCode(2, {"a": Codeword(())}), "codeword for 'a' is empty"),
+        (
+            lambda: PrefixCode(2, {"a": Codeword((0,)), "b": Codeword(())}),
+            "codeword for 'b' is empty",
+        ),
         (lambda: consecutive_lengths_sum(0, 1, 2), "n1 and M must be >= 1"),
         (lambda: consecutive_lengths_sum(1, 1, 1), "alphabet size must be >= 2"),
         (lambda: arithmetic_progression_satisfies_kraft(0, 1, 1, 2), "n1, step and M must be >= 1"),
