@@ -22,6 +22,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+from .source_coding import _integer
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -74,6 +76,7 @@ class IntervalSet:
         )
         if not ivs:
             raise ValueError("interval set is empty")
+        object.__setattr__(self, "f", _integer("fault bound", self.f))
         if not 0 <= self.f < len(ivs):
             raise ValueError(
                 f"fault bound {self.f} outside 0..{len(ivs) - 1} for {len(ivs)} intervals"

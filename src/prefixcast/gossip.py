@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import Graph, _hop_levels
+from .source_coding import _integer, _probability
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -85,7 +86,7 @@ class LeveledNetwork:
     level is below the distance, and no edge skips a level, so none is
     above it. Any other map is rejected, so holding a LeveledNetwork
     certifies the invariant that adjacent vertices differ by at most one
-    level.
+    level. Levels are integers by :func:`_integer`, stored as int.
     """
 
     graph: Graph
@@ -93,16 +94,14 @@ class LeveledNetwork:
     level: dict
 
     def __post_init__(self):
+        level = {v: _integer("level", x) for v, x in self.level.items()}
+        object.__setattr__(self, "level", level)
         if not self._is_bfs_distance():
             raise ValueError("level map is not the BFS distance from the base station")
 
     def _is_bfs_distance(self) -> bool:
         bs, level = self.base_station, self.level
-        if (
-            level.keys() != set(self.graph.vertices)
-            or not all(isinstance(x, int) for x in level.values())
-            or level.get(bs) != 0
-        ):
+        if level.keys() != set(self.graph.vertices) or level.get(bs) != 0:
             return False
         stepped = {bs}  # the base station and each vertex with a lower neighbor
         for u, v in self.graph.edges:
@@ -126,7 +125,8 @@ class GossipConfig:
     ``level_probabilities[j-1]`` gates forwarding at level j. Levels must be
     strictly decreasing in probability (nearer the base station gossips
     harder) unless ``allow_nonmonotone`` is set, which is recorded so output
-    can flag the experiment.
+    can flag the experiment. ``trials`` (at least 1) and ``seed`` are
+    integers by :func:`_integer`, stored as int; neither is truncated.
     """
 
     level_probabilities: tuple
@@ -136,12 +136,9 @@ class GossipConfig:
     allow_nonmonotone: bool = False
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.level_probabilities)
+        probs = tuple(_probability("level probability", float(p)) for p in self.level_probabilities)
         if not probs:
             raise ValueError("at least one level probability is required")
-        for p in probs:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"level probability {p!r} outside [0, 1]")
         if not self.allow_nonmonotone:
             for a, b in zip(probs, probs[1:]):
                 if not a > b:
@@ -149,13 +146,10 @@ class GossipConfig:
                         "level probabilities must be strictly decreasing; "
                         "pass allow_nonmonotone to override"
                     )
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"link failure probability {self.q!r} outside [0, 1]")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "q", float(_probability("link failure probability", self.q)))
+        object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         object.__setattr__(self, "level_probabilities", probs)
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -195,8 +189,7 @@ def assign_sectors(positions: dict, base_station, k: int) -> dict:
     boundary snap onto it, so a vertex at exactly 90 degrees with K=4 lands
     in sector 1. The base station itself gets sector 0.
     """
-    if k < 1:
-        raise ValueError(f"sector count must be >= 1, got {k}")
+    k = _integer("sector count", k, 1)
     if base_station not in positions:
         raise ValueError(f"no position for base station {base_station!r}")
     bx, by = positions[base_station]

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .source_coding import ProbabilityMassFunction, _entropy, shannon_entropy
+from .source_coding import ProbabilityMassFunction, _entropy, _integer, shannon_entropy
 
 ENUMERATION_GUARD = 9
 # K8 (262144 trees) fits; K9 (4782969) is refused before the search
@@ -724,15 +724,13 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
 
 
 def ring_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a ring needs at least 3 vertices")
+    n = _integer("vertex count", n, 3)
     verts = tuple(range(n))
     return Graph(verts, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 2:
-        raise ValueError("a complete graph needs at least 2 vertices")
+    n = _integer("vertex count", n, 2)
     verts = tuple(range(n))
     return Graph(
         verts, tuple((i, j) for i in range(n) for j in range(i + 1, n))
@@ -740,15 +738,13 @@ def complete_graph(n: int) -> Graph:
 
 
 def star_graph(leaves: int) -> Graph:
-    if leaves < 1:
-        raise ValueError("a star needs at least 1 leaf")
+    leaves = _integer("leaf count", leaves, 1)
     verts = tuple(range(leaves + 1))
     return Graph(verts, tuple((0, i) for i in range(1, leaves + 1)))
 
 
 def path_graph(n: int) -> Graph:
-    if n < 2:
-        raise ValueError("a path needs at least 2 vertices")
+    n = _integer("vertex count", n, 2)
     verts = tuple(range(n))
     return Graph(verts, tuple((i, i + 1) for i in range(n - 1)))
 

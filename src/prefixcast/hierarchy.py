@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from .source_coding import (
     CodeLengthSet,
     ProbabilityMassFunction,
+    _integer,
     _integer_digits,
+    _probability,
     huffman_code,
     kraft_sum,
     prefix_violations,
@@ -29,10 +31,7 @@ def total_nodes(d: int, n_max: int) -> int:
     Geometric series (D**(n_max+1) - 1) / (D - 1); at D=2 this is the
     familiar 2**(n_max+1) - 1.
     """
-    if d < 2:
-        raise ValueError(f"arity must be >= 2, got {d}")
-    if n_max < 0:
-        raise ValueError(f"depth must be >= 0, got {n_max}")
+    d, n_max = _integer("arity", d, 2), _integer("depth", n_max, 0)
     return (d ** (n_max + 1) - 1) // (d - 1)
 
 
@@ -44,12 +43,11 @@ class DaryTree:
     max_depth: int
 
     def __post_init__(self):
-        if self.arity < 2:
-            raise ValueError(f"arity must be >= 2, got {self.arity}")
-        if self.max_depth < 0:
-            raise ValueError(f"max depth must be >= 0, got {self.max_depth}")
+        object.__setattr__(self, "arity", _integer("arity", self.arity, 2))
+        object.__setattr__(self, "max_depth", _integer("max depth", self.max_depth, 0))
 
     def nodes_at_depth(self, j: int) -> int:
+        j = _integer("depth", j)
         if not 0 <= j <= self.max_depth:
             raise ValueError(f"depth {j} outside 0..{self.max_depth}")
         return self.arity**j
@@ -65,20 +63,18 @@ class DaryTree:
 
 @dataclass(frozen=True)
 class LevelLeaderCounts:
-    """s_j = number of leaders elected at depth j, for j = 1..n_max."""
+    """s_j = number of leaders elected at depth j, for j = 1..n_max, in 0..D**j.
 
-    counts: tuple
+    D and every s_j are integers by :func:`_integer`, stored as int; a
+    fractional count is refused, not truncated."""
+
+    counts: tuple[int, ...]
     arity: int
 
     def __post_init__(self):
-        if self.arity < 2:
-            raise ValueError(f"arity must be >= 2, got {self.arity}")
-        counts = tuple(int(s) for s in self.counts)
-        for j, s in enumerate(counts, start=1):
-            if not 0 <= s <= self.arity**j:
-                raise ValueError(
-                    f"level {j} has {s} leaders but only {self.arity**j} nodes"
-                )
+        d = _integer("arity", self.arity, 2)
+        counts = tuple(_leader_count(s, j, d) for j, s in enumerate(self.counts, start=1))
+        object.__setattr__(self, "arity", d)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -153,15 +149,18 @@ class LeaderAssignment:
         )
 
 
-def node_selection_probability(s_j: int, j: int, d: int) -> float:
-    """Probability a given depth-j node is one of the s_j elected leaders."""
-    if d < 2:
-        raise ValueError(f"arity must be >= 2, got {d}")
-    if j < 0:
-        raise ValueError(f"depth must be >= 0, got {j}")
+def _leader_count(s_j, j: int, d: int) -> int:
+    """s_j as an int in 0..D**j, the node count at depth j."""
+    s_j = _integer("s_j", s_j)
     if not 0 <= s_j <= d**j:
         raise ValueError(f"s_j={s_j} outside 0..{d**j} at depth {j}")
-    return s_j / d**j
+    return s_j
+
+
+def node_selection_probability(s_j: int, j: int, d: int) -> float:
+    """Probability a given depth-j node is one of the s_j elected leaders."""
+    d, j = _integer("arity", d, 2), _integer("depth", j, 0)
+    return _leader_count(s_j, j, d) / d**j
 
 
 def level_leader_probability(s_j: int, j: int, d: int, n_max: int) -> float:
@@ -170,17 +169,16 @@ def level_leader_probability(s_j: int, j: int, d: int, n_max: int) -> float:
     s_j elected nodes out of the whole tree's node count. The level j is
     needed to validate s_j against the D**j nodes available at that depth.
     """
+    j, n_max = _integer("level", j), _integer("n_max", n_max)
     if not 1 <= j <= n_max:
         raise ValueError(f"level {j} outside 1..{n_max}")
-    if not 0 <= s_j <= d**j:
-        raise ValueError(f"s_j={s_j} outside 0..{d**j} at depth {j}")
-    return s_j / total_nodes(d, n_max)
+    d = _integer("arity", d, 2)
+    return _leader_count(s_j, j, d) / total_nodes(d, n_max)
 
 
 def local_leader_probability(counts: LevelLeaderCounts, n_max: int | None = None) -> float:
     """Probability a uniformly random tree node is a leader at any level."""
-    if n_max is None:
-        n_max = counts.n_max
+    n_max = counts.n_max if n_max is None else _integer("n_max", n_max)
     if n_max < counts.n_max:
         raise ValueError(
             f"n_max={n_max} smaller than the {counts.n_max} levels of counts"
@@ -211,17 +209,11 @@ def verify_secure(assignment: LeaderAssignment) -> SecurityReport:
 
 def path_reliability(q: float, n_j: int) -> float:
     """Probability all n_j links from the root to a depth-n_j leader work."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"link failure probability {q!r} outside [0, 1]")
-    if n_j < 1:
-        raise ValueError(f"depth must be >= 1, got {n_j}")
+    q, n_j = _probability("link failure probability", q), _integer("depth", n_j, 1)
     return (1.0 - q) ** n_j
 
 
 def last_link_failure_probability(q: float, n_j: int) -> float:
     """Probability the first n_j - 1 links work and the final link fails."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"link failure probability {q!r} outside [0, 1]")
-    if n_j < 1:
-        raise ValueError(f"depth must be >= 1, got {n_j}")
+    q, n_j = _probability("link failure probability", q), _integer("depth", n_j, 1)
     return (1.0 - q) ** (n_j - 1) * q

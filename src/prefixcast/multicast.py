@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .graphs import WeightedGraph, _hop_levels, _is_mst, minimum_spanning_tree
 from .hierarchy import DaryTree, LeaderAssignment, assign_leaders
-from .source_coding import Codeword, ProbabilityMassFunction
+from .source_coding import Codeword, ProbabilityMassFunction, _integer
 
 
 class CapacityExceeded(ValueError):
@@ -104,8 +104,7 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
     from the lower level to the higher, and one pass in BFS order, which
     puts a parent before its children, addresses each retained vertex.
     """
-    if d < 2:
-        raise ValueError(f"arity must be >= 2, got {d}")
+    d = _integer("arity", d, 2)
     rank = spanning_tree.graph()._order_key
     if root not in rank:
         raise ValueError(f"root {root!r} is not a vertex")

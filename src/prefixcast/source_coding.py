@@ -75,19 +75,21 @@ class ProbabilityMassFunction:
 
 @dataclass(frozen=True)
 class CodeLengthSet:
-    """Codeword lengths plus the channel alphabet size D."""
+    """Codeword lengths, each at least 1, and the alphabet size D >= 2; all are
+    integers by :func:`_integer` (int, bool or numpy integers), stored as int."""
 
     lengths: tuple[int, ...]
     alphabet_size: int = 2
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.alphabet_size}")
+        object.__setattr__(self, "alphabet_size", _integer("alphabet size", self.alphabet_size, 2))
         if not self.lengths:
             raise ValueError("length set is empty")
-        for n in self.lengths:
-            if not isinstance(n, int) or n < 1:
+        lengths = tuple(_integer("codeword length", n) for n in self.lengths)
+        for n in lengths:
+            if n < 1:
                 raise ValueError(f"codeword lengths must be positive integers, got {n!r}")
+        object.__setattr__(self, "lengths", lengths)
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -126,8 +128,7 @@ class PrefixCode:
     assignments: dict[str, Codeword]
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.alphabet_size}")
+        object.__setattr__(self, "alphabet_size", _integer("alphabet size", self.alphabet_size, 2))
         if not self.assignments:
             raise ValueError("prefix code has no assignments")
         for label, word in self.assignments.items():
@@ -152,6 +153,25 @@ class PrefixCode:
         return CodeLengthSet(
             tuple(word.length for word in self.assignments.values()), self.alphabet_size
         )
+
+
+def _integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int of at least ``low``. An integer is what has ``__index__``
+    (PEP 357): int, bool and numpy integers pass as int; 2.5, "2" and None do not."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and n < low:
+        raise ValueError(f"{name} must be >= {low}, got {n}")
+    return n
+
+
+def _probability(name: str, p: float) -> float:
+    """``p`` unchanged, once it lies in [0, 1]; ``name`` says what it is the probability of."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} {p!r} outside [0, 1]")
+    return p
 
 
 def _integer_digits(label, digits) -> tuple[int, ...]:
@@ -224,10 +244,8 @@ def consecutive_lengths_sum(n1: int, m: int, d: int) -> float:
     Equals ``D**-n1 * (D**-M - 1) / (D**-1 - 1)`` by the geometric series, and
     reduces to ``1 - 2**-M`` for D=2, n1=1.
     """
-    if n1 < 1 or m < 1:
-        raise ValueError("n1 and M must be >= 1")
-    if d < 2:
-        raise ValueError("alphabet size must be >= 2")
+    n1, m = _integer("n1", n1, 1), _integer("M", m, 1)
+    d = _integer("alphabet size", d, 2)
     return d ** -n1 * (d ** float(-m) - 1.0) / (d ** -1.0 - 1.0)
 
 
@@ -243,10 +261,8 @@ def arithmetic_progression_satisfies_kraft(
     ``D**-n1 / (1 - D**-step) <= 1``, so increasing progressions always
     satisfy the inequality, which the test suite probes empirically.
     """
-    if n1 < 1 or m < 1 or step < 1:
-        raise ValueError("n1, step and M must be >= 1")
-    if d < 2:
-        raise ValueError("alphabet size must be >= 2")
+    n1, step, m = _integer("n1", n1, 1), _integer("step", step, 1), _integer("M", m, 1)
+    d = _integer("alphabet size", d, 2)
     ratio = d ** float(-step)
     total = d ** -n1 * (1.0 - ratio**m) / (1.0 - ratio)
     lengths = CodeLengthSet(tuple(n1 + k * step for k in range(m)), d)
@@ -260,6 +276,7 @@ def kraft_alphabet_monotonicity(lengths: CodeLengthSet, d_prime: int) -> bool:
     term D'**-n is then no larger than D**-n, so the result is always True
     when the precondition holds.
     """
+    d_prime = _integer("D'", d_prime)
     if d_prime <= lengths.alphabet_size:
         raise ValueError(
             f"D'={d_prime} must exceed the base alphabet size {lengths.alphabet_size}"
@@ -320,8 +337,7 @@ def huffman_lengths(pmf: ProbabilityMassFunction, d: int = 2) -> dict[str, int]:
     symbol when there are at most D of them (one merge takes them all), so
     the padding stays smaller than the symbol count.
     """
-    if d < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {d}")
+    d = _integer("alphabet size", d, 2)
     labels = pmf.labels()
     if len(labels) <= d:
         return {label: 1 for label in labels}

@@ -298,10 +298,10 @@ def test_zero_mass_terms_are_skipped():
             lambda: graph_kl_divergence(ring_graph(3), ring_graph(3), {0: 0, 1: 1}),
             "correspondence does not cover the first graph's vertices",
         ),
-        (lambda: ring_graph(2), "a ring needs at least 3 vertices"),
-        (lambda: complete_graph(1), "a complete graph needs at least 2 vertices"),
-        (lambda: star_graph(0), "a star needs at least 1 leaf"),
-        (lambda: path_graph(1), "a path needs at least 2 vertices"),
+        (lambda: ring_graph(2), "vertex count must be >= 3, got 2"),
+        (lambda: complete_graph(1), "vertex count must be >= 2, got 1"),
+        (lambda: star_graph(0), "leaf count must be >= 1, got 0"),
+        (lambda: path_graph(1), "vertex count must be >= 2, got 1"),
     ],
 )
 def test_out_of_range_arguments_are_named(call, message):

@@ -494,10 +494,10 @@ def test_length_set_rejects_bad_input():
             lambda: PrefixCode(2, {"a": Codeword((0,)), "b": Codeword(())}),
             "codeword for 'b' is empty",
         ),
-        (lambda: consecutive_lengths_sum(0, 1, 2), "n1 and M must be >= 1"),
-        (lambda: consecutive_lengths_sum(1, 1, 1), "alphabet size must be >= 2"),
-        (lambda: arithmetic_progression_satisfies_kraft(0, 1, 1, 2), "n1, step and M must be >= 1"),
-        (lambda: arithmetic_progression_satisfies_kraft(1, 1, 1, 1), "alphabet size must be >= 2"),
+        (lambda: consecutive_lengths_sum(0, 1, 2), "n1 must be >= 1, got 0"),
+        (lambda: consecutive_lengths_sum(1, 1, 1), "alphabet size must be >= 2, got 1"),
+        (lambda: arithmetic_progression_satisfies_kraft(0, 1, 1, 2), "n1 must be >= 1, got 0"),
+        (lambda: arithmetic_progression_satisfies_kraft(1, 1, 1, 1), "alphabet size must be >= 2, got 1"),
         (
             lambda: huffman_lengths(ProbabilityMassFunction.from_pairs([("a", 1.0)]), 1),
             "alphabet size must be >= 2, got 1",
