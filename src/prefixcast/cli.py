@@ -757,7 +757,7 @@ def run(argv=None) -> int:
         print(f"prefixcast {args.command}: {msg}", file=sys.stderr)
         return VALIDATION_EXIT
     except RuntimeError as err:
-        # a failed self-check, such as the spanning-tree count cross-check
+        # a failed self-check, such as the check of a returned spanning tree
         print(f"prefixcast {args.command}: internal error: {err}", file=sys.stderr)
         return INTERNAL_EXIT
     print(rep.render(args.json))

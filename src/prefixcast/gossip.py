@@ -99,6 +99,13 @@ class LeveledNetwork:
         if not self._is_bfs_distance():
             raise ValueError("level map is not the BFS distance from the base station")
 
+    @classmethod
+    def _trusted(cls, graph: Graph, base_station, level: dict) -> LeveledNetwork:
+        """The network of ``level``, a BFS distance map of int levels, not checked again."""
+        net = object.__new__(cls)
+        net.__dict__.update(graph=graph, base_station=base_station, level=level)
+        return net
+
     def _is_bfs_distance(self) -> bool:
         bs, level = self.base_station, self.level
         if level.keys() != set(self.graph.vertices) or level.get(bs) != 0:
@@ -178,7 +185,7 @@ def assign_levels(g: Graph, base_station) -> LeveledNetwork:
     level = _hop_levels(g, base_station)
     if len(level) < len(g.vertices):
         raise ValueError("graph is disconnected; leveling undefined")
-    return LeveledNetwork(g, base_station, level)
+    return LeveledNetwork._trusted(g, base_station, level)
 
 
 def assign_sectors(positions: dict, base_station, k: int) -> dict:

@@ -4,19 +4,24 @@ The entropy of a graph here is the Shannon entropy of its degree
 distribution: each vertex gets probability deg(v) divided by the total
 degree. Conditional entropy, mutual information against a vertex coloring,
 Tsallis entropy, and Kullback-Leibler divergence between two graphs all
-derive from the same distribution. Spanning-tree enumeration over every
-tree is exhaustive. The matrix-tree determinant counts the trees first: a
-graph with more than ``TREE_BUDGET`` is refused, and the search must find
-exactly that many, so a bug in either route cannot pass silently. The
-search tests feasibility only when it excludes an edge that joins two
-components, since no other step can lose a tree. The minimum-weight scope
-passes the same guards but searches only the minimum spanning trees: it
-tests each child once and searches it only when the fsum of its least
-tree, the picked edges plus the lightest completion, is at most the MST's,
-which loses no tree because fsum rounds correctly and rounding is
-monotone. A tree is the tuple of its edges; the entropy extrema fold those
-tuples and evaluate the entropy once per distinct degree vector. A graph
-is checked once, when built, and a WeightedGraph keeps the Graph it built.
+derive from the same distribution. Spanning-tree enumeration lists every
+tree. The matrix-tree determinant counts the trees first: a graph with more
+than ``TREE_BUDGET`` is refused, and the enumeration must find exactly that
+many, so a bug in either route cannot pass silently. The search tests
+feasibility only when it excludes an edge that joins two components, since
+no other step can lose a tree. The entropy extrema pass the same guards
+but do not list every tree. Over all trees they run a branch and bound in
+the enumeration's order, which cuts a branch when bounds on its degrees
+show that no tree below it beats the trees found so far; each returned
+tree is checked to be a spanning tree of the graph. The minimum-weight
+scope searches only the minimum spanning trees: it tests each child once
+and searches it only when the fsum of its least tree, the picked edges
+plus the lightest completion, is at most the MST's, which loses no tree
+because fsum rounds correctly and rounding is monotone. A tree is the
+tuple of its edges; both scopes compare trees by the exact integer product
+of d**d over their degrees and evaluate the entropy of their two winners
+alone. A graph is checked once, when built, and a WeightedGraph keeps the
+Graph it built.
 Every tie follows one order, each vertex's int rank in ``_vkey`` order,
 which a Graph keeps as ``_order_key``. An MST shares its graph's ranks and
 checked edge triples and is not checked again.
@@ -27,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .source_coding import ProbabilityMassFunction, _entropy, _integer, shannon_entropy
 
@@ -563,46 +569,157 @@ def enumerate_spanning_trees(g: Graph) -> list:
     return trees
 
 
-def _entropy_extrema(rank: dict, trees) -> tuple:
-    """(min, max, argmin, argmax) of entropy over spanning trees' edge tuples.
+def _guarded_powers(g: Graph) -> list:
+    """``d**d`` for each degree a spanning tree of g can have, once g passes the
+    guards of :func:`_enumerable_tree_count` and has an edge.
 
-    ``rank`` is the graph's ``_order_key``, indexing each vertex's degree.
-
-    Entropy comes from the degree counts by :func:`graph_entropy`'s formula,
-    so the values are equal. It depends on the degree vector alone, so it is
-    computed once per distinct vector and cached for this fold; equal
-    vectors give equal values, so ties still resolve to the first tree. A
-    graph of at most one vertex has only the empty tree, which has no
-    entropy.
+    A tree's entropy is log2(2(n-1)) - S/(2(n-1)) with S the sum of
+    d*log2(d) over its degrees, so the product of their ``d**d``, 2**S,
+    orders trees by entropy, reversed, in exact integers. On trees of at
+    most ``ENUMERATION_GUARD`` vertices it ties exactly where the entropy
+    does.
     """
-    if len(rank) <= 1:
+    _enumerable_tree_count(g)
+    n = len(g.vertices)
+    if n <= 1:
         raise ValueError("spanning trees of a trivial graph have no edges")
-    total = 2 * (len(rank) - 1)
-    known: dict = {}
-    lo = hi = arg_lo = arg_hi = None
-    for t in trees:
-        deg = [0] * len(rank)
-        for u, v in t:
-            deg[rank[u]] += 1
-            deg[rank[v]] += 1
-        deg = tuple(deg)
-        h = known.get(deg)
-        if h is None:
-            h = known[deg] = _entropy((c / total for c in deg), 2.0)
-        if lo is None or h < lo:
-            lo, arg_lo = h, t
-        if hi is None or h > hi:
-            hi, arg_hi = h, t
-    return lo, hi, arg_lo, arg_hi
+    return [d**d for d in range(n)]
+
+
+def _tree_entropy(deg) -> float:
+    """Entropy of a tree's degree vector by :func:`graph_entropy`'s formula, so
+    the values are equal."""
+    total = sum(deg)
+    return _entropy((c / total for c in deg), 2.0)
+
+
+def _check_tree(g: Graph, tree: tuple, deg: list) -> None:
+    """Raise RuntimeError unless ``tree`` is a spanning tree of g whose degree
+    vector, indexed by rank, is ``deg``."""
+    rank = g._order_key
+    t = Graph._trusted(g.vertices, tree, rank)
+    edges_of_g = all(g.has_edge(u, v) for u, v in tree)
+    if not (len(tree) == len(rank) - 1 and edges_of_g and is_connected(t)):
+        raise RuntimeError(
+            f"the search returned {len(tree)} edges that are not a spanning tree of the graph"
+        )
+    got = t.degree()
+    if any(got[v] != deg[rank[v]] for v in g.vertices):
+        raise RuntimeError("a returned tree's degree vector differs from the one the search carried")
 
 
 def spanning_tree_entropy_extrema(g: Graph):
     """(min, max, argmin tree, argmax tree) of entropy over all spanning trees.
 
     The trees are edge tuples, as :func:`enumerate_spanning_trees` gives
-    them, and ties resolve to the first tree in its order.
+    them, and ties resolve to the first tree in its order. The guards are
+    its guards, but the search is a branch and bound in its order: trees
+    compare by their product of ``d**d`` (see :func:`_guarded_powers`), and
+    an incumbent is replaced only by a strictly better tree.
+
+    A branch is cut when no tree below it can strictly beat either
+    incumbent. Below it each degree lies between a floor, max(1, chosen
+    degree), and a cap, the chosen degree plus the number of other
+    components its undecided edges reach, at most the edges still needed;
+    the degrees sum to 2(n-1). A unit of degree added at d multiplies the
+    product by (d+1)**(d+1) / d**d, which grows with d alone. So over that
+    box the least product adds the spare units at the least degrees
+    (water-filling), and the spare largest steps bound the greatest one;
+    when that bound does not cut, a knapsack over the vertices finds the
+    greatest product exactly. The search stops once the least product is
+    the path's, 4**(n-2), and the greatest the star's, (n-1)**(n-1), which
+    no tree passes. Each returned tree is checked to be a spanning tree of
+    g with the degree vector the search carried, and its entropy comes from
+    that vector.
     """
-    return _entropy_extrema(g._order_key, enumerate_spanning_trees(g))
+    power = _guarded_powers(g)
+    rank = g._order_key
+    n = len(rank)
+    edges = sorted(g.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
+    ends = [(rank[u], rank[v]) for u, v in edges]
+    total = 2 * (n - 1)
+    path, star = 4 ** (n - 2), (n - 1) ** (n - 1)
+    # the least and greatest products found, with their trees and degree
+    # vectors; every tree's product lies in [path, star]
+    least, most = star + 1, path - 1
+    least_tree = most_tree = least_deg = most_deg = None
+
+    def improvable(i: int, comp: list, deg: list, need: int) -> bool:
+        """False when no tree below the branch, with edges i.. undecided,
+        strictly beats either incumbent."""
+        reach = [0] * n
+        for x, y in ends[i:]:
+            a, b = comp[x], comp[y]
+            if a != b:
+                reach[x] |= 1 << b
+                reach[y] |= 1 << a
+        floors = [d or 1 for d in deg]
+        caps = [d + min(r.bit_count(), need) for d, r in zip(deg, reach)]
+        spare = total - sum(floors)
+        # each unit step the box allows, as the degree it starts from
+        steps = sorted(chain.from_iterable(map(range, floors, caps)))
+        base = math.prod(map(power.__getitem__, floors))
+        low, scale = base, 1
+        for d in steps[:spare]:
+            low *= power[d + 1]
+            scale *= power[d]
+        if low < least * scale:
+            return True
+        if most == star:
+            return False
+        high, scale = base, 1
+        for d in steps[len(steps) - spare:]:
+            high *= power[d + 1]
+            scale *= power[d]
+        if high <= most * scale:
+            return False
+        # best[u]: the greatest product over the vertices so far with u
+        # spare units added
+        best = [1] + [0] * spare
+        for f, c in zip(floors, caps):
+            row = power[f : c + 1]
+            nxt = [0] * (spare + 1)
+            for u, x in enumerate(best):
+                if x:
+                    for k, p in enumerate(row[: spare + 1 - u], u):
+                        if x * p > nxt[k]:
+                            nxt[k] = x * p
+            best = nxt
+        return best[spare] > most
+
+    # the search of enumerate_spanning_trees, each branch also carrying the
+    # degree vector of its chosen edges, and cut at each pop and include
+    stack = [(0, list(range(n)), n - 1, (), [0] * n)]
+    while stack:
+        i, comp, need, chosen, deg = stack.pop()
+        if not improvable(i, comp, deg, need):
+            continue
+        while need:
+            x, y = ends[i]
+            a, b = comp[x], comp[y]
+            if a != b:
+                if len(ends) - i > need and _joined_later(ends, i + 1, comp, a, b):
+                    stack.append((i + 1, comp, need, chosen, deg))
+                comp = [a if c == b else c for c in comp]
+                need -= 1
+                chosen += (edges[i],)
+                deg = deg[:]
+                deg[x] += 1
+                deg[y] += 1
+                if need and not improvable(i + 1, comp, deg, need):
+                    break
+            i += 1
+        else:
+            p = math.prod(map(power.__getitem__, deg))
+            if p < least:
+                least, least_tree, least_deg = p, chosen, deg
+            if p > most:
+                most, most_tree, most_deg = p, chosen, deg
+            if least == path and most == star:
+                break
+    _check_tree(g, most_tree, most_deg)
+    _check_tree(g, least_tree, least_deg)
+    return _tree_entropy(most_deg), _tree_entropy(least_deg), most_tree, least_tree
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
@@ -712,12 +829,25 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     below the branch weighs at least that much, and rounding is monotone,
     so the cut keeps every tree that counts. A branch whose include child
     is cut has already pushed its exclude child, so no tree is lost or
-    found twice.
+    found twice. The fold compares the trees by their product of ``d**d``,
+    as :func:`spanning_tree_entropy_extrema` does, and evaluates the
+    entropy of its two winners alone.
     """
-    _enumerable_tree_count(g.graph())
+    power = _guarded_powers(g.graph())
     best = minimum_spanning_tree(g).total_weight()
-    lo, hi, _, _ = _entropy_extrema(g.graph()._order_key, _minimum_spanning_trees(g, best))
-    return lo, hi
+    rank = g.graph()._order_key
+    least = most = None
+    for t in _minimum_spanning_trees(g, best):
+        deg = [0] * len(rank)
+        for u, v in t:
+            deg[rank[u]] += 1
+            deg[rank[v]] += 1
+        p = math.prod(map(power.__getitem__, deg))
+        if least is None or p < least[0]:
+            least = p, deg
+        if most is None or p > most[0]:
+            most = p, deg
+    return _tree_entropy(most[1]), _tree_entropy(least[1])
 
 
 # -------------------------------------------------------- common topologies

@@ -14,13 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 from .source_coding import (
-    CodeLengthSet,
     ProbabilityMassFunction,
     _integer,
     _integer_digits,
     _probability,
     huffman_code,
-    kraft_sum,
     prefix_violations,
 )
 
@@ -142,11 +140,9 @@ class LeaderAssignment:
         )
 
     def depth_kraft_sum(self) -> float:
-        return kraft_sum(
-            CodeLengthSet(
-                tuple(len(p) for p in self.leaders.values()), self.tree.arity
-            )
-        )
+        """Kraft sum of the leader depths, which construction has checked."""
+        d = self.tree.arity
+        return math.fsum(d ** -len(p) for p in self.leaders.values())
 
 
 def _leader_count(s_j, j: int, d: int) -> int:

@@ -536,15 +536,15 @@ def test_mst_weight(square):
 
 
 def test_failed_self_check_is_internal_error(square, monkeypatch):
-    # the enumeration cross-checks its tree count against the matrix-tree
-    # determinant; a mismatch is a bug, reported in one line with exit 70
-    monkeypatch.setattr(graphs, "_matrix_tree_count", lambda g: 1)
+    # span-entropy checks that each tree it returns is a spanning tree of the
+    # graph; a failure is a bug, reported in one line with exit 70
+    monkeypatch.setattr(graphs, "is_connected", lambda g: False)
     code, out, err = cli("span-entropy", "--graph", square)
     assert code == INTERNAL_EXIT == 70
     assert out == ""
     assert err == (
-        "prefixcast span-entropy: internal error: enumeration found 8 spanning "
-        "trees but the matrix-tree determinant gives 1\n"
+        "prefixcast span-entropy: internal error: the search returned 3 edges "
+        "that are not a spanning tree of the graph\n"
     )
 
 

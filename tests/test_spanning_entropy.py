@@ -1,21 +1,25 @@
 """Entropy extrema over spanning trees against subset enumeration.
 
-The extrema fold works on the search's edge tuples, not on one ``Graph``
-and one degree pmf per tree. These tests hold it to the exhaustive oracle:
-the values equal ``graph_entropy``'s exactly, the named trees are the first
-extremal ones in ``enumerate_spanning_trees`` order, and the MST scope keeps
-exactly the trees of least ``math.fsum`` weight. Weights in tenths make
+Both scopes work on the searches' edge tuples, not on one ``Graph`` and one
+degree pmf per tree, and compare trees by the product of d**d over their
+degrees. These tests hold them to the exhaustive oracle: the values equal
+``graph_entropy``'s exactly, the named trees are the first extremal ones in
+``enumerate_spanning_trees`` order, also where many trees tie, and the MST
+scope keeps exactly the trees of least ``math.fsum`` weight. Weights in tenths make
 left-to-right sums of one tree's weights depend on their order, which fsum
 does not, and weights near 2**53 make a tree that is not an MST round to
 the MST's weight, which the MST scope keeps. The search's order is the
-subset oracle's order over the canonically sorted edges, and the fold
-evaluates the entropy once per distinct degree vector. The MST scope
-searches only the minimum trees, in that order, and never calls the full
-enumerator.
+subset oracle's order over the canonically sorted edges, and each scope
+evaluates the entropy of its two winners alone. The all-trees scope is a
+branch and bound and the MST scope searches only the minimum trees, both in
+that order, and neither calls the full enumerator. The product orders tree
+degree vectors as the entropy does, ties included, on every tree the
+guard admits.
 """
 
 import functools
 import gc
+import itertools
 import math
 import operator
 import random
@@ -32,6 +36,7 @@ from prefixcast.graphs import (
     enumerate_spanning_trees,
     graph_entropy,
     mst_entropy_extrema,
+    ring_graph,
     spanning_tree_entropy_extrema,
 )
 
@@ -259,10 +264,111 @@ def test_fold_evaluates_entropy_once_per_degree_vector(monkeypatch):
 
     monkeypatch.setattr(graphs, "_entropy", counted)
     lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(k6)
-    assert len(calls) == len({degree_vector(t) for t in trees})
+    # trees compare by their product of d**d; only the two winners' entropy
+    # is evaluated, fewer calls than one per degree vector
+    assert len(calls) <= 2 < len({degree_vector(t) for t in trees})
     assert (lo, hi) == (min(hs), max(hs))
     assert t_lo == trees[hs.index(lo)] and t_hi == trees[hs.index(hi)]
 
     calls.clear()
     assert mst_entropy_extrema(weighted) == (min(hs[i] for i in msts), max(hs[i] for i in msts))
-    assert len(calls) == len({degree_vector(trees[i]) for i in msts})
+    assert len(calls) <= 2 < len({degree_vector(trees[i]) for i in msts})
+
+
+def _wheel(k):
+    """Hub 0 joined to every vertex of the rim cycle 1..k."""
+    rim = tuple((i, i % k + 1) for i in range(1, k + 1))
+    return Graph(tuple(range(k + 1)), tuple((0, i) for i in range(1, k + 1)) + rim)
+
+
+def _tie_families():
+    """Graphs whose spanning trees tie in entropy in many ways, then random ones."""
+    yield from (ring_graph(n) for n in range(3, 10))
+    yield from (complete_graph(n) for n in range(2, 8))
+    yield Graph(tuple(range(6)), tuple((i, j) for i in range(3) for j in range(3, 6)))
+    # the cube Q3: vertices are 3-bit labels, edges flip one bit
+    yield Graph(tuple(range(8)), tuple((i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b))
+    yield from (_wheel(k) for k in range(3, 8))
+    for seed in range(60):
+        rng = random.Random(9700 + seed)
+        n = rng.randint(2, 8)
+        vertices, edges = random_weighted_connected(rng, n, rng.randint(0, min(8, (n - 1) * (n - 2) // 2)))
+        yield Graph(vertices, tuple((u, v) for u, v, _ in edges))
+
+
+def test_search_matches_subset_oracle_with_forced_ties():
+    tied = 0
+    for g in _tie_families():
+        edges = sorted(g.edges, key=lambda e: (_order(e[0]), _order(e[1])))
+        trees = spanning_trees_by_subsets(g.vertices, edges)
+        hs = [graph_entropy(Graph(g.vertices, tuple(t))) for t in trees]
+        lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(g)
+        assert (lo, hi) == (min(hs), max(hs))
+        assert frozenset(t_lo) == trees[hs.index(lo)]
+        assert frozenset(t_hi) == trees[hs.index(hi)]
+        tied += hs.count(lo) > 1 and hs.count(hi) > 1
+    # many graphs have several trees at both extrema
+    assert tied > 10
+
+
+def test_all_scope_searches_without_enumerating_every_tree(monkeypatch):
+    k6 = complete_graph(6)
+    trees = enumerate_spanning_trees(k6)
+    hs = [graph_entropy(Graph(k6.vertices, t)) for t in trees]
+    want = (min(hs), max(hs), trees[hs.index(min(hs))], trees[hs.index(max(hs))])
+
+    def refuse(g):
+        raise AssertionError("the all-trees scope enumerated every spanning tree")
+
+    monkeypatch.setattr(graphs, "enumerate_spanning_trees", refuse)
+    assert spanning_tree_entropy_extrema(k6) == want
+    # of K8's 262144 trees, the first star and the first Hamiltonian path in
+    # include-first order
+    k8 = complete_graph(8)
+    star = tuple((0, v) for v in range(1, 8))
+    path = ((0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7))
+    h_star, h_path = (graph_entropy(Graph(k8.vertices, t)) for t in (star, path))
+    assert spanning_tree_entropy_extrema(k8) == (h_star, h_path, star, path)
+    # the guards still refuse first, with their own messages
+    with pytest.raises(ValueError, match="over the enumeration budget"):
+        spanning_tree_entropy_extrema(complete_graph(9))
+
+
+def _tree_with_degrees(deg):
+    """A tree on vertices 0..n-1 in which vertex i has degree deg[i], decoded
+    from the Pruefer sequence that lists i deg[i] - 1 times."""
+    left = list(deg)
+    edges = []
+    for v in [v for v, d in enumerate(deg) for _ in range(d - 1)]:
+        leaf = left.index(1)
+        edges.append((leaf, v))
+        left[leaf] -= 1
+        left[v] -= 1
+    edges.append(tuple(v for v, d in enumerate(left) if d == 1))
+    return Graph(tuple(range(len(deg))), tuple(edges))
+
+
+def test_product_of_self_powers_orders_trees_as_entropy_does():
+    # the searches compare trees by prod d**d; on every degree sequence of a
+    # tree the guard admits, that order is graph_entropy's, reversed, with
+    # the same ties (it first fails at 12 vertices)
+    for n in range(2, graphs.ENUMERATION_GUARD + 1):
+        keyed = []
+        for deg in itertools.combinations_with_replacement(range(1, n), n):
+            if sum(deg) == 2 * (n - 1):
+                t = _tree_with_degrees(deg)
+                assert tuple(t.degree().values()) == deg
+                keyed.append((graph_entropy(t), math.prod(d**d for d in deg)))
+        for (h1, p1), (h2, p2) in itertools.combinations(keyed, 2):
+            assert (h1 < h2, h1 == h2) == (p1 > p2, p1 == p2)
+
+
+def test_returned_trees_are_checked(monkeypatch):
+    # the search's trees are checked against the graph and against the
+    # degree vectors it carried; a mismatch is a bug, not a refusal
+    monkeypatch.setattr(graphs.Graph, "degree", lambda self: dict.fromkeys(self.vertices, 1))
+    with pytest.raises(RuntimeError, match="degree vector differs"):
+        spanning_tree_entropy_extrema(complete_graph(4))
+    monkeypatch.setattr(graphs, "is_connected", lambda g: False)
+    with pytest.raises(RuntimeError, match="not a spanning tree of the graph"):
+        spanning_tree_entropy_extrema(complete_graph(4))
