@@ -4,24 +4,19 @@ The entropy of a graph here is the Shannon entropy of its degree
 distribution: each vertex gets probability deg(v) divided by the total
 degree. Conditional entropy, mutual information against a vertex coloring,
 Tsallis entropy, and Kullback-Leibler divergence between two graphs all
-derive from the same distribution. Spanning-tree enumeration lists every
-tree. The matrix-tree determinant counts the trees first: a graph with more
-than ``TREE_BUDGET`` is refused, and the enumeration must find exactly that
-many, so a bug in either route cannot pass silently. The search tests
-feasibility only when it excludes an edge that joins two components, since
-no other step can lose a tree. The entropy extrema pass the same guards
-but do not list every tree. Over all trees they run a branch and bound in
-the enumeration's order, which cuts a branch when bounds on its degrees
-show that no tree below it beats the trees found so far; each returned
-tree is checked to be a spanning tree of the graph. The minimum-weight
-scope searches only the minimum spanning trees: it tests each child once
-and searches it only when the fsum of its least tree, the picked edges
-plus the lightest completion, is at most the MST's, which loses no tree
-because fsum rounds correctly and rounding is monotone. A tree is the
-tuple of its edges; both scopes compare trees by the exact integer product
-of d**d over their degrees and evaluate the entropy of their two winners
-alone. A graph is checked once, when built, and a WeightedGraph keeps the
-Graph it built.
+derive from the same distribution. Spanning trees come from one
+include-first search over the canonically sorted edges, which asks a cut of
+each branch. Enumeration runs it with no cut; the matrix-tree determinant
+counts the trees first, a graph with more than ``TREE_BUDGET`` is refused,
+and the enumeration must find exactly that many, so a bug in either route
+cannot pass silently. The entropy extrema pass the same guards and share
+one fold under two cuts: over all trees a degree bound drops a branch when
+no tree below it beats the trees found so far, and over the minimum
+spanning trees a branch goes when the fsum of its least tree exceeds the
+MST's. A tree is the tuple of its edges; the fold compares trees by the
+exact integer product of d**d over their degrees, checks both winners and
+evaluates their entropy alone. A graph is checked once, when built, and a
+WeightedGraph keeps the Graph it built.
 Every tie follows one order, each vertex's int rank in ``_vkey`` order,
 which a Graph keeps as ``_order_key``. An MST shares its graph's ranks and
 checked edge triples and is not checked again.
@@ -31,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 
 from .source_coding import ProbabilityMassFunction, _entropy, _integer, shannon_entropy
@@ -517,18 +512,60 @@ def _joined_later(ends: list, start: int, comp: list, a: int, b: int) -> bool:
     return False
 
 
+def _canonical(edges, rank: dict) -> tuple[list, list]:
+    """``edges``, pairs or (u, v, w) triples, in the searches' order, by their
+    endpoints' ranks, and those rank pairs."""
+    edges = sorted(edges, key=lambda e: (rank[e[0]], rank[e[1]]))
+    return edges, [(rank[e[0]], rank[e[1]]) for e in edges]
+
+
+def _spanning_search(n: int, ends: list, cut=None):
+    """Yield the indices into ``ends`` of each spanning tree that ``cut`` keeps,
+    on vertices 0..n-1, n >= 1.
+
+    Depth-first over the edges in ``ends`` order, including an edge before
+    excluding it. The invariant is that the picked edges plus the edges not
+    yet decided contain a spanning tree, so every branch ends in one.
+    Including an edge that joins two components keeps that edge set as it
+    is, and excluding an edge that closes a cycle loses no connection, so
+    neither is tested. Only excluding a joining edge is: the later edges
+    must be at least as many as the tree still needs, and must join its two
+    components in the graph contracted by the picked edges. ``cut(i, comp,
+    need, picked)`` is asked when a branch is popped and after each include,
+    leaves included, with i the next edge, comp the component label of each
+    vertex, need the edges still needed and picked the indices taken; a
+    true answer drops the branch and every tree below it.
+    """
+    m = len(ends)
+    # a popped branch takes the include path to its tree and pushes each
+    # exclude branch that still holds one
+    stack = [(0, list(range(n)), n - 1, ())]
+    while stack:
+        branch = stack.pop()
+        if cut and cut(*branch):
+            continue
+        i, comp, need, picked = branch
+        while need:
+            x, y = ends[i]
+            a, b = comp[x], comp[y]
+            if a != b:
+                if m - i > need and _joined_later(ends, i + 1, comp, a, b):
+                    stack.append((i + 1, comp, need, picked))
+                comp = [a if c == b else c for c in comp]
+                need -= 1
+                picked += (i,)
+                if cut and cut(i + 1, comp, need, picked):
+                    break
+            i += 1
+        else:
+            yield picked
+
+
 def enumerate_spanning_trees(g: Graph) -> list:
     """Every spanning tree of g as a tuple of its edges, in a deterministic order.
 
-    Depth-first over the edges in canonical order, including an edge before
-    excluding it, with ``chosen`` the edges taken so far. The invariant is
-    that ``chosen`` plus the edges not yet decided contain a spanning tree,
-    so every branch ends in one. Including an edge that joins two components
-    keeps that edge set as it is, and excluding an edge that closes a cycle
-    in ``chosen`` loses no connection, so neither is tested. Only excluding
-    a joining edge is: the later edges must be at least as many as the tree
-    still needs, and must join its two components in the graph contracted
-    by ``chosen``. Guarded to graphs of at most ``ENUMERATION_GUARD``
+    The trees of :func:`_spanning_search`, with no cut, over the edges in
+    canonical order. Guarded to graphs of at most ``ENUMERATION_GUARD``
     vertices. The matrix-tree count comes first: 0 means g is disconnected,
     above ``TREE_BUDGET`` the graph is refused, and otherwise the search
     must find exactly that many trees. ``Graph(g.vertices, t)`` rebuilds a
@@ -538,29 +575,8 @@ def enumerate_spanning_trees(g: Graph) -> list:
     n = len(g.vertices)
     if n <= 1:
         return [()]
-
-    rank = g._order_key
-    edges = sorted(g.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
-    ends = [(rank[u], rank[v]) for u, v in edges]
-    trees: list = []
-    # (next edge, component label of each vertex, edges still needed,
-    # chosen); a popped branch takes the include path to its tree and
-    # pushes each exclude branch that still holds one
-    stack = [(0, list(range(n)), n - 1, ())]
-    while stack:
-        i, comp, need, chosen = stack.pop()
-        while need:
-            x, y = ends[i]
-            a, b = comp[x], comp[y]
-            if a != b:
-                if len(ends) - i > need and _joined_later(ends, i + 1, comp, a, b):
-                    stack.append((i + 1, comp, need, chosen))
-                comp = [a if c == b else c for c in comp]
-                need -= 1
-                chosen += (edges[i],)
-            i += 1
-        trees.append(chosen)
-
+    edges, ends = _canonical(g.edges, g._order_key)
+    trees = [tuple(map(edges.__getitem__, t)) for t in _spanning_search(n, ends)]
     if len(trees) != expected:
         raise RuntimeError(
             f"enumeration found {len(trees)} spanning trees but the "
@@ -598,55 +614,87 @@ def _check_tree(g: Graph, tree: tuple, deg: list) -> None:
     vector, indexed by rank, is ``deg``."""
     rank = g._order_key
     t = Graph._trusted(g.vertices, tree, rank)
-    edges_of_g = all(g.has_edge(u, v) for u, v in tree)
-    if not (len(tree) == len(rank) - 1 and edges_of_g and is_connected(t)):
+    if not (len(tree) == len(rank) - 1 and g._edge_set.issuperset(tree) and is_connected(t)):
         raise RuntimeError(
             f"the search returned {len(tree)} edges that are not a spanning tree of the graph"
         )
     got = t.degree()
     if any(got[v] != deg[rank[v]] for v in g.vertices):
-        raise RuntimeError("a returned tree's degree vector differs from the one the search carried")
+        raise RuntimeError("a returned tree's degree vector differs from the one the fold counted")
 
 
-def spanning_tree_entropy_extrema(g: Graph):
-    """(min, max, argmin tree, argmax tree) of entropy over all spanning trees.
+def _degrees(n: int, ends: list, picked: tuple) -> list:
+    """The degree of each vertex 0..n-1 over the edges ``picked`` from ``ends``."""
+    deg = [0] * n
+    for j in picked:
+        x, y = ends[j]
+        deg[x] += 1
+        deg[y] += 1
+    return deg
 
-    The trees are edge tuples, as :func:`enumerate_spanning_trees` gives
-    them, and ties resolve to the first tree in its order. The guards are
-    its guards, but the search is a branch and bound in its order: trees
+
+def _extrema(g: Graph, power: list, edges: list, ends: list, cut_for) -> tuple:
+    """(min, max, argmin tree, argmax tree) of entropy over the trees of g that
+    :func:`_spanning_search` yields under ``cut_for(found)``: the one fold of
+    both scopes.
+
+    ``edges`` and ``ends`` are :func:`_canonical`'s, and ``found`` holds the
+    least and greatest products so far, kept current for the cut. Trees
     compare by their product of ``d**d`` (see :func:`_guarded_powers`), and
-    an incumbent is replaced only by a strictly better tree.
-
-    A branch is cut when no tree below it can strictly beat either
-    incumbent. Below it each degree lies between a floor, max(1, chosen
-    degree), and a cap, the chosen degree plus the number of other
-    components its undecided edges reach, at most the edges still needed;
-    the degrees sum to 2(n-1). A unit of degree added at d multiplies the
-    product by (d+1)**(d+1) / d**d, which grows with d alone. So over that
-    box the least product adds the spare units at the least degrees
-    (water-filling), and the spare largest steps bound the greatest one;
-    when that bound does not cut, a knapsack over the vertices finds the
-    greatest product exactly. The search stops once the least product is
-    the path's, 4**(n-2), and the greatest the star's, (n-1)**(n-1), which
-    no tree passes. Each returned tree is checked to be a spanning tree of
-    g with the degree vector the search carried, and its entropy comes from
-    that vector.
+    an incumbent is replaced only by a strictly better tree, so ties go to
+    the first tree in the search's order. The fold stops once the least
+    product is the path's, 4**(n-2), and the greatest the star's,
+    (n-1)**(n-1), which no tree passes. Each winner is checked to be a
+    spanning tree of g with the degree vector the fold counted, and its
+    entropy comes from that vector alone. A tree is the tuple of its (u, v)
+    pairs.
     """
-    power = _guarded_powers(g)
-    rank = g._order_key
-    n = len(rank)
-    edges = sorted(g.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
-    ends = [(rank[u], rank[v]) for u, v in edges]
-    total = 2 * (n - 1)
+    n = len(power)
     path, star = 4 ** (n - 2), (n - 1) ** (n - 1)
-    # the least and greatest products found, with their trees and degree
-    # vectors; every tree's product lies in [path, star]
-    least, most = star + 1, path - 1
-    least_tree = most_tree = least_deg = most_deg = None
+    # every tree's product lies in [path, star]; a search that yields no
+    # tree leaves two empty winners, which the check refuses
+    found = [star + 1, path - 1]
+    least_picked = most_picked = ()
+    least_deg = most_deg = [0] * n
+    for picked in _spanning_search(n, ends, cut_for(found)):
+        deg = _degrees(n, ends, picked)
+        p = math.prod(map(power.__getitem__, deg))
+        if p < found[0]:
+            found[0], least_picked, least_deg = p, picked, deg
+        if p > found[1]:
+            found[1], most_picked, most_deg = p, picked, deg
+        if found == [path, star]:
+            break
+    t_lo, t_hi = (tuple(edges[j][:2] for j in t) for t in (most_picked, least_picked))
+    _check_tree(g, t_lo, most_deg)
+    _check_tree(g, t_hi, least_deg)
+    return _tree_entropy(most_deg), _tree_entropy(least_deg), t_lo, t_hi
 
-    def improvable(i: int, comp: list, deg: list, need: int) -> bool:
-        """False when no tree below the branch, with edges i.. undecided,
-        strictly beats either incumbent."""
+
+def _degree_cut(ends: list, power: list, found: list):
+    """The all-trees scope's cut: true when no tree below the branch strictly
+    beats either incumbent, the least and greatest products in ``found``.
+
+    Below a branch each degree lies between a floor, max(1, picked degree),
+    and a cap, the picked degree plus the number of other components its
+    undecided edges reach, at most the edges still needed; the degrees sum
+    to 2(n-1). A unit of degree added at d multiplies the product by
+    (d+1)**(d+1) / d**d, which grows with d alone. So over that box the
+    least product adds the spare units at the least degrees (water-filling),
+    and the spare largest steps bound the greatest one; when that bound does
+    not cut, a knapsack over the vertices finds the greatest product
+    exactly. A leaf is never cut: the fold keeps it only if it is strictly
+    better.
+    """
+    n = len(power)
+    total = 2 * (n - 1)
+    star = (n - 1) ** (n - 1)
+
+    def cut(i: int, comp: list, need: int, picked: tuple) -> bool:
+        if not need:
+            return False
+        least, most = found
+        deg = _degrees(n, ends, picked)
         reach = [0] * n
         for x, y in ends[i:]:
             a, b = comp[x], comp[y]
@@ -654,7 +702,7 @@ def spanning_tree_entropy_extrema(g: Graph):
                 reach[x] |= 1 << b
                 reach[y] |= 1 << a
         floors = [d or 1 for d in deg]
-        caps = [d + min(r.bit_count(), need) for d, r in zip(deg, reach)]
+        caps = [d + (r if r < need else need) for d, r in zip(deg, map(int.bit_count, reach))]
         spare = total - sum(floors)
         # each unit step the box allows, as the degree it starts from
         steps = sorted(chain.from_iterable(map(range, floors, caps)))
@@ -664,15 +712,15 @@ def spanning_tree_entropy_extrema(g: Graph):
             low *= power[d + 1]
             scale *= power[d]
         if low < least * scale:
-            return True
-        if most == star:
             return False
+        if most == star:
+            return True
         high, scale = base, 1
         for d in steps[len(steps) - spare:]:
             high *= power[d + 1]
             scale *= power[d]
         if high <= most * scale:
-            return False
+            return True
         # best[u]: the greatest product over the vertices so far with u
         # spare units added
         best = [1] + [0] * spare
@@ -685,41 +733,23 @@ def spanning_tree_entropy_extrema(g: Graph):
                         if x * p > nxt[k]:
                             nxt[k] = x * p
             best = nxt
-        return best[spare] > most
+        return best[spare] <= most
 
-    # the search of enumerate_spanning_trees, each branch also carrying the
-    # degree vector of its chosen edges, and cut at each pop and include
-    stack = [(0, list(range(n)), n - 1, (), [0] * n)]
-    while stack:
-        i, comp, need, chosen, deg = stack.pop()
-        if not improvable(i, comp, deg, need):
-            continue
-        while need:
-            x, y = ends[i]
-            a, b = comp[x], comp[y]
-            if a != b:
-                if len(ends) - i > need and _joined_later(ends, i + 1, comp, a, b):
-                    stack.append((i + 1, comp, need, chosen, deg))
-                comp = [a if c == b else c for c in comp]
-                need -= 1
-                chosen += (edges[i],)
-                deg = deg[:]
-                deg[x] += 1
-                deg[y] += 1
-                if need and not improvable(i + 1, comp, deg, need):
-                    break
-            i += 1
-        else:
-            p = math.prod(map(power.__getitem__, deg))
-            if p < least:
-                least, least_tree, least_deg = p, chosen, deg
-            if p > most:
-                most, most_tree, most_deg = p, chosen, deg
-            if least == path and most == star:
-                break
-    _check_tree(g, most_tree, most_deg)
-    _check_tree(g, least_tree, least_deg)
-    return _tree_entropy(most_deg), _tree_entropy(least_deg), most_tree, least_tree
+    return cut
+
+
+def spanning_tree_entropy_extrema(g: Graph):
+    """(min, max, argmin tree, argmax tree) of entropy over all spanning trees.
+
+    The trees are edge tuples, as :func:`enumerate_spanning_trees` gives
+    them, and ties resolve to the first tree in its order. The guards are
+    its guards, and the search is its search, cut by :func:`_degree_cut`
+    into a branch and bound and folded by :func:`_extrema`, the fold
+    :func:`mst_entropy_extrema` shares.
+    """
+    power = _guarded_powers(g)
+    edges, ends = _canonical(g.edges, g._order_key)
+    return _extrema(g, power, edges, ends, partial(_degree_cut, ends, power))
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
@@ -743,38 +773,29 @@ def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
     return WeightedGraph._trusted(tuple(picked), tree)
 
 
-def _minimum_spanning_trees(g: WeightedGraph, best: float):
-    """Yield each spanning tree of g whose weights fsum to ``best``, the MST's.
+def _weight_cut(edges: list, ends: list, best: float):
+    """The MST scope's cut: true unless the branch's least tree, its picked
+    edges plus the lightest completion from its undecided ones, exists and
+    fsums to a finite total at most ``best``.
 
-    g is connected and has a vertex. This is the search of
-    :func:`enumerate_spanning_trees`, in its order, with one bounded test
-    per child in place of its feasibility test. A child's least tree is
-    its picked edges plus the lightest completion from its undecided ones,
-    Kruskal on the graph contracted by the picked edges; the child is
-    searched only when that tree exists and its fsum is finite and at most
-    ``best``, which :func:`mst_entropy_extrema` shows loses no tree. At a
-    leaf the least tree is the tree itself. No tree is carried from one
-    test to the next: a branch holds only its chosen edges and their
-    indices.
+    ``edges`` are (u, v, w) triples and ``ends`` their rank pairs, both in
+    :func:`_canonical` order. The completion is Kruskal on the graph contracted by the picked edges.
+    Every tree below the branch weighs at least its least tree, and
+    rounding is monotone, so the cut keeps every tree whose fsum is at most
+    ``best``. At a leaf the least tree is the tree itself.
     """
-    rank = g.graph()._order_key
-    n = len(rank)
-    edges = sorted(g.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
-    m = len(edges)
-    pairs = [e[:2] for e in edges]
-    ends = [(rank[u], rank[v]) for u, v in pairs]
     weights = [w for _, _, w in edges]
-    by_weight = sorted(range(m), key=weights.__getitem__)
     # later[i]: the edges i.. in Kruskal's order, each as (index, ends)
-    later = [[(j, *ends[j]) for j in by_weight if j >= i] for i in range(m + 1)]
+    later = [[] for _ in range(len(ends) + 1)]
+    for j in sorted(range(len(ends)), key=weights.__getitem__):
+        entry = (j, *ends[j])
+        for row in later[: j + 1]:
+            row.append(entry)
 
-    def fits(comp: list, i: int, need: int, picked: tuple) -> bool:
-        """True when ``picked`` plus the lightest ``need`` edges from i.. that
-        complete it on the components ``comp`` exist and fsum to a finite
-        total at most ``best``."""
+    def cut(i: int, comp: list, need: int, picked: tuple) -> bool:
         tree = list(picked)
         if need:
-            parent = list(range(n))
+            parent = list(range(len(comp)))
             for j, x, y in later[i]:
                 x, y = comp[x], comp[y]
                 while parent[x] != x:
@@ -788,33 +809,13 @@ def _minimum_spanning_trees(g: WeightedGraph, best: float):
                     if not need:
                         break
             else:
-                return False
+                return True
         try:
-            return math.fsum(map(weights.__getitem__, tree)) <= best
+            return math.fsum(map(weights.__getitem__, tree)) > best
         except OverflowError:
-            return False
+            return True
 
-    # (next edge, component label of each vertex, edges still needed,
-    # chosen, indices of the chosen edges); the root holds an MST, so it is
-    # not tested
-    stack = [(0, list(range(n)), n - 1, (), ())]
-    while stack:
-        i, comp, need, chosen, picked = stack.pop()
-        while need:
-            x, y = ends[i]
-            a, b = comp[x], comp[y]
-            if a != b:
-                if m - i > need and fits(comp, i + 1, need, picked):
-                    stack.append((i + 1, comp, need, chosen, picked))
-                comp = [a if c == b else c for c in comp]
-                need -= 1
-                chosen += (pairs[i],)
-                picked += (i,)
-                if not fits(comp, i + 1, need, picked):
-                    break
-            i += 1
-        else:
-            yield chosen
+    return cut
 
 
 def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
@@ -824,30 +825,25 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     correctly and rounding is monotone, so that is the least such sum. A
     tree whose sum overflows is heavier than any finite minimum. The guards
     of :func:`enumerate_spanning_trees` refuse the same graphs, in the same
-    order, but the search does not visit every tree: it cuts a branch once
-    the fsum of its least tree overflows or exceeds the MST's. Every tree
-    below the branch weighs at least that much, and rounding is monotone,
-    so the cut keeps every tree that counts. A branch whose include child
-    is cut has already pushed its exclude child, so no tree is lost or
-    found twice. The fold compares the trees by their product of ``d**d``,
-    as :func:`spanning_tree_entropy_extrema` does, and evaluates the
-    entropy of its two winners alone.
+    order, before Kruskal runs. Its search is cut by :func:`_weight_cut`,
+    so it visits only the minimum trees, and folded by :func:`_extrema`, as
+    in :func:`spanning_tree_entropy_extrema`, with the same early stop and
+    tree checks. Each winner must also fsum to at most the MST's total, or
+    RuntimeError is raised.
     """
-    power = _guarded_powers(g.graph())
+    h = g.graph()
+    power = _guarded_powers(h)
     best = minimum_spanning_tree(g).total_weight()
-    rank = g.graph()._order_key
-    least = most = None
-    for t in _minimum_spanning_trees(g, best):
-        deg = [0] * len(rank)
-        for u, v in t:
-            deg[rank[u]] += 1
-            deg[rank[v]] += 1
-        p = math.prod(map(power.__getitem__, deg))
-        if least is None or p < least[0]:
-            least = p, deg
-        if most is None or p > most[0]:
-            most = p, deg
-    return _tree_entropy(most[1]), _tree_entropy(least[1])
+    edges, ends = _canonical(g.edges, h._order_key)
+    lo, hi, t_lo, t_hi = _extrema(h, power, edges, ends, lambda found: _weight_cut(edges, ends, best))
+    for tree in (t_lo, t_hi):
+        try:
+            heavier = math.fsum(g.weight_of(u, v) for u, v in tree) > best
+        except OverflowError:
+            heavier = True
+        if heavier:
+            raise RuntimeError("the search returned a tree heavier than the minimum spanning tree")
+    return lo, hi
 
 
 # -------------------------------------------------------- common topologies

@@ -8,13 +8,14 @@ degrees. These tests hold them to the exhaustive oracle: the values equal
 scope keeps exactly the trees of least ``math.fsum`` weight. Weights in tenths make
 left-to-right sums of one tree's weights depend on their order, which fsum
 does not, and weights near 2**53 make a tree that is not an MST round to
-the MST's weight, which the MST scope keeps. The search's order is the
-subset oracle's order over the canonically sorted edges, and each scope
-evaluates the entropy of its two winners alone. The all-trees scope is a
-branch and bound and the MST scope searches only the minimum trees, both in
-that order, and neither calls the full enumerator. The product orders tree
-degree vectors as the entropy does, ties included, on every tree the
-guard admits.
+the MST's weight, which the MST scope keeps. One search serves all three
+callers: its order is the subset oracle's order over the canonically sorted
+edges, with no cut and under the MST cut. The all-trees scope cuts it by a
+degree bound and the MST scope by weight, neither calls the full
+enumerator, and both share one fold, which evaluates the entropy of its two
+winners alone and checks them, also against the MST's weight. With every
+weight equal the two scopes agree. The product orders tree degree vectors
+as the entropy does, ties included, on every tree the guard admits.
 """
 
 import functools
@@ -174,8 +175,11 @@ def test_mst_scope_matches_subset_oracle_under_the_fsum_rule():
             hs = [graph_entropy(Graph(vertices, tuple(t))) for t in msts]
             assert mst_entropy_extrema(g) == (min(hs), max(hs))
             # the search's order is the subset oracle's order over sorted edges
-            found = graphs._minimum_spanning_trees(g, least)
-            assert [frozenset(t) for t in found] == msts
+            # under the MST cut
+            canon, ends = graphs._canonical(edges, g.graph()._order_key)
+            cut = graphs._weight_cut(canon, ends, least)
+            found = graphs._spanning_search(n, ends, cut)
+            assert [frozenset(canon[j][:2] for j in t) for t in found] == msts
     # some minimum trees differ in exact weight, some trees that are not
     # minimal overflow, and some minima overflow
     assert rounded > 0 and overflowing > 0 and refused > 0
@@ -281,13 +285,17 @@ def _wheel(k):
     return Graph(tuple(range(k + 1)), tuple((0, i) for i in range(1, k + 1)) + rim)
 
 
+def _cube():
+    """The cube Q3: vertices are 3-bit labels, edges flip one bit."""
+    return Graph(tuple(range(8)), tuple((i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b))
+
+
 def _tie_families():
     """Graphs whose spanning trees tie in entropy in many ways, then random ones."""
     yield from (ring_graph(n) for n in range(3, 10))
     yield from (complete_graph(n) for n in range(2, 8))
     yield Graph(tuple(range(6)), tuple((i, j) for i in range(3) for j in range(3, 6)))
-    # the cube Q3: vertices are 3-bit labels, edges flip one bit
-    yield Graph(tuple(range(8)), tuple((i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b))
+    yield _cube()
     yield from (_wheel(k) for k in range(3, 8))
     for seed in range(60):
         rng = random.Random(9700 + seed)
@@ -364,11 +372,41 @@ def test_product_of_self_powers_orders_trees_as_entropy_does():
 
 
 def test_returned_trees_are_checked(monkeypatch):
-    # the search's trees are checked against the graph and against the
-    # degree vectors it carried; a mismatch is a bug, not a refusal
-    monkeypatch.setattr(graphs.Graph, "degree", lambda self: dict.fromkeys(self.vertices, 1))
-    with pytest.raises(RuntimeError, match="degree vector differs"):
-        spanning_tree_entropy_extrema(complete_graph(4))
-    monkeypatch.setattr(graphs, "is_connected", lambda g: False)
-    with pytest.raises(RuntimeError, match="not a spanning tree of the graph"):
-        spanning_tree_entropy_extrema(complete_graph(4))
+    # both scopes' trees are checked against the graph and against the
+    # degree vectors the fold counted; a mismatch is a bug, not a refusal
+    k4 = complete_graph(4)
+    unit = WeightedGraph(k4.vertices, tuple((u, v, 1.0) for u, v in k4.edges))
+    scopes = (lambda: spanning_tree_entropy_extrema(k4), lambda: mst_entropy_extrema(unit))
+    with monkeypatch.context() as m:
+        m.setattr(graphs.Graph, "degree", lambda self: dict.fromkeys(self.vertices, 1))
+        for scope in scopes:
+            with pytest.raises(RuntimeError, match="degree vector differs"):
+                scope()
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "is_connected", lambda g: False)
+        for scope in scopes:
+            with pytest.raises(RuntimeError, match="not a spanning tree of the graph"):
+                scope()
+
+
+def test_mst_scope_winners_weigh_at_most_the_mst(monkeypatch):
+    # the star at 0 is the only MST; with an MST cut that never cuts, a
+    # heavier path wins the maximum and the weight check must refuse it
+    g = WeightedGraph(tuple(range(4)), (
+        (0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 2.0), (2, 3, 2.0),
+    ))
+    h_star = graph_entropy(Graph(g.vertices, ((0, 1), (0, 2), (0, 3))))
+    assert mst_entropy_extrema(g) == (h_star, h_star)
+    monkeypatch.setattr(graphs, "_weight_cut", lambda edges, ends, best: lambda *branch: False)
+    with pytest.raises(RuntimeError, match="heavier than the minimum spanning tree"):
+        mst_entropy_extrema(g)
+
+
+def test_equal_weights_give_equal_scopes():
+    # every tree is minimal, so the scopes must agree although only the
+    # all-trees scope has the degree bound; on K8 the MST scope relies on
+    # the shared stop at the first path and star in search order
+    for g in (complete_graph(8), _cube(), *(_wheel(k) for k in range(3, 8))):
+        for w in (1.0, 0.1):
+            weighted = WeightedGraph(g.vertices, tuple((u, v, w) for u, v in g.edges))
+            assert mst_entropy_extrema(weighted) == spanning_tree_entropy_extrema(g)[:2]
