@@ -388,7 +388,7 @@ def cmd_code_from_lengths(args, rep):
     rep.table("code", [{"label": label, "codeword": str(word), "length": word.length}
                        for label, word in code.assignments.items()],
               lambda r: f"{r['label']} {r['codeword']} {r['length']}")
-    rep.field("kraft_sum", kraft_sum(code.length_set()))
+    rep.field("kraft_sum", kraft_sum(lengths))
 
 
 def cmd_entropy(args, rep):

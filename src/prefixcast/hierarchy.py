@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 from .source_coding import (
     ProbabilityMassFunction,
+    _huffman_paths,
     _integer,
     _integer_digits,
     _probability,
-    huffman_code,
     prefix_violations,
 )
 
@@ -187,15 +187,13 @@ def assign_leaders(importance: ProbabilityMassFunction, d: int = 2) -> LeaderAss
     """Prefix-free leader placement minimizing expected depth.
 
     Leaders land on the codeword paths of the optimal D-ary prefix code for
-    their importance distribution, so expected depth is within one level of
-    the base-D entropy lower bound and more important leaders never sit
-    deeper than less important ones.
+    their importance distribution (the digits of :func:`huffman_code`, with
+    no ``PrefixCode`` built), so expected depth is within one level of the
+    base-D entropy lower bound and more important leaders never sit deeper
+    than less important ones.
     """
-    code = huffman_code(importance, d)
-    paths = {label: word.digits for label, word in code.assignments.items()}
-    depth = max(len(p) for p in paths.values())
-    tree = DaryTree(d, depth)
-    return LeaderAssignment(tree, paths, importance)
+    paths = _huffman_paths(importance, d)
+    return LeaderAssignment(DaryTree(d, max(map(len, paths.values()))), paths, importance)
 
 
 def verify_secure(assignment: LeaderAssignment) -> SecurityReport:

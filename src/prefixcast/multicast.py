@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import WeightedGraph, _hop_levels, _is_mst, minimum_spanning_tree
-from .hierarchy import DaryTree, LeaderAssignment, assign_leaders
-from .source_coding import Codeword, ProbabilityMassFunction, _integer
+from .hierarchy import DaryTree, LeaderAssignment
+from .source_coding import Codeword, ProbabilityMassFunction, _huffman_paths, _integer
 
 
 class CapacityExceeded(ValueError):
@@ -152,12 +152,13 @@ def plan_multicast(
 ) -> MulticastPlan:
     """Plan a multicast: MST, embedded D-ary tree, prefix-free placement.
 
-    Leaders go where :func:`assign_leaders` puts them. Raises
-    :class:`CapacityExceeded` for the first leader, in label order, whose
-    path the embedded tree lacks. With ``relax=True`` one loop shifts every
-    path behind 0, 1, ... zero digits, up to the embedded tree's depth, and
-    stops at the first shift that fits; a plan so shifted is marked
-    ``relaxed`` and forfeits the expected-depth optimality claim.
+    Leaders go where :func:`assign_leaders` puts them, in one assignment
+    built after the shift. Raises :class:`CapacityExceeded` for the first
+    leader, in label order, whose path the embedded tree lacks. With
+    ``relax=True`` one loop shifts every path behind 0, 1, ... zero digits,
+    up to the embedded tree's depth, and stops at the first shift that fits;
+    a shifted plan is marked ``relaxed`` and forfeits the expected-depth
+    optimality claim.
 
     Extending every length by ``b`` yields the optimal codewords behind
     ``b`` zero digits: canonical assignment depends only on the differences
@@ -165,30 +166,27 @@ def plan_multicast(
     """
     mst = minimum_spanning_tree(g)
     emb = embed_dary_tree(mst, root, d)
-    optimal = assign_leaders(importance, d)
-    longest = optimal.tree.max_depth
+    paths = _huffman_paths(importance, d)
+    longest = max(map(len, paths.values()))
     bumps = range(max(1, emb.max_depth() - longest + 1)) if relax else (0,)
     for bump in bumps:
         zeros = (0,) * bump
         missing = next(
-            (label for label, p in optimal.leaders.items() if zeros + p not in emb.vertex_at), None
+            (label for label, p in paths.items() if zeros + p not in emb.vertex_at), None
         )
         if missing is None:
             break
     else:
         raise CapacityExceeded(
-            f"no tree node at digit-path {str(Codeword(zeros + optimal.leaders[missing]))!r} "
+            f"no tree node at digit-path {str(Codeword(zeros + paths[missing]))!r} "
             f"for leader {missing!r}; the embedded tree cannot host this "
             f"placement at arity {d}"
         )
-    shifted = {label: zeros + p for label, p in optimal.leaders.items()}
+    shifted = {label: zeros + p for label, p in paths.items()}
     leader_vertex = {label: emb.vertex_at[p] for label, p in shifted.items()}
-    assignment = optimal
-    if bump:
-        assignment = LeaderAssignment(DaryTree(d, longest + bump), shifted, importance)
     return MulticastPlan(
         root=root,
-        assignment=assignment,
+        assignment=LeaderAssignment(DaryTree(d, longest + bump), shifted, importance),
         leader_vertex=leader_vertex,
         leader_route={label: emb.graph_path(v) for label, v in leader_vertex.items()},
         carrier=mst.edges,

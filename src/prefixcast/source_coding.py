@@ -4,11 +4,11 @@ A set of codeword lengths ``n_1, ..., n_M`` over a D-symbol alphabet admits a
 prefix-free code exactly when the Kraft sum ``sum(D**-n_i)`` is at most 1.
 This module computes that sum (directly and in closed form for consecutive
 and arithmetic-progression length sets), builds optimal D-ary Huffman codes
-from a probability mass function, and materializes codewords canonically so
-that equal inputs always produce byte-identical codes. Kraft verdicts are
-decided in integer arithmetic; the float sum is for display and for the
-closed forms. Prefix-freeness is checked in one place,
-:func:`prefix_violations`, by a single scan over the sorted paths.
+from a probability mass function, and writes every code's and leader
+placement's digits by one canonical, deterministic routine. Kraft verdicts
+are decided in integer arithmetic; the float sum is for display and for the
+closed forms. Each code or placement is checked once, by its constructor,
+with :func:`prefix_violations`, one scan over the sorted paths.
 """
 
 from __future__ import annotations
@@ -288,17 +288,31 @@ def kraft_alphabet_monotonicity(lengths: CodeLengthSet, d_prime: int) -> bool:
     return satisfies_kraft(CodeLengthSet(lengths.lengths, d_prime))
 
 
+def _canonical_digits(lengths, d: int):
+    """``(index, digits)`` of the canonical code, in (length, index) order: each
+    codeword is the previous one plus one in its last digit, with carry, then
+    zero-padded, so the work is linear in the digits written. Kraft must hold,
+    which leaves a digit below D-1 to carry into."""
+    digits: list[int] = []
+    for idx in sorted(range(len(lengths)), key=lambda i: (lengths[i], i)):
+        if digits:
+            while digits[-1] == d - 1:
+                digits.pop()
+            digits[-1] += 1
+        digits += [0] * (lengths[idx] - len(digits))
+        yield idx, tuple(digits)
+
+
 def code_from_lengths(
     lengths: CodeLengthSet, labels: tuple[str, ...] | None = None
 ) -> PrefixCode:
     """Canonical prefix code for a Kraft-satisfying length set.
 
-    Lengths are sorted ascending (ties broken by input order). Each codeword
-    is the previous one plus one in its last digit, with carry, padded with
-    zero digits to its length, so the work is linear in the digits written.
-    Raises :class:`KraftViolation` when no prefix code exists and
-    ``ValueError`` when the label count is wrong or a label repeats; the
-    count is checked first.
+    Codewords are those of :func:`_canonical_digits`, so ties in length are
+    broken by input order. Raises :class:`KraftViolation` when no prefix
+    code exists and ``ValueError`` when the label count is wrong or a label
+    repeats; the count is checked first, and the repeat named is the first
+    in (length, index) order.
     """
     if labels is None:
         labels = tuple(str(i) for i in range(len(lengths)))
@@ -308,23 +322,13 @@ def code_from_lengths(
         raise KraftViolation(
             f"Kraft sum exceeds 1 (about {kraft_sum(lengths)!r}); no prefix code exists"
         )
-    d = lengths.alphabet_size
-    order = sorted(range(len(lengths)), key=lambda i: (lengths.lengths[i], i))
     assignments: dict[str, Codeword] = {}
-    digits: list[int] = []
-    for idx in order:
-        if digits:
-            # Kraft holds, so a digit below d - 1 is left to carry into
-            while digits[-1] == d - 1:
-                digits.pop()
-            digits[-1] += 1
-        digits += [0] * (lengths.lengths[idx] - len(digits))
+    for idx, digits in _canonical_digits(lengths.lengths, lengths.alphabet_size):
         if labels[idx] in assignments:
             raise ValueError(f"label {labels[idx]!r} appears more than once")
-        assignments[labels[idx]] = Codeword(tuple(digits))
+        assignments[labels[idx]] = Codeword(digits)
     # re-emit in input-label order for stable downstream iteration
-    ordered = {label: assignments[label] for label in labels}
-    return PrefixCode(d, ordered)
+    return PrefixCode(lengths.alphabet_size, {label: assignments[label] for label in labels})
 
 
 def huffman_lengths(pmf: ProbabilityMassFunction, d: int = 2) -> dict[str, int]:
@@ -365,18 +369,23 @@ def huffman_lengths(pmf: ProbabilityMassFunction, d: int = 2) -> dict[str, int]:
     return {label: depth[i] for i, label in enumerate(labels)}
 
 
+def _huffman_paths(pmf: ProbabilityMassFunction, d: int) -> dict[str, tuple[int, ...]]:
+    """Each label's canonical Huffman digits, in label order."""
+    lengths = huffman_lengths(pmf, d)
+    labels = pmf.labels()
+    digits = dict(_canonical_digits([lengths[label] for label in labels], d))
+    return {label: digits[i] for i, label in enumerate(labels)}
+
+
 def huffman_code(pmf: ProbabilityMassFunction, d: int = 2) -> PrefixCode:
     """Optimal D-ary prefix code, canonically materialized.
 
     Expected length is minimal over all D-ary prefix codes for ``pmf`` and
     satisfies ``H_D(pmf) <= L < H_D(pmf) + 1`` for two or more symbols.
-    Codewords come from :func:`code_from_lengths` applied to the Huffman
-    length profile, so equal inputs yield identical codes.
+    Codewords are those :func:`code_from_lengths` gives the Huffman length
+    profile, so equal inputs yield identical codes.
     """
-    lengths = huffman_lengths(pmf, d)
-    labels = pmf.labels()
-    length_set = CodeLengthSet(tuple(lengths[label] for label in labels), d)
-    return code_from_lengths(length_set, labels)
+    return PrefixCode(d, {label: Codeword(p) for label, p in _huffman_paths(pmf, d).items()})
 
 
 def expected_length(code: PrefixCode, pmf: ProbabilityMassFunction) -> float:

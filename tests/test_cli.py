@@ -485,13 +485,23 @@ def test_code_from_lengths_label_count_is_checked_before_kraft():
     assert err == "prefixcast code-from-lengths: 1 labels for 3 lengths\n"
 
 
-@pytest.mark.parametrize("lengths, labels", [("1,1", "a,a"), ("1,2,2", "a,b,a")])
-def test_code_from_lengths_repeated_label_is_validation_error(lengths, labels):
-    code, out, err = cli("code-from-lengths", "--lengths", lengths, "--labels", labels)
+@pytest.mark.parametrize(
+    "d, lengths, labels, repeated",
+    [
+        ("2", "1,1", "a,a", "a"),
+        ("2", "1,2,2", "a,b,a", "a"),
+        # the first repeat in (length, index) order, not in input order
+        ("3", "3,1,3,1", "a,b,a,b", "b"),
+    ],
+)
+def test_code_from_lengths_repeated_label_is_validation_error(d, lengths, labels, repeated):
+    code, out, err = cli(
+        "code-from-lengths", "--D", d, "--lengths", lengths, "--labels", labels
+    )
     assert code == VALIDATION_EXIT
     assert out == ""
     assert err.count("\n") == 1
-    assert "label 'a' appears more than once" in err
+    assert f"label {repeated!r} appears more than once" in err
 
 
 # ------------------------------------------------------- graph subcommands

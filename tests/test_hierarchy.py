@@ -20,9 +20,12 @@ from prefixcast.hierarchy import (
     verify_secure,
 )
 from prefixcast.source_coding import (
+    CodeLengthSet,
     ProbabilityMassFunction,
+    code_from_lengths,
     expected_length,
     huffman_code,
+    huffman_lengths,
     shannon_entropy,
 )
 
@@ -166,6 +169,32 @@ def test_assign_leaders_uniform_four():
     a = assign_leaders(pmf_of(A=0.25, B=0.25, C=0.25, D=0.25), 2)
     assert all(d == 2 for d in a.depths().values())
     assert a.expected_depth() == pytest.approx(2.0)
+
+
+def test_placement_and_code_are_the_canonical_code_of_huffman_lengths():
+    # one set of digits: the placement's paths, the code's words, and the
+    # canonical code of Huffman's lengths in label order
+    rng = random.Random(43)
+    for _ in range(150):
+        d = rng.choice([2, 3, 4, 5, 7])
+        # small integer weights tie often, which decides the canonical order
+        raw = [rng.choice([rng.random(), float(rng.randint(1, 3))]) + 1e-6
+               for _ in range(rng.randint(1, 40))]
+        total = math.fsum(raw)
+        pmf = ProbabilityMassFunction.from_pairs(
+            [(f"L{i}", p / total) for i, p in enumerate(raw)]
+        )
+        labels = pmf.labels()
+        lengths = huffman_lengths(pmf, d)
+        canonical = code_from_lengths(
+            CodeLengthSet(tuple(lengths[label] for label in labels), d), labels
+        )
+        code = huffman_code(pmf, d)
+        placement = assign_leaders(pmf, d)
+        assert list(placement.leaders) == list(code.assignments) == list(labels)
+        assert placement.leaders == {label: w.digits for label, w in code.assignments.items()}
+        assert code == canonical
+        assert placement.tree == DaryTree(d, max(lengths.values()))
 
 
 def test_assignment_rejects_root_and_overflow():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from prefixcast.graphs import WeightedGraph
-from prefixcast.hierarchy import DaryTree, LeaderAssignment, verify_secure
+from prefixcast.hierarchy import DaryTree, LeaderAssignment, assign_leaders, verify_secure
 from prefixcast.multicast import (
     CapacityExceeded,
     embed_dary_tree,
@@ -165,6 +165,43 @@ def test_relax_mode_recovers_with_longer_codes():
     assert plan.assignment.expected_depth() == pytest.approx(2.0)
     assert sorted(plan.leader_vertex.values()) == ["b", "c"]
     assert verify_secure(plan.assignment).secure
+
+
+def test_relaxed_plan_is_the_optimal_placement_behind_zeros():
+    # a chain of b one-child vertices above a complete D-ary tree as deep as
+    # the longest codeword: every path fits once it is shifted by b zeros
+    rng = random.Random(89)
+    for _ in range(40):
+        d = rng.choice([2, 3])
+        raw = [rng.random() + 0.01 for _ in range(rng.randint(2, 8))]
+        total = math.fsum(raw)
+        pmf = ProbabilityMassFunction.from_pairs(
+            [(f"L{i}", p / total) for i, p in enumerate(raw)]
+        )
+        optimal = assign_leaders(pmf, d)
+        b = rng.randint(1, 3)
+        chain = ["r"] + [f"c{i}" for i in range(b)]
+        edges = [(u, v, 1.0) for u, v in zip(chain, chain[1:])]
+        name = {(): chain[-1]}
+        level = [()]
+        for _ in range(optimal.tree.max_depth):
+            level = [p + (i,) for p in level for i in range(d)]
+            for p in level:
+                name[p] = "t" + "".join(map(str, p))
+                edges.append((name[p[:-1]], name[p], p[-1] + 1.0))
+        g = WeightedGraph(tuple(chain[:-1]) + tuple(name.values()), tuple(edges))
+
+        with pytest.raises(CapacityExceeded):
+            plan_multicast(g, "r", pmf, d)
+        plan = plan_multicast(g, "r", pmf, d, relax=True)
+        zeros = (0,) * b
+        assert plan.relaxed
+        assert plan.assignment.leaders == {
+            label: zeros + p for label, p in optimal.leaders.items()
+        }
+        assert plan.assignment.tree == DaryTree(d, optimal.tree.max_depth + b)
+        assert plan.assignment.security.secure
+        assert plan.leader_vertex == {label: name[p] for label, p in optimal.leaders.items()}
 
 
 def test_plan_preserves_importance_ordering():
