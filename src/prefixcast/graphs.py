@@ -12,8 +12,8 @@ and the enumeration must find exactly that many, so a bug in either route
 cannot pass silently. The entropy extrema pass the same guards and share
 one fold under two cuts: over all trees a degree bound drops a branch when
 no tree below it beats the trees found so far, and over the minimum
-spanning trees a branch goes when the fsum of its least tree exceeds the
-MST's. A tree is the tuple of its edges; the fold compares trees by the
+spanning trees a branch goes when its least tree's sorted weights are not
+the MST's. A tree is the tuple of its edges; the fold compares trees by the
 exact integer product of d**d over their degrees, checks both winners and
 evaluates their entropy alone. A graph is checked once, when built, and a
 WeightedGraph keeps the Graph it built.
@@ -773,16 +773,17 @@ def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
     return WeightedGraph._trusted(tuple(picked), tree)
 
 
-def _weight_cut(edges: list, ends: list, best: float):
+def _weight_cut(edges: list, ends: list, target: list):
     """The MST scope's cut: true unless the branch's least tree, its picked
     edges plus the lightest completion from its undecided ones, exists and
-    fsums to a finite total at most ``best``.
+    has the sorted weights ``target``, an MST's.
 
     ``edges`` are (u, v, w) triples and ``ends`` their rank pairs, both in
-    :func:`_canonical` order. The completion is Kruskal on the graph contracted by the picked edges.
-    Every tree below the branch weighs at least its least tree, and
-    rounding is monotone, so the cut keeps every tree whose fsum is at most
-    ``best``. At a leaf the least tree is the tree itself.
+    :func:`_canonical` order. The completion is Kruskal on the graph
+    contracted by the picked edges, so the least tree is the lightest tree
+    below the branch. Every MST has the same weight multiset, so the branch
+    holds an MST exactly when its least tree has that multiset; no weights
+    are summed. At a leaf the least tree is the tree itself.
     """
     weights = [w for _, _, w in edges]
     # later[i]: the edges i.. in Kruskal's order, each as (index, ends)
@@ -810,10 +811,7 @@ def _weight_cut(edges: list, ends: list, best: float):
                         break
             else:
                 return True
-        try:
-            return math.fsum(map(weights.__getitem__, tree)) > best
-        except OverflowError:
-            return True
+        return sorted(map(weights.__getitem__, tree)) != target
 
     return cut
 
@@ -821,27 +819,22 @@ def _weight_cut(edges: list, ends: list, best: float):
 def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     """Entropy extrema over every spanning tree of minimum total weight.
 
-    A tree counts when the fsum of its weights equals the MST's: fsum rounds
-    correctly and rounding is monotone, so that is the least such sum. A
-    tree whose sum overflows is heavier than any finite minimum. The guards
+    A tree counts when it is a minimum spanning tree by exact weight, the
+    rule of :func:`minimum_spanning_tree` and :func:`_is_mst`. The guards
     of :func:`enumerate_spanning_trees` refuse the same graphs, in the same
     order, before Kruskal runs. Its search is cut by :func:`_weight_cut`,
     so it visits only the minimum trees, and folded by :func:`_extrema`, as
     in :func:`spanning_tree_entropy_extrema`, with the same early stop and
-    tree checks. Each winner must also fsum to at most the MST's total, or
-    RuntimeError is raised.
+    tree checks. Each winner must also pass :func:`_is_mst`, the certificate
+    the plan audit uses, or RuntimeError is raised.
     """
     h = g.graph()
     power = _guarded_powers(h)
-    best = minimum_spanning_tree(g).total_weight()
+    target = sorted(w for _, _, w in minimum_spanning_tree(g).edges)
     edges, ends = _canonical(g.edges, h._order_key)
-    lo, hi, t_lo, t_hi = _extrema(h, power, edges, ends, lambda found: _weight_cut(edges, ends, best))
+    lo, hi, t_lo, t_hi = _extrema(h, power, edges, ends, lambda found: _weight_cut(edges, ends, target))
     for tree in (t_lo, t_hi):
-        try:
-            heavier = math.fsum(g.weight_of(u, v) for u, v in tree) > best
-        except OverflowError:
-            heavier = True
-        if heavier:
+        if not _is_mst(g, [(u, v, g.weight_of(u, v)) for u, v in tree]):
             raise RuntimeError("the search returned a tree heavier than the minimum spanning tree")
     return lo, hi
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 
@@ -222,6 +223,22 @@ def min_spanning_weight(vertices, edges):
         if best is None or w < best:
             best = w
     return best
+
+
+def minimum_spanning_trees_exact(vertices, edges):
+    """The spanning trees of least exact total weight, by enumeration.
+
+    ``edges`` is a list of (u, v, w) tuples. Each tree's weights are summed
+    as ``Fraction``s, so no sum rounds or overflows. Returns the trees of
+    least sum in :func:`spanning_trees_by_subsets` order and form.
+    """
+    weight = {(u, v): Fraction(w) for u, v, w in edges}
+    sums = [
+        (tree, sum(weight[pair] for pair in tree))
+        for tree in spanning_trees_by_subsets(vertices, edges)
+    ]
+    least = min(s for _, s in sums)
+    return [tree for tree, s in sums if s == least]
 
 
 def prim_min_spanning_weight(vertices, edges):

@@ -634,6 +634,28 @@ def test_msts_only_skips_trees_whose_weight_overflows(tmp_path):
     assert result["min_entropy_bits"] == result["max_entropy_bits"] == path
 
 
+@pytest.mark.parametrize("edges, tree", [
+    # the star at c is the one exact MST; a tree with one 1e16+2 edge weighs
+    # 3e16 + 2, which a float sum rounds to the star's 3e16
+    ("c x 1e16\nc y 1e16\nc z 1e16\nx y 10000000000000002\ny z 10000000000000002\n",
+     graphs.star_graph(3)),
+    # both MSTs are paths of 3 vertices, although their weights sum past the
+    # largest float
+    ("a b 1e308\nb c 1.7e308\na c 1.7e308\n", graphs.path_graph(3)),
+], ids=["sum-rounds-to-the-minimum", "minimum-sum-overflows"])
+def test_msts_only_keeps_exactly_the_minimum_trees(edges, tree, tmp_path):
+    p = tmp_path / "g.edges"
+    p.write_text(edges)
+    h = graphs.graph_entropy(tree)
+    code, out, err = cli("span-entropy", "--graph", str(p), "--msts-only")
+    assert code == 0 and err == ""
+    assert f"min_entropy_bits {fmt(h)}\nmax_entropy_bits {fmt(h)}\n" in out
+    code, out, err = cli("span-entropy", "--graph", str(p), "--msts-only", "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["min_entropy_bits"] == result["max_entropy_bits"] == h
+
+
 # --------------------------------------------------- hierarchy / multicast
 
 

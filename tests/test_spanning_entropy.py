@@ -5,17 +5,20 @@ degree pmf per tree, and compare trees by the product of d**d over their
 degrees. These tests hold them to the exhaustive oracle: the values equal
 ``graph_entropy``'s exactly, the named trees are the first extremal ones in
 ``enumerate_spanning_trees`` order, also where many trees tie, and the MST
-scope keeps exactly the trees of least ``math.fsum`` weight. Weights in tenths make
-left-to-right sums of one tree's weights depend on their order, which fsum
-does not, and weights near 2**53 make a tree that is not an MST round to
-the MST's weight, which the MST scope keeps. One search serves all three
-callers: its order is the subset oracle's order over the canonically sorted
-edges, with no cut and under the MST cut. The all-trees scope cuts it by a
-degree bound and the MST scope by weight, neither calls the full
-enumerator, and both share one fold, which evaluates the entropy of its two
-winners alone and checks them, also against the MST's weight. With every
-weight equal the two scopes agree. The product orders tree degree vectors
-as the entropy does, ties included, on every tree the guard admits.
+scope keeps exactly the trees of least exact weight, summed as Fractions by
+the oracle. Weights in tenths make left-to-right sums of one tree's weights
+depend on their order, weights near 2**53 make a tree that is not an MST
+round to the MST's weight, and weights near the largest float make a
+minimum's sum overflow; the MST scope drops the first and answers the
+second, since it compares sorted weights and sums none. One search serves
+all three callers: its order is the subset oracle's order over the
+canonically sorted edges, with no cut and under the MST cut. The all-trees
+scope cuts it by a degree bound and the MST scope by weight, neither calls
+the full enumerator, and both share one fold, which evaluates the entropy
+of its two winners alone and checks them, the MST scope's also by the plan
+audit's MST certificate. With every weight equal the two scopes agree. The
+product orders tree degree vectors as the entropy does, ties included, on
+every tree the guard admits.
 """
 
 import functools
@@ -24,7 +27,6 @@ import itertools
 import math
 import operator
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -41,7 +43,7 @@ from prefixcast.graphs import (
     spanning_tree_entropy_extrema,
 )
 
-from oracles import random_weighted_connected, spanning_trees_by_subsets
+from oracles import minimum_spanning_trees_exact, random_weighted_connected, spanning_trees_by_subsets
 
 TENTHS = (0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 1.0, 1.1)
 
@@ -109,8 +111,10 @@ def test_extrema_match_subset_oracle():
             for tree in spanning_trees_by_subsets(g.vertices, g.edges)
         ]
         entropies = [h for _, h in oracle]
-        least = min(math.fsum(ws) for ws, _ in oracle)
-        msts = [(ws, h) for ws, h in oracle if math.fsum(ws) == least]
+        msts = [
+            (sorted(weight[p] for p in tree), graph_entropy(Graph(g.vertices, tuple(tree))))
+            for tree in minimum_spanning_trees_exact(g.vertices, g.edges)
+        ]
         sums = {_left_sum(ws) for ws, _ in msts} | {_left_sum(ws[::-1]) for ws, _ in msts}
         order_sensitive += len(sums) > 1
 
@@ -126,14 +130,14 @@ def test_extrema_match_subset_oracle():
     assert order_sensitive > 0
 
 
-def test_mst_scope_keeps_trees_whose_fsum_rounds_to_the_minimum():
+def test_mst_scope_drops_trees_whose_fsum_only_rounds_to_the_minimum():
     # the star at b is the only exact MST (entropy 2.0); the path a-b-c-d-e
-    # weighs 2**53 + 1, which rounds to 2**53 like the star (entropy 2.25)
+    # weighs 2**53 + 1, which rounds to 2**53 like the star, but is heavier
     g = WeightedGraph(tuple("abcde"), (
         ("a", "b", 2.0**53), ("b", "c", 0.0), ("b", "d", 0.0), ("b", "e", 0.0),
         ("c", "d", 0.5), ("d", "e", 0.5),
     ))
-    assert mst_entropy_extrema(g) == (2.0, 2.25)
+    assert mst_entropy_extrema(g) == (2.0, 2.0)
 
 
 # each forces a weight pattern: every tree minimal, ties at two levels, sums
@@ -146,8 +150,8 @@ WEIGHT_PATTERNS = (
 )
 
 
-def test_mst_scope_matches_subset_oracle_under_the_fsum_rule():
-    rounded = overflowing = refused = 0
+def test_mst_scope_matches_the_exact_subset_oracle():
+    rounded = overflowing = answered = 0
     for seed in range(40):
         rng = random.Random(8300 + seed)
         for draw in WEIGHT_PATTERNS:
@@ -157,32 +161,30 @@ def test_mst_scope_matches_subset_oracle_under_the_fsum_rule():
             edges = tuple((u, v, draw(rng)) for u, v, _ in edges)
             g = WeightedGraph(vertices, edges)
             weight = {(u, v): w for u, v, w in edges}
-            sums = []
+            msts = minimum_spanning_trees_exact(vertices, edges)
+            fsums = []
             for tree in spanning_trees_by_subsets(vertices, edges):
                 try:
-                    sums.append((tree, math.fsum(weight[p] for p in tree)))
+                    fsums.append(math.fsum(weight[p] for p in tree))
                 except OverflowError:
-                    sums.append((tree, math.inf))
-            least = min(s for _, s in sums)
-            if least == math.inf:
-                refused += 1
-                with pytest.raises(ValueError, match="overflows"):
-                    mst_entropy_extrema(g)
-                continue
-            msts = [tree for tree, s in sums if s == least]
-            overflowing += math.inf in (s for _, s in sums)
-            rounded += len({sum(map(Fraction, (weight[p] for p in t))) for t in msts}) > 1
+                    fsums.append(math.inf)
+            least = min(fsums)
+            # trees the fsum rule counted, though heavier than every MST
+            rounded += least < math.inf and fsums.count(least) > len(msts)
+            overflowing += least < math.inf and math.inf in fsums
+            # minima the fsum rule refused
+            answered += least == math.inf
             hs = [graph_entropy(Graph(vertices, tuple(t))) for t in msts]
             assert mst_entropy_extrema(g) == (min(hs), max(hs))
             # the search's order is the subset oracle's order over sorted edges
             # under the MST cut
             canon, ends = graphs._canonical(edges, g.graph()._order_key)
-            cut = graphs._weight_cut(canon, ends, least)
+            cut = graphs._weight_cut(canon, ends, sorted(weight[p] for p in msts[0]))
             found = graphs._spanning_search(n, ends, cut)
             assert [frozenset(canon[j][:2] for j in t) for t in found] == msts
-    # some minimum trees differ in exact weight, some trees that are not
-    # minimal overflow, and some minima overflow
-    assert rounded > 0 and overflowing > 0 and refused > 0
+    # some trees only round to the minimum, some trees that are not minimal
+    # overflow, and some minima overflow yet are answered
+    assert rounded > 0 and overflowing > 0 and answered > 0
 
 
 def test_mst_scope_searches_without_enumerating_every_tree(monkeypatch):
@@ -397,7 +399,7 @@ def test_mst_scope_winners_weigh_at_most_the_mst(monkeypatch):
     ))
     h_star = graph_entropy(Graph(g.vertices, ((0, 1), (0, 2), (0, 3))))
     assert mst_entropy_extrema(g) == (h_star, h_star)
-    monkeypatch.setattr(graphs, "_weight_cut", lambda edges, ends, best: lambda *branch: False)
+    monkeypatch.setattr(graphs, "_weight_cut", lambda edges, ends, target: lambda *branch: False)
     with pytest.raises(RuntimeError, match="heavier than the minimum spanning tree"):
         mst_entropy_extrema(g)
 
