@@ -3,7 +3,10 @@
 The pipeline is: extract the minimum spanning tree, root it, keep at most D
 children per node (cheapest edges first) to obtain an embedded D-ary tree,
 then place leaders as ``assign_leaders`` does, at the digit-paths of an
-optimal prefix code for their importance distribution. The resulting plan
+optimal prefix code for their importance distribution. The embedded tree is
+its ordered child lists alone: a leader's codeword, read as child slots
+from the root, is descended down them to give its vertex and its route in
+one walk, the paper's prefix free path. The resulting plan
 is optimal twice over: the carrier tree has minimal total weight, and the
 placement has minimal expected hop depth among all prefix-free placements.
 
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graphs import WeightedGraph, _hop_levels, _is_mst, minimum_spanning_tree
 from .hierarchy import DaryTree, LeaderAssignment
@@ -32,34 +34,30 @@ class CapacityExceeded(ValueError):
 class EmbeddedDaryTree:
     """A rooted, arity-bounded subtree of a spanning tree.
 
-    Child slots are digit-indexed in retention order, so every retained
-    vertex has a unique digit-path address from the root. Vertices cut off
-    by the arity bound are listed in ``pruned``.
+    ``children`` lists each retained vertex's retained children in slot
+    order, and it is the only record of the tree: a digit-path addresses
+    the vertex reached by taking child slot ``digit`` at each step down
+    from the root, as :meth:`descend` does. Vertices cut off by the arity
+    bound are listed in ``pruned``.
     """
 
     root: object
     arity: int
-    children: dict   # vertex -> tuple of retained children, slot order
-    parent: dict     # vertex -> parent vertex (root absent)
-    vertex_at: dict  # digit path tuple -> vertex
+    children: dict   # retained vertex -> tuple of retained children, slot order
+    depth: int       # greatest level of a retained vertex
     pruned: tuple    # vertices unreachable for placement, sorted
 
-    @cached_property
-    def _path_at(self) -> dict:
-        return {v: path for path, v in self.vertex_at.items()}
-
-    def path_of(self, vertex) -> tuple:
-        return self._path_at[vertex]
-
-    def graph_path(self, vertex) -> tuple:
-        """Vertex sequence from the root to ``vertex`` along tree edges."""
-        walk = [vertex]
-        while walk[-1] != self.root:
-            walk.append(self.parent[walk[-1]])
-        return tuple(reversed(walk))
-
-    def max_depth(self) -> int:
-        return max(len(p) for p in self.vertex_at)
+    def descend(self, vertex, digits) -> tuple | None:
+        """The vertices passed from ``vertex`` down child slots ``digits``,
+        or None at the first digit that has no child."""
+        walk = []
+        for digit in digits:
+            kids = self.children[vertex]
+            if not 0 <= digit < len(kids):
+                return None
+            vertex = kids[digit]
+            walk.append(vertex)
+        return tuple(walk)
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,9 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
     reported in ``pruned``. The tree is rooted by :func:`_hop_levels`; with
     n-1 edges, reaching every vertex rules out a cycle. Each edge then runs
     from the lower level to the higher, and one pass in BFS order, which
-    puts a parent before its children, addresses each retained vertex.
+    puts a parent before its children, lists each retained vertex's
+    children; no digit-path is stored, :meth:`EmbeddedDaryTree.descend`
+    walks one down the lists.
     """
     d = _integer("arity", d, 2)
     rank = spanning_tree.graph()._order_key
@@ -122,24 +122,19 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
         if level[u] > level[v]:
             u, v = v, u
         kids[u].append((w, rank[v], v))
-    children: dict = {}
-    parent: dict = {}
-    # a vertex below a dropped child gets no path
-    path_of = {root: ()}
+    # a vertex below a dropped child never becomes a key
+    children: dict = {root: ()}
     for v in level:
-        if v in path_of:
+        if v in children:
             children[v] = tuple(k for _, _, k in sorted(kids[v])[:d])
-            for i, k in enumerate(children[v]):
-                parent[k] = v
-                path_of[k] = path_of[v] + (i,)
+            children.update(dict.fromkeys(children[v], ()))
 
     return EmbeddedDaryTree(
         root=root,
         arity=d,
         children=children,
-        parent=parent,
-        vertex_at={path: v for v, path in path_of.items()},
-        pruned=tuple(sorted((v for v in level if v not in path_of), key=rank.__getitem__)),
+        depth=max(map(level.__getitem__, children)),
+        pruned=tuple(sorted((v for v in level if v not in children), key=rank.__getitem__)),
     )
 
 
@@ -168,27 +163,32 @@ def plan_multicast(
     emb = embed_dary_tree(mst, root, d)
     paths = _huffman_paths(importance, d)
     longest = max(map(len, paths.values()))
-    bumps = range(max(1, emb.max_depth() - longest + 1)) if relax else (0,)
+    bumps = range(max(1, emb.depth - longest + 1)) if relax else (0,)
+    # the vertices at 0, 1, ... zero digits, for as long as the tree has them
+    run = [root]
     for bump in bumps:
-        zeros = (0,) * bump
+        if len(run) == bump:
+            run += emb.descend(run[-1], (0,)) or ()
         missing = next(
-            (label for label, p in paths.items() if zeros + p not in emb.vertex_at), None
+            (label for label, p in paths.items()
+             if len(run) <= bump or emb.descend(run[-1], p) is None),
+            None,
         )
         if missing is None:
             break
     else:
         raise CapacityExceeded(
-            f"no tree node at digit-path {str(Codeword(zeros + paths[missing]))!r} "
+            f"no tree node at digit-path {str(Codeword((0,) * bump + paths[missing]))!r} "
             f"for leader {missing!r}; the embedded tree cannot host this "
             f"placement at arity {d}"
         )
-    shifted = {label: zeros + p for label, p in paths.items()}
-    leader_vertex = {label: emb.vertex_at[p] for label, p in shifted.items()}
+    shifted = {label: (0,) * bump + p for label, p in paths.items()}
+    routes = {label: (*run, *emb.descend(run[-1], p)) for label, p in paths.items()}
     return MulticastPlan(
         root=root,
         assignment=LeaderAssignment(DaryTree(d, longest + bump), shifted, importance),
-        leader_vertex=leader_vertex,
-        leader_route={label: emb.graph_path(v) for label, v in leader_vertex.items()},
+        leader_vertex={label: route[-1] for label, route in routes.items()},
+        leader_route=routes,
         carrier=mst.edges,
         mst_weight=mst.total_weight(),
         relaxed=bump > 0,

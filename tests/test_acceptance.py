@@ -208,7 +208,13 @@ def test_criterion_5_doubly_optimal_plans():
         if abs(plan.mst_weight - min_spanning_weight(vertices, edges)) > 1e-9:
             weight_mismatches += 1
         emb = embed_dary_tree(minimum_spanning_tree(g), root, 2)
-        paths = [p for p in emb.vertex_at if p]
+        # every non-empty digit-path, by a walk down the child lists
+        paths, stack = [], [((), root)]
+        while stack:
+            path, v = stack.pop()
+            for i, c in enumerate(emb.children[v]):
+                paths.append(path + (i,))
+                stack.append((path + (i,), c))
         best = best_realizable_depth(paths, [w / total for w in weights])
         if best is None or abs(plan.assignment.expected_depth() - best) > 1e-9:
             depth_mismatches += 1

@@ -715,8 +715,14 @@ PATH10 = "".join(f"v{i} v{i + 1} 1\n" for i in range(9))
         (STAR14, "h", PMF13, ["--D", "11"], "10.0", "L0"),
         # depth 9 against codewords 0, 10, 11: the last shift tried is 7 zeros
         (PATH10, "v0", "X 0.5\nY 0.25\nZ 0.25\n", ["--D", "2", "--relax"], "000000010", "Y"),
+        # depth 4 against codewords 0, 10, 11: the zero run ends at the leaf a
+        # after one zero, and the last shift tried is 2 zeros
+        (
+            "r a 1\nr b 2\nb c 1\nc d 1\nd e 1\n", "r", "x .5\ny .25\nz .25\n",
+            ["--D", "2", "--relax"], "000", "x",
+        ),
     ],
-    ids=["triangle", "triangle-relax", "star-D11", "path-relax-deep"],
+    ids=["triangle", "triangle-relax", "star-D11", "path-relax-deep", "zero-run-ends-early"],
 )
 def test_plan_multicast_capacity_error_names_path_and_leader(
     tmp_path, edges, root, pmf, flags, path, leader

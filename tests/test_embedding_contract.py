@@ -1,9 +1,11 @@
 """What ``embed_dary_tree`` promises about the rooted tree it returns.
 
 The embedding roots the spanning tree by one breadth-first walk from the
-root. It must reject an input that is not a tree, address each retained
-vertex, and list each cut-off vertex in ``pruned``. The expected
-children here come from rooting the tree by a separate walk in this file.
+root. It must reject an input that is not a tree, list the children of
+each retained vertex in slot order, so that descending a digit-path from
+the root reaches the vertex it addresses, and list each cut-off vertex in
+``pruned``. The expected children here come from rooting the tree by a
+separate walk in this file.
 """
 
 import random
@@ -100,18 +102,30 @@ def test_random_tree_embedding_contract(d):
         tree = WeightedGraph(vertices, edges)
         root = rng.choice(vertices)
         emb = embed_dary_tree(tree, root, d)
-        addressed = set(emb.vertex_at.values())
+        retained = set(emb.children)
 
-        assert len(addressed) == len(emb.vertex_at)
-        assert addressed.isdisjoint(emb.pruned)
-        assert addressed | set(emb.pruned) == set(vertices)
+        assert retained.isdisjoint(emb.pruned)
+        assert retained | set(emb.pruned) == set(vertices)
         assert list(emb.pruned) == sorted(emb.pruned, key=_id_order)
-        assert set(emb.parent) == addressed - {root}
-        assert set(emb.children) == addressed
+        # each retained vertex but the root sits under exactly one parent
+        placed = [c for v in retained for c in emb.children[v]]
+        assert len(placed) == len(set(placed))
+        assert set(placed) == retained - {root}
 
+        # the digit-path and the vertices passed from the root, by this
+        # file's rooting, of every vertex the arity bound keeps
         kids = _rooted_children(tree, root)
-        for v in addressed:
+        path = {root: ((), ())}
+        stack = [root]
+        while stack:
+            v = stack.pop()
             assert emb.children[v] == tuple(c for _, c in kids[v][:d])
-            for i, c in enumerate(emb.children[v]):
-                assert emb.parent[c] == v
-                assert emb.vertex_at[emb.path_of(v) + (i,)] == c
+            digits, route = path[v]
+            for i, (_, c) in enumerate(kids[v][:d]):
+                path[c] = (digits + (i,), route + (c,))
+                stack.append(c)
+        assert set(path) == retained
+        assert emb.depth == max(len(digits) for digits, _ in path.values())
+        for v, (digits, route) in path.items():
+            assert emb.descend(root, digits) == route
+            assert emb.descend(root, digits + (len(emb.children[v]),)) is None

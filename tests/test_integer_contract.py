@@ -159,6 +159,7 @@ EXEMPT = {
     ("SimResult", "seed"): "copied from a checked GossipConfig",
     ("OverlapFunction", "n"): "the size of a checked IntervalSet",
     ("EmbeddedDaryTree", "arity"): "checked by embed_dary_tree, which builds it",
+    ("EmbeddedDaryTree", "depth"): "counted by embed_dary_tree, which builds it",
     ("Codeword", "digits"): "checked by PrefixCode and LeaderAssignment, which hold codewords",
 }
 

@@ -1,4 +1,5 @@
-"""Metamorphic relations of ``span-entropy`` and ``plan-multicast``.
+"""Metamorphic relations of ``span-entropy``, ``plan-multicast``, ``fuse``
+and ``huffman``.
 
 A relation compares the output for an input with the output for a
 transformed input, so it needs no reference answer and holds at sizes no
@@ -16,7 +17,22 @@ oracle reaches. Every input is seeded.
 - ``plan-multicast --audit --json``, at the ``plan`` benchmark's small
   sizes, gives an identical result section after the line shuffle and
   flip, and after the weight scaling, except that ``mst_weight`` scales by
-  the same factor.
+  the same factor. After the pmf's lines are shuffled, each label keeps its
+  depth and every field but the leader table is identical, ``expected_depth``
+  to the bit; the paths within a depth move, since canonical assignment
+  follows input label order. The importances are distinct, because Huffman
+  breaks a tie between equal probabilities by input order.
+- ``huffman`` gives each label the same length after its pmf's lines are
+  permuted, again with distinct probabilities, and every field but the code
+  table is identical.
+- ``fuse``, on the benchmark's shape of intervals with n/10 outliers, gives
+  an identical result section after its lines are shuffled. A zero endpoint
+  takes the sign of its first occurrence in input order, by design, so
+  these inputs have none.
+
+``gossip`` has no line-order relation: its draws are keyed by a vertex's
+position in the graph file's order of first mention, by design, so
+reordering the lines changes which draw each vertex gets.
 """
 
 import functools
@@ -47,15 +63,24 @@ SCOPES = ([], ["--msts-only"])
 SCALES = (2.0**-3, 2.0**5)
 
 
-def _result(tmp_path, lines, *args):
-    """The result section of one in-process ``--json`` run on the graph ``lines``."""
-    path = tmp_path / "g.edges"
-    path.write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in lines))
+def _json(*argv):
+    """The result section of one in-process ``--json`` run."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = run([*args[:1], "--graph", str(path), *args[1:], "--json"])
+        code = run([*argv, "--json"])
     assert code == 0, err.getvalue()
     return json.loads(out.getvalue())["result"]
+
+
+def _result(tmp_path, lines, *args):
+    """The result section of one ``--json`` run on the graph ``lines``."""
+    path = tmp_path / "g.edges"
+    path.write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in lines))
+    return _json(*args[:1], "--graph", str(path), *args[1:])
+
+
+def _without(result, key):
+    return {k: v for k, v in result.items() if k != key}
 
 
 def _shuffled_and_flipped(rng, lines):
@@ -145,12 +170,20 @@ def _plan_inputs(rng, d, n=1023, extra=2000, leaders=250):
         if pair not in have:
             have.add(pair)
             edges.append((*sorted(pair), rng.randint(10, 99)))
-    raw = [rng.randint(90, 110) for _ in range(leaders)]
+    return edges, "".join(_pmf_lines([rng.randint(90, 110) for _ in range(leaders)]))
+
+
+def _pmf_lines(raw):
+    """One ``L<i> p`` line per weight in ``raw``, each p in proportion to it."""
     total = sum(raw)
     probs = [r / total for r in raw]
     # a left-to-right fold: sum() of floats is compensated from CPython 3.12 on
     probs[-1] = 1.0 - functools.reduce(operator.add, probs[:-1], 0.0)
-    return edges, "".join(f"L{i} {p!r}\n" for i, p in enumerate(probs))
+    return [f"L{i} {p!r}\n" for i, p in enumerate(probs)]
+
+
+def _distinct(pmf_lines):
+    return len({line.split()[1] for line in pmf_lines}) == len(pmf_lines)
 
 
 @pytest.mark.parametrize("d, n", [(2, 1023), (3, 1093)])
@@ -165,3 +198,71 @@ def test_plan_keeps_its_result_under_line_order_and_weight_scale(d, n, tmp_path)
     for factor in SCALES:
         got = _result(tmp_path, _scaled(edges, factor), *args)
         assert got == {**want, "mst_weight": want["mst_weight"] * factor}
+
+
+@pytest.mark.parametrize("d, n", [(2, 1023), (3, 1093)])
+def test_plan_keeps_each_depth_under_a_pmf_shuffle(d, n, tmp_path):
+    rng = random.Random(5200 + d)
+    edges, _ = _plan_inputs(rng, d, n)
+    pmf = _pmf_lines(rng.sample(range(9000, 11000), 250))
+    assert _distinct(pmf)
+
+    def plan(lines):
+        (tmp_path / "p.pmf").write_text("".join(lines))
+        result = _result(
+            tmp_path, edges, "plan-multicast", "--pmf", str(tmp_path / "p.pmf"),
+            "--root", "v0", "--D", str(d),
+        )
+        return _without(result, "leaders"), {r["label"]: len(r["path"]) for r in result["leaders"]}
+
+    want = plan(pmf)
+    for _ in range(2):
+        rng.shuffle(pmf)
+        assert plan(pmf) == want
+
+
+def test_huffman_keeps_each_length_under_a_label_permutation(tmp_path):
+    path = tmp_path / "p.pmf"
+    for seed, d in itertools.product(range(3), (2, 3, 5)):
+        rng = random.Random(5300 + 10 * seed + d)
+        # weights spread over three decades, so lengths differ widely
+        pmf = _pmf_lines(rng.sample(range(1, 1000), rng.randint(2, 300)))
+        assert _distinct(pmf)
+
+        def code(lines):
+            path.write_text("".join(lines))
+            result = _json("huffman", "--pmf", str(path), "--D", str(d))
+            return _without(result, "code"), {r["label"]: r["length"] for r in result["code"]}
+
+        want = code(pmf)
+        rng.shuffle(pmf)
+        assert code(pmf) == want
+
+
+def _fuse_rows(rng, n):
+    """The ``fuse`` benchmark's shape: n - f intervals about 0, f = n/10 outliers."""
+    f = n // 10
+    rows = [(-rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)) for _ in range(n - f)]
+    for _ in range(f):
+        centre = rng.choice((-1, 1)) * rng.uniform(2.0, 10.0)
+        half = rng.uniform(0.05, 1.0)
+        rows.append((centre - half, centre + half))
+    rng.shuffle(rows)
+    return [f"{lo!r} {hi!r}\n" for lo, hi in rows], f
+
+
+@pytest.mark.parametrize("function", ["compare", "omega"])
+def test_fuse_keeps_its_result_under_a_line_shuffle(function, tmp_path):
+    path = tmp_path / "i.intervals"
+    for n in (500, 1000):
+        rng = random.Random(5400 + n)
+        rows, f = _fuse_rows(rng, n)
+
+        def fuse(lines):
+            path.write_text("".join(lines))
+            return _json("fuse", "--intervals", str(path), "--f", str(f), "--function", function)
+
+        want = fuse(rows)
+        for _ in range(2):
+            rng.shuffle(rows)
+            assert fuse(rows) == want

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from prefixcast.graphs import WeightedGraph
+from prefixcast.graphs import WeightedGraph, minimum_spanning_tree
 from prefixcast.hierarchy import DaryTree, LeaderAssignment, assign_leaders, verify_secure
 from prefixcast.multicast import (
     CapacityExceeded,
@@ -52,8 +53,10 @@ TRIANGLE = WeightedGraph(
 def test_embed_path_from_end_keeps_everything():
     emb = embed_dary_tree(wpath("a", "b", "c", "d"), "a", 2)
     assert emb.pruned == ()
-    assert emb.vertex_at == {(): "a", (0,): "b", (0, 0): "c", (0, 0, 0): "d"}
-    assert emb.graph_path("d") == ("a", "b", "c", "d")
+    assert emb.children == {"a": ("b",), "b": ("c",), "c": ("d",), "d": ()}
+    assert emb.depth == 3
+    assert emb.descend("a", (0, 0, 0)) == ("b", "c", "d")
+    assert emb.descend("a", (0, 0, 0, 0)) is None
 
 
 def test_embed_star_prunes_heaviest_children():
@@ -64,23 +67,15 @@ def test_embed_star_prunes_heaviest_children():
     emb = embed_dary_tree(star, "h", 2)
     assert emb.children["h"] == ("p", "q")
     assert emb.pruned == ("r", "s")
-    assert emb.vertex_at[(0,)] == "p" and emb.vertex_at[(1,)] == "q"
-
-
-def test_path_of_inverts_vertex_at():
-    emb = embed_dary_tree(BALANCED, 0, 2)
-    for path, v in emb.vertex_at.items():
-        assert emb.path_of(v) == path
-    star = WeightedGraph(("h", "p", "q", "r"), (("h", "p", 1.0), ("h", "q", 2.0), ("h", "r", 3.0)))
-    with pytest.raises(KeyError):
-        embed_dary_tree(star, "h", 2).path_of("r")  # pruned: no address
+    assert emb.descend("h", (0,)) == ("p",) and emb.descend("h", (1,)) == ("q",)
+    assert emb.descend("h", (2,)) is None  # r's slot is cut off
 
 
 def test_embed_balanced_binary_is_identity():
     emb = embed_dary_tree(BALANCED, 0, 2)
     assert emb.pruned == ()
-    assert len(emb.vertex_at) == 7
-    assert emb.vertex_at[(0,)] == 1 and emb.vertex_at[(1, 1)] == 6
+    assert len(emb.children) == 7 and emb.depth == 2
+    assert emb.descend(0, (0,)) == (1,) and emb.descend(0, (1, 1)) == (2, 6)
 
 
 def test_embed_rejects_non_trees_and_bad_root():
@@ -152,18 +147,39 @@ def test_relax_mode_gives_up_when_nothing_fits():
         plan_multicast(TRIANGLE, "A", pmf_of(X=0.5, Y=0.5), 2, relax=True)
 
 
-def test_relax_mode_recovers_with_longer_codes():
-    g = WeightedGraph(
-        ("r", "a", "b", "c"),
-        (("r", "a", 1.0), ("a", "b", 1.0), ("a", "c", 1.0)),
-    )
+@pytest.mark.parametrize(
+    "edges, probs, leaders, routes",
+    [
+        (
+            (("r", "a", 1.0), ("a", "b", 1.0), ("a", "c", 1.0)),
+            {"X": 0.5, "Y": 0.5},
+            {"X": (0, 0), "Y": (0, 1)},
+            {"X": ("r", "a", "b"), "Y": ("r", "a", "c")},
+        ),
+        # fits at shift 2, while the deepest vertex, q3, is off the zero run
+        (
+            (("r", "x", 1.0), ("x", "y", 1.0), ("y", "z", 1.0), ("y", "q", 2.0),
+             ("q", "q2", 1.0), ("q2", "q3", 1.0)),
+            {"u": 0.6, "v": 0.4},
+            {"u": (0, 0, 0), "v": (0, 0, 1)},
+            {"u": ("r", "x", "y", "z"), "v": ("r", "x", "y", "q")},
+        ),
+    ],
+    ids=["fork-below-one-zero", "deepest-vertex-off-the-zero-run"],
+)
+def test_relax_mode_recovers_with_longer_codes(edges, probs, leaders, routes):
+    g = WeightedGraph(tuple(dict.fromkeys(v for e in edges for v in e[:2])), edges)
+    pmf = pmf_of(**probs)
     with pytest.raises(CapacityExceeded):
-        plan_multicast(g, "r", pmf_of(X=0.5, Y=0.5), 2)
-    plan = plan_multicast(g, "r", pmf_of(X=0.5, Y=0.5), 2, relax=True)
+        plan_multicast(g, "r", pmf, 2)
+    plan = plan_multicast(g, "r", pmf, 2, relax=True)
     assert plan.relaxed
-    assert plan.assignment.leaders == {"X": (0, 0), "Y": (0, 1)}
-    assert plan.assignment.expected_depth() == pytest.approx(2.0)
-    assert sorted(plan.leader_vertex.values()) == ["b", "c"]
+    assert plan.assignment.leaders == leaders
+    assert plan.assignment.expected_depth() == pytest.approx(
+        math.fsum(p * len(leaders[label]) for label, p in probs.items())
+    )
+    assert plan.leader_route == routes
+    assert plan.leader_vertex == {label: route[-1] for label, route in routes.items()}
     assert verify_secure(plan.assignment).secure
 
 
@@ -204,6 +220,32 @@ def test_relaxed_plan_is_the_optimal_placement_behind_zeros():
         assert plan.leader_vertex == {label: name[p] for label, p in optimal.leaders.items()}
 
 
+def test_embedding_and_relax_refusal_stay_linear_on_a_long_path():
+    # the CI's worst case: a 4000-vertex weighted path, 50 uniform leaders at
+    # D=2, where every shift up to depth 3993 is tried and fails
+    n = 4000
+    g = WeightedGraph(
+        tuple(f"v{i}" for i in range(n)),
+        tuple((f"v{i}", f"v{i + 1}", float(i % 7 + 1)) for i in range(n - 1)),
+    )
+    mst = minimum_spanning_tree(g)
+    tracemalloc.start()
+    try:
+        emb = embed_dary_tree(mst, "v0", 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000  # one digit-path per vertex took 65.7 MB
+    assert emb.depth == n - 1
+    pmf = ProbabilityMassFunction.from_pairs([(f"L{i}", 0.02) for i in range(50)])
+    with pytest.raises(CapacityExceeded) as err:
+        plan_multicast(g, "v0", pmf, 2, relax=True)
+    assert str(err.value) == (
+        f"no tree node at digit-path {'0' * 3993 + '011100'!r} for leader 'L0'; "
+        "the embedded tree cannot host this placement at arity 2"
+    )
+
+
 def test_plan_preserves_importance_ordering():
     rng = random.Random(67)
     done = 0
@@ -229,9 +271,18 @@ def test_plan_preserves_importance_ordering():
                     assert len(plan.assignment.leaders[x]) <= len(plan.assignment.leaders[y])
 
 
-def test_plan_depth_is_optimal_for_embedded_tree():
-    from prefixcast.graphs import minimum_spanning_tree
+def _digit_paths(emb):
+    """Every non-empty digit-path of the embedding, by a walk down its child lists."""
+    paths, stack = [], [((), emb.root)]
+    while stack:
+        path, v = stack.pop()
+        for i, c in enumerate(emb.children[v]):
+            paths.append(path + (i,))
+            stack.append((path + (i,), c))
+    return paths
 
+
+def test_plan_depth_is_optimal_for_embedded_tree():
     rng = random.Random(71)
     done = 0
     while done < 30:
@@ -249,7 +300,7 @@ def test_plan_depth_is_optimal_for_embedded_tree():
             continue
         done += 1
         emb = embed_dary_tree(minimum_spanning_tree(g), 0, 2)
-        available = [p for p in emb.vertex_at if p != ()]
+        available = _digit_paths(emb)
         oracle = best_realizable_depth(available, list(pmf.as_dict().values()))
         assert oracle is not None
         assert plan.assignment.expected_depth() == pytest.approx(oracle, abs=1e-9)
