@@ -18,14 +18,21 @@ chain z = s(s(s(s(seed) + trial) + kind) + index), each argument taken
 mod 2**64, where s is :func:`_splitmix64`; it succeeds when draw < p.
 
 Because a draw is a pure function of its key, a trial can be evaluated in
-any order. The simulator runs it level by level: the nodes that fire at
-level j decide which nodes at level j-1 accept the message, and those gate
-themselves. The first three stages of the chain depend only on (seed),
-(seed, trial) and (seed, trial, kind), so they are computed once per run and
-once per trial, with the last stage's splitmix64 increment folded into the
-trial's gate and link keys. Each decision is then one inlined splitmix64
-stage, compared as an integer against a threshold computed once per run
-(see :func:`_threshold`), and draws exactly the values of the chain above.
+any order, and a draw that cannot change the trial need not be made. The
+simulator runs a trial level by level. A node below the source fires
+exactly when its gate passes and some link to it from a fired node one
+level up survives, so at each level it draws each candidate's likelier
+failure first (the gate when p_level < 1 - q, else the links) and the other
+only once that passes. Every draw it makes reads the same keyed value, and
+a node's firing is the same conjunction of the same values whichever is
+drawn first, so no outcome depends on the order. The first three stages of
+the chain depend only on (seed), (seed, trial) and (seed, trial, kind), so
+they are computed once per run and once per trial, with the last stage's
+splitmix64 increment folded into the trial's gate and link keys. Each
+decision is then one inlined splitmix64 stage, compared as an integer
+against a threshold computed once per run (see :func:`_threshold`), and
+mostly settled by the top bits of the stage's last product (see
+:func:`_band`).
 """
 
 from __future__ import annotations
@@ -72,6 +79,18 @@ def _threshold(p: float) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def _band(t: int) -> tuple:
+    """``(lo, hi, t)`` for a threshold t, deciding a draw by its top bits.
+
+    The last splitmix64 stage ``z ^ (z >> 31)`` leaves bits 63..33 of z as
+    they are, so with ``lo = (t >> 33) << 33`` the draw is below t when
+    ``z < lo`` and is not when ``z >= hi = lo + 2**33``. Only a z in that
+    band of width 2**33 needs the xor-shift to be compared with t.
+    """
+    lo = t >> 33 << 33
+    return lo, lo + (1 << 33), t
 
 
 @dataclass(frozen=True)
@@ -236,63 +255,91 @@ def _prepare(net: LeveledNetwork):
     return pos, level, downhill
 
 
-def _run_trial(level, downhill, gate_t, link_t, source, broadcast, root, trial):
+def _run_trial(level, downhill, gates, link_band, source, broadcast, root, trial):
     """One trial from the vertex at position ``source``, evaluated by level.
 
-    ``root`` is ``_splitmix64(seed)``. The trial's gate and link keys are
-    derived from it here with the last stage's increment added, so a
-    decision on index i mixes ``(key + i) & _MASK64`` by the three
-    splitmix64 rounds and reads the last stage of the draw chain in the
-    module docstring; ``z < t`` with ``t = _threshold(p)`` decides
-    ``draw < p``. ``gate_t[j-1]`` is the gate threshold at level j and
-    ``link_t`` the threshold of a surviving link.
+    ``root`` is ``_splitmix64(seed)``. The source's gate is drawn whole by
+    :func:`_splitmix64`, and only once it passes is the link key derived.
+    Both keys then carry the last stage's increment, so a decision on index
+    i mixes ``(key + i) & _MASK64`` by two splitmix64 rounds and is settled
+    from that z by the decision's :func:`_band`, as the last stage of the
+    draw chain in the module docstring would be. ``gates[j]`` is the band of
+    the gate at level j and ``link_band`` the band of a surviving link. The
+    base station has no gate: its threshold 2**64 puts its links first, and
+    its gate is not drawn.
 
     The source fires with its level's probability and then costs one
     transmission per incident link, ``broadcast`` of them to neighbors not
-    below it. At each level below it, a node accepts when some fired node
-    one level up reaches it over a surviving link; a link to a node already
-    accepted still costs a transmission but needs no draw. Each accepted
-    node then draws its gate, and each node that fires costs one
-    transmission per downhill link. The base station is a sink: a trial
-    delivers when it accepts, after ``level(source)`` hops.
+    below it. Every other node that fires costs one transmission per
+    downhill link. At each level below the source, a candidate is a downhill
+    neighbor of a fired node, and it fires when its gate passes and some
+    link to it from a fired node survives. Its likelier failure is drawn
+    first: its gate when the gate threshold is below the link threshold,
+    else its links until one survives; the other is drawn only once that
+    passes. The per-level dict ``state`` marks a candidate True while its
+    gate has passed and no link has, and False once it is decided, so no
+    decision is drawn twice. A candidate fires on the same conjunction of
+    the same keyed values whichever is drawn first, so the fired sets, and
+    with them every transmission count and outcome, are those of drawing
+    every decision. A trial delivers when the base station fires, after
+    ``level(source)`` hops.
     """
     top = level[source]
     if top == 0:
         return True, 0, 0
     chain = _splitmix64((root + trial) & _MASK64)
-    gate_key = _splitmix64((chain + _GATE) & _MASK64) + _GOLDEN
+    gate_key = _splitmix64((chain + _GATE) & _MASK64)
+    if _splitmix64((gate_key + source) & _MASK64) >= gates[top][2]:
+        return False, 0, None
+    gate_key += _GOLDEN
     link_key = _splitmix64((chain + _LINK) & _MASK64) + _GOLDEN
+    link_lo, link_hi, link_t = link_band
 
-    transmissions = 0
-    accepted = (source,)
-    for lv in range(top, 0, -1):
-        t = gate_t[lv - 1]
-        fired = []
-        for v in accepted:
-            z = (gate_key + v) & _MASK64
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            if z ^ (z >> 31) < t:
-                fired.append(v)
-        if not fired:
-            return False, transmissions, None
-        if lv == top:
-            transmissions = broadcast
-        accepted = set()
+    transmissions = broadcast
+    fired = (source,)
+    for lv in range(top - 1, -1, -1):
+        gate_lo, gate_hi, gate_t = gates[lv]
+        gate_first = gate_t < link_t
+        state = {}
+        nxt = []
         for u in fired:
             links = downhill[u]
             transmissions += len(links)
-            for link, v in links:
-                if v in accepted:
-                    continue
-                z = (link_key + link) & _MASK64
-                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                if z ^ (z >> 31) < link_t:
-                    accepted.add(v)
-    if accepted:
-        return True, transmissions, top
-    return False, transmissions, None
+            if gate_first:
+                for link, v in links:
+                    gate_open = state.get(v)
+                    if gate_open is None:
+                        z = (gate_key + v) & _MASK64
+                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                        gate_open = state[v] = z < gate_lo or z < gate_hi and z ^ (z >> 31) < gate_t
+                    if gate_open:
+                        z = (link_key + link) & _MASK64
+                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                        if z < link_lo or z < link_hi and z ^ (z >> 31) < link_t:
+                            state[v] = False
+                            nxt.append(v)
+            else:
+                for link, v in links:
+                    if v in state:
+                        continue
+                    z = (link_key + link) & _MASK64
+                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                    if z < link_lo or z < link_hi and z ^ (z >> 31) < link_t:
+                        state[v] = False
+                        if lv:
+                            z = (gate_key + v) & _MASK64
+                            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                            if z >= gate_hi or z >= gate_lo and z ^ (z >> 31) >= gate_t:
+                                continue
+                        nxt.append(v)
+        if not nxt:
+            return False, transmissions, None
+        fired = nxt
+    return True, transmissions, top
 
 
 def trial_outcomes(net: LeveledNetwork, cfg: GossipConfig, event_source):
@@ -312,14 +359,15 @@ def trial_outcomes(net: LeveledNetwork, cfg: GossipConfig, event_source):
             f"{len(cfg.level_probabilities)} level probabilities were given"
         )
     pos, level, downhill = _prepare(net)
-    gate_t = [_threshold(p) for p in cfg.level_probabilities]
-    link_t = _threshold(1.0 - cfg.q)
+    # the base station has no gate; no draw reaches 2**64
+    gates = [_band(1 << 64)] + [_band(_threshold(p)) for p in cfg.level_probabilities]
+    link_band = _band(_threshold(1.0 - cfg.q))
     source = pos[event_source]
     # the detecting node broadcasts on every link; relays aim downhill
     broadcast = sum(event_source in e for e in net.graph.edges) - len(downhill[source])
     root = _splitmix64(cfg.seed & _MASK64)
     return (
-        _run_trial(level, downhill, gate_t, link_t, source, broadcast, root, t)
+        _run_trial(level, downhill, gates, link_band, source, broadcast, root, t)
         for t in range(cfg.trials)
     )
 

@@ -3,13 +3,15 @@
 ``oracles.gossip_trials_queue`` walks each trial with a FIFO queue and a
 per-node hop map, drawing every decision through the full four-stage
 splitmix64 chain and comparing it as a float. ``trial_outcomes`` evaluates
-trials level by level with the chain's first three stages hoisted and each
-draw compared as an integer against a threshold, so it must agree with the
-oracle trial by trial on any connected graph, id type, source and
+trials level by level, drawing each candidate's likelier failure first,
+with the chain's first three stages hoisted and each draw settled by its
+top bits or compared as an integer against a threshold, so it must agree
+with the oracle trial by trial on any connected graph, id type, source and
 parameters, including the probabilities 0 and 1.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from prefixcast.gossip import (
     GossipConfig,
     LeveledNetwork,
     SimResult,
+    _band,
     _threshold,
     assign_levels,
     summarize_trials,
@@ -82,8 +85,11 @@ def gossip_cases(draw, probs=UNIT, qs=UNIT):
         (UNIT, st.just(1.0)),
         (st.just(1.0), UNIT),
         (st.one_of(st.just(1.0), UNIT), st.just(0.0)),
+        (st.floats(0.0, 0.5), st.floats(0.0, 0.3)),
+        (st.floats(0.8, 1.0), st.floats(0.5, 1.0)),
+        (st.just(0.75), st.just(0.25)),
     ],
-    ids=["any", "q=0", "q=1", "p=1", "some p=1, q=0"],
+    ids=["any", "q=0", "q=1", "p=1", "some p=1, q=0", "gates first", "links first", "p=1-q"],
 )
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -95,6 +101,33 @@ def test_trial_outcomes_match_queue_oracle(probs, qs, data):
         cfg.trials, source,
     )
     assert got == want
+
+
+def test_trial_outcomes_match_queue_oracle_on_a_dense_wide_network():
+    # 300 vertices, one per cell of a 15 x 20 lattice, joined within 0.3:
+    # candidates here have dozens of fired uphill neighbors, which the
+    # hypothesis graphs of at most 10 vertices never give
+    rng = random.Random(2011)
+    cols, rows = 15, 20
+    pts = [((c + rng.random()) / cols, (r + rng.random()) / rows)
+           for r in range(rows) for c in range(cols)]
+    pts[0] = (0.0, 0.0)
+    verts = tuple(range(len(pts)))
+    edges = tuple((i, j) for i in verts for j in verts[i + 1:]
+                  if math.dist(pts[i], pts[j]) <= 0.3)
+    g = Graph(verts, edges)
+    net = assign_levels(g, 0)
+    depth = net.max_level()
+    source = min(v for v in verts if net.level[v] == depth)
+    assert 4 <= depth <= 6
+    for probs, q in [
+        ((0.6, 0.5, 0.4, 0.3, 0.2, 0.1), 0.05),
+        (tuple(0.99 - 0.001 * j for j in range(6)), 0.8),
+    ]:
+        cfg = GossipConfig(probs, q, 200, 7)
+        want = gossip_trials_queue(verts, edges, 0, probs, q, cfg.seed, cfg.trials, source)
+        assert list(trial_outcomes(net, cfg, source)) == want
+        assert 0 < sum(ok for ok, _, _ in want) < cfg.trials
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,6 +203,26 @@ def test_threshold_decides_each_draw_as_the_float_compare_does(p, other):
     for z in (t - 1, t, 0, 2**64 - 1, other):
         if 0 <= z < 2**64:
             assert (z / 2.0**64 < p) == (z < t)
+
+
+@given(
+    st.one_of(
+        UNIT,
+        st.sampled_from([0.0, 1.0, 1.0 - 2.0**-53, 2.0**-64]),
+        st.floats(0.0, SMALLEST_NORMAL),  # subnormals
+    ),
+    st.integers(0, 2**33 - 1),
+    st.integers(-(2**35), 2**35),
+)
+def test_band_decides_each_draw_as_the_last_stage_does(p, inside, near):
+    # z is the value before the last xor-shift; the trial loop settles it by
+    # lo and hi alone outside the band, which an oracle draw lands in with
+    # probability 2**-31, so the band's edges are tested here directly
+    t = _threshold(p)
+    lo, hi, band_t = _band(t)
+    for z in (lo - 1, lo, hi - 1, hi, t - 1, t, 0, 2**64 - 1, lo + inside, t + near):
+        if 0 <= z < 2**64:
+            assert (z < lo or z < hi and z ^ (z >> 31) < band_t) == (z ^ (z >> 31) < t)
 
 
 def test_summarize_trials_folds_outcomes():
