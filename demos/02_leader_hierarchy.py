@@ -21,8 +21,8 @@ importance = ProbabilityMassFunction.from_pairs(
 )
 
 assignment = assign_leaders(importance, d=2)
-print("binary tree, depth", assignment.tree.max_depth,
-      "holds", assignment.tree.total_nodes(), "nodes")
+print("binary tree, depth", assignment.depth,
+      "holds", total_nodes(assignment.arity, assignment.depth), "nodes")
 for label in importance.labels():
     path = assignment.leaders[label]
     print(f"  {label:>9} at {''.join(map(str, path))}  depth {len(path)}")

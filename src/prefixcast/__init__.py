@@ -62,7 +62,6 @@ from .graphs import (
     tsallis_graph_entropy,
 )
 from .hierarchy import (
-    DaryTree,
     LeaderAssignment,
     LevelLeaderCounts,
     SecurityReport,
@@ -153,7 +152,6 @@ __all__ = [
     "star_graph",
     "tsallis_graph_entropy",
     # hierarchy
-    "DaryTree",
     "LeaderAssignment",
     "LevelLeaderCounts",
     "SecurityReport",

@@ -79,6 +79,7 @@ from .hierarchy import (
     assign_leaders,
     last_link_failure_probability,
     path_reliability,
+    total_nodes,
     verify_secure,
 )
 from .multicast import plan_cost_audit, plan_multicast
@@ -378,7 +379,9 @@ def cmd_code_from_lengths(args, rep):
     if (args.lengths is None) == (args.lengths_file is None):
         raise ValueError("exactly one of --lengths or --lengths-file is required")
     lengths = _lengths(args, rep)
-    labels = tuple(args.labels.split(",")) if args.labels else None
+    labels = None if args.labels is None else tuple(args.labels.split(","))
+    if labels and "" in labels:
+        raise ValueError(f"--labels {args.labels!r} has an empty label")
     digits = sum(lengths.lengths)
     # a set that admits no code keeps code_from_lengths's Kraft error
     if digits > _LISTING_BOUND and satisfies_kraft(lengths):
@@ -486,8 +489,8 @@ def cmd_assign_leaders(args, rep):
     rep.field("expected_depth", assignment.expected_depth())
     rep.field("entropy_bound", shannon_entropy(pmf, base=float(args.D)))
     rep.field("kraft_sum", assignment.depth_kraft_sum())
-    rep.field("tree_depth", assignment.tree.max_depth)
-    rep.field("tree_nodes", assignment.tree.total_nodes())
+    rep.field("tree_depth", assignment.depth)
+    rep.field("tree_nodes", total_nodes(assignment.arity, assignment.depth))
     if args.D > 2:
         rep.text_only(
             "# note: node counts use the geometric series "
@@ -504,7 +507,7 @@ def cmd_plan_multicast(args, rep):
     assignment = plan.assignment
     paths = assignment.leaders
     rep.field("root", plan.root)
-    rep.field("D", assignment.tree.arity)
+    rep.field("D", assignment.arity)
     rep.field("mst_weight", plan.mst_weight)
     rep.field("expected_depth", assignment.expected_depth())
     rep.field("kraft_sum", assignment.depth_kraft_sum())

@@ -1,11 +1,12 @@
 """Leader placement in complete D-ary trees and path-reliability formulas.
 
 Nodes of a complete D-ary tree are addressed by digit paths from the root
-(the root is the empty path, its children are (0,), (1,), ...). Placing
-leaders at the codeword paths of an optimal prefix code makes every
-root-to-leader path prefix-free, so a message descending toward one leader
-never travels through another, and simultaneously minimizes the expected
-leader depth weighted by importance.
+(the root is the empty path, its children are (0,), (1,), ...). A placement
+is its leaders' paths, and its tree is the complete D-ary tree as deep as
+the longest one. Placing leaders at the codeword paths of an optimal prefix
+code makes every root-to-leader path prefix-free, so a message descending
+toward one leader never travels through another, and simultaneously
+minimizes the expected leader depth weighted by importance.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass, field
 
 from .source_coding import (
     ProbabilityMassFunction,
+    _digit_paths,
     _huffman_paths,
     _integer,
-    _integer_digits,
     _probability,
-    prefix_violations,
 )
 
 
@@ -31,32 +31,6 @@ def total_nodes(d: int, n_max: int) -> int:
     """
     d, n_max = _integer("arity", d, 2), _integer("depth", n_max, 0)
     return (d ** (n_max + 1) - 1) // (d - 1)
-
-
-@dataclass(frozen=True)
-class DaryTree:
-    """Complete D-ary tree of a fixed maximum depth."""
-
-    arity: int
-    max_depth: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "arity", _integer("arity", self.arity, 2))
-        object.__setattr__(self, "max_depth", _integer("max depth", self.max_depth, 0))
-
-    def nodes_at_depth(self, j: int) -> int:
-        j = _integer("depth", j)
-        if not 0 <= j <= self.max_depth:
-            raise ValueError(f"depth {j} outside 0..{self.max_depth}")
-        return self.arity**j
-
-    def total_nodes(self) -> int:
-        return total_nodes(self.arity, self.max_depth)
-
-    def contains_path(self, path: tuple) -> bool:
-        return len(path) <= self.max_depth and all(
-            0 <= d < self.arity for d in path
-        )
 
 
 @dataclass(frozen=True)
@@ -92,16 +66,19 @@ class SecurityReport:
 class LeaderAssignment:
     """Leaders at digit-path addresses of a D-ary tree, with importances.
 
-    Construction enforces integer digits in range, the tree depth bound,
-    and the no-root rule (a depth-0 leader would sit on every other leader's
-    path). Prefix-freeness between leaders, the point of the placement, is
-    decided once here into :attr:`security` rather than hard-enforced, so a
-    hand-built faulty assignment can be inspected instead of rejected.
+    :attr:`depth` is the longest path. Construction checks the paths as a
+    code's codewords are checked, by :func:`_digit_paths`: integer digits in
+    0..D-1, stored as int, and the no-root rule (a depth-0 leader would sit
+    on every other leader's path). Prefix-freeness between leaders, the
+    point of the placement, is decided once there into :attr:`security`
+    rather than hard-enforced, so a hand-built faulty assignment can be
+    inspected instead of rejected.
     """
 
-    tree: DaryTree
+    arity: int
     leaders: dict  # label -> digit path tuple
     importance: ProbabilityMassFunction
+    depth: int = field(init=False)
     security: SecurityReport = field(init=False, repr=False, compare=False)
     """Whether any leader lies on the root path of another.
 
@@ -112,24 +89,14 @@ class LeaderAssignment:
     """
 
     def __post_init__(self):
+        d = _integer("arity", self.arity, 2)
         if set(self.leaders) != set(self.importance.labels()):
             raise ValueError("leader labels and importance labels differ")
-        paths = {}
-        for label, path in self.leaders.items():
-            path = _integer_digits(label, path)
-            if len(path) == 0:
-                raise ValueError(f"leader {label!r} placed at the root")
-            if not self.tree.contains_path(path):
-                raise ValueError(
-                    f"leader {label!r} path {path!r} leaves the tree "
-                    f"(arity {self.tree.arity}, depth {self.tree.max_depth})"
-                )
-            paths[label] = path
-        labels = sorted(paths)
-        pairs = prefix_violations([paths[label] for label in labels])
-        violations = tuple((labels[i], labels[j]) for i, j in pairs)
+        paths, pairs = _digit_paths(d, self.leaders)
+        object.__setattr__(self, "arity", d)
         object.__setattr__(self, "leaders", paths)
-        object.__setattr__(self, "security", SecurityReport(not violations, violations))
+        object.__setattr__(self, "depth", max(map(len, paths.values())))
+        object.__setattr__(self, "security", SecurityReport(not pairs, tuple(sorted(pairs))))
 
     def depths(self) -> dict:
         return {label: len(path) for label, path in self.leaders.items()}
@@ -141,7 +108,7 @@ class LeaderAssignment:
 
     def depth_kraft_sum(self) -> float:
         """Kraft sum of the leader depths, which construction has checked."""
-        d = self.tree.arity
+        d = self.arity
         return math.fsum(d ** -len(p) for p in self.leaders.values())
 
 
@@ -193,7 +160,7 @@ def assign_leaders(importance: ProbabilityMassFunction, d: int = 2) -> LeaderAss
     than less important ones.
     """
     paths = _huffman_paths(importance, d)
-    return LeaderAssignment(DaryTree(d, max(map(len, paths.values()))), paths, importance)
+    return LeaderAssignment(d, paths, importance)
 
 
 def verify_secure(assignment: LeaderAssignment) -> SecurityReport:

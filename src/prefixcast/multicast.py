@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import WeightedGraph, _hop_levels, _is_mst, minimum_spanning_tree
-from .hierarchy import DaryTree, LeaderAssignment
+from .hierarchy import LeaderAssignment
 from .source_coding import Codeword, ProbabilityMassFunction, _huffman_paths, _integer
 
 
@@ -186,7 +186,7 @@ def plan_multicast(
     routes = {label: (*run, *emb.descend(run[-1], p)) for label, p in paths.items()}
     return MulticastPlan(
         root=root,
-        assignment=LeaderAssignment(DaryTree(d, longest + bump), shifted, importance),
+        assignment=LeaderAssignment(d, shifted, importance),
         leader_vertex={label: route[-1] for label, route in routes.items()},
         leader_route=routes,
         carrier=mst.edges,

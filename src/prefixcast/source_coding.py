@@ -8,7 +8,8 @@ from a probability mass function, and writes every code's and leader
 placement's digits by one canonical, deterministic routine. Kraft verdicts
 are decided in integer arithmetic; the float sum is for display and for the
 closed forms. Each code or placement is checked once, by its constructor,
-with :func:`prefix_violations`, one scan over the sorted paths.
+with :func:`_digit_paths`: integer digits in range, then one
+:func:`prefix_violations` scan over the sorted paths.
 """
 
 from __future__ import annotations
@@ -115,13 +116,14 @@ class Codeword:
 class PrefixCode:
     """A prefix-free assignment of codewords to labels.
 
-    Construction validates that every codeword is a non-empty run of
-    integer digits in range, and prefix-freeness (by
-    :func:`prefix_violations`), so a ``PrefixCode`` value is a certificate
-    that the assignment is actually decodable. It satisfies the Kraft
-    inequality without a further check: the long digit strings that start
-    with a length-n codeword are a D**-n share of all of them, and no string
-    starts with two codewords of a prefix-free code.
+    Construction validates, by :func:`_digit_paths`, that every codeword
+    is a non-empty run of integer digits in range and that the code is
+    prefix-free, and stores each codeword's digits as ints, so a
+    ``PrefixCode`` value is a certificate that the assignment is actually
+    decodable. It satisfies the Kraft inequality without a further check:
+    the long digit strings that start with a length-n codeword are a D**-n
+    share of all of them, and no string starts with two codewords of a
+    prefix-free code.
     """
 
     alphabet_size: int
@@ -131,20 +133,18 @@ class PrefixCode:
         object.__setattr__(self, "alphabet_size", _integer("alphabet size", self.alphabet_size, 2))
         if not self.assignments:
             raise ValueError("prefix code has no assignments")
-        for label, word in self.assignments.items():
-            if not word.digits:
-                raise ValueError(f"codeword for {label!r} is empty")
-            for d in _integer_digits(label, word.digits):
-                if not (0 <= d < self.alphabet_size):
-                    raise ValueError(f"digit {d} out of range for D={self.alphabet_size} in {label!r}")
-        clashes = prefix_violations([word.digits for word in self.assignments.values()])
+        paths, clashes = _digit_paths(
+            self.alphabet_size, {label: word.digits for label, word in self.assignments.items()}
+        )
         if clashes:
             # name the first clashing pair in assignment order
-            i, j = min((min(pair), max(pair)) for pair in clashes)
-            labels = list(self.assignments)
+            rank = {label: i for i, label in enumerate(paths)}
+            i, j = min(sorted(map(rank.get, pair)) for pair in clashes)
+            labels = list(paths)
             raise ValueError(
                 f"codewords for {labels[i]!r} and {labels[j]!r} are not prefix-free"
             )
+        object.__setattr__(self, "assignments", {k: Codeword(p) for k, p in paths.items()})
 
     def lengths(self) -> dict[str, int]:
         return {label: word.length for label, word in self.assignments.items()}
@@ -174,12 +174,25 @@ def _probability(name: str, p: float) -> float:
     return p
 
 
-def _integer_digits(label, digits) -> tuple[int, ...]:
-    """``digits`` as ints; a float or string digit is refused, not truncated."""
-    try:
-        return tuple(map(operator.index, digits))
-    except TypeError:
-        raise ValueError(f"digits of {label!r} must be integers, got {digits!r}") from None
+def _digit_paths(d: int, digits_of: dict) -> tuple[dict, list]:
+    """Each label's digits as ints, and the (ancestor, descendant) label pairs
+    of :func:`prefix_violations`, by position in ``digits_of``. The one check
+    of codewords and leader paths: a float or string digit is refused, not
+    truncated, a path is non-empty, and each digit lies in 0..D-1."""
+    paths = {}
+    for label, digits in digits_of.items():
+        try:
+            path = tuple(map(operator.index, digits))
+        except TypeError:
+            raise ValueError(f"digits of {label!r} must be integers, got {digits!r}") from None
+        if not path:
+            raise ValueError(f"codeword for {label!r} is empty")
+        for digit in path:
+            if not 0 <= digit < d:
+                raise ValueError(f"digit {digit} out of range for D={d} in {label!r}")
+        paths[label] = path
+    labels = list(paths)
+    return paths, [(labels[i], labels[j]) for i, j in prefix_violations(list(paths.values()))]
 
 
 def prefix_violations(paths) -> list[tuple[int, int]]:

@@ -466,6 +466,16 @@ def test_code_from_lengths_with_labels():
     assert "z 11 2" in out
 
 
+@pytest.mark.parametrize("labels", ["", "a,,b", "a,b,"])
+def test_code_from_lengths_refuses_an_empty_label(labels):
+    # an empty --labels is not the default labels, and an empty label would
+    # print a row with no label column
+    code, out, err = cli("code-from-lengths", "--lengths", "1,2,2", "--labels", labels)
+    assert code == VALIDATION_EXIT
+    assert out == ""
+    assert err == f"prefixcast code-from-lengths: --labels {labels!r} has an empty label\n"
+
+
 def test_code_from_lengths_rejects_infeasible():
     code, _, err = cli("code-from-lengths", "--lengths", "1,1,1")
     assert code == VALIDATION_EXIT

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixcast.hierarchy import (
-    DaryTree,
     LeaderAssignment,
     LevelLeaderCounts,
     assign_leaders,
@@ -49,17 +48,6 @@ def test_total_nodes():
             assert total_nodes(d, n) == sum(d**j for j in range(n + 1))
 
 
-def test_dary_tree_counts_and_paths():
-    t = DaryTree(3, 2)
-    assert [t.nodes_at_depth(j) for j in range(3)] == [1, 3, 9]
-    assert t.total_nodes() == 13
-    assert t.contains_path((2, 1))
-    assert not t.contains_path((2, 1, 0))
-    assert not t.contains_path((3,))
-    with pytest.raises(ValueError):
-        t.nodes_at_depth(3)
-
-
 def test_level_leader_counts_validation():
     c = LevelLeaderCounts((1, 2), 2)
     assert c.n_max == 2
@@ -74,8 +62,7 @@ def test_level_leader_counts_validation():
     [
         (lambda: total_nodes(1, 3), "arity must be >= 2, got 1"),
         (lambda: total_nodes(2, -1), "depth must be >= 0, got -1"),
-        (lambda: DaryTree(1, 3), "arity must be >= 2, got 1"),
-        (lambda: DaryTree(2, -1), "max depth must be >= 0, got -1"),
+        (lambda: LeaderAssignment(1, {"A": (0,)}, pmf_of(A=1.0)), "arity must be >= 2, got 1"),
         (lambda: LevelLeaderCounts((1,), 1), "arity must be >= 2, got 1"),
         (lambda: node_selection_probability(1, 1, 1), "arity must be >= 2, got 1"),
         (lambda: node_selection_probability(0, -1, 2), "depth must be >= 0, got -1"),
@@ -90,24 +77,32 @@ def test_level_leader_counts_validation():
         (lambda: last_link_failure_probability(0.5, 0), "depth must be >= 1, got 0"),
         # digits are never truncated: 0.9 is not 0, and -0.5 is not in range as 0
         (
-            lambda: LeaderAssignment(DaryTree(2, 2), {"A": (0.9,)}, pmf_of(A=1.0)),
+            lambda: LeaderAssignment(2, {"A": (0.9,)}, pmf_of(A=1.0)),
             "digits of 'A' must be integers, got (0.9,)",
         ),
         (
-            lambda: LeaderAssignment(DaryTree(2, 2), {"A": (0, 1.7)}, pmf_of(A=1.0)),
+            lambda: LeaderAssignment(2, {"A": (0, 1.7)}, pmf_of(A=1.0)),
             "digits of 'A' must be integers, got (0, 1.7)",
         ),
         (
-            lambda: LeaderAssignment(DaryTree(2, 2), {"A": (-0.5,)}, pmf_of(A=1.0)),
+            lambda: LeaderAssignment(2, {"A": (-0.5,)}, pmf_of(A=1.0)),
             "digits of 'A' must be integers, got (-0.5,)",
         ),
         (
-            lambda: LeaderAssignment(DaryTree(2, 2), {"A": "01"}, pmf_of(A=1.0)),
+            lambda: LeaderAssignment(2, {"A": "01"}, pmf_of(A=1.0)),
             "digits of 'A' must be integers, got '01'",
         ),
         (
-            lambda: LeaderAssignment(DaryTree(2, 2), {"A": (-1,)}, pmf_of(A=1.0)),
-            "leader 'A' path (-1,) leaves the tree (arity 2, depth 2)",
+            lambda: LeaderAssignment(2, {"A": (-1,)}, pmf_of(A=1.0)),
+            "digit -1 out of range for D=2 in 'A'",
+        ),
+        (
+            lambda: LeaderAssignment(3, {"A": (0, 3)}, pmf_of(A=1.0)),
+            "digit 3 out of range for D=3 in 'A'",
+        ),
+        (
+            lambda: LeaderAssignment(2, {"A": ()}, pmf_of(A=1.0)),
+            "codeword for 'A' is empty",
         ),
     ],
 )
@@ -155,7 +150,7 @@ def test_assign_leaders_dyadic():
     a = assign_leaders(pmf_of(A=0.5, B=0.25, C=0.25), 2)
     assert a.leaders == {"A": (0,), "B": (1, 0), "C": (1, 1)}
     assert a.expected_depth() == pytest.approx(1.5)
-    assert a.tree.max_depth == 2
+    assert (a.arity, a.depth) == (2, 2)
     assert verify_secure(a).secure
 
 
@@ -194,34 +189,31 @@ def test_placement_and_code_are_the_canonical_code_of_huffman_lengths():
         assert list(placement.leaders) == list(code.assignments) == list(labels)
         assert placement.leaders == {label: w.digits for label, w in code.assignments.items()}
         assert code == canonical
-        assert placement.tree == DaryTree(d, max(lengths.values()))
+        assert (placement.arity, placement.depth) == (d, max(lengths.values()))
 
 
 def test_assignment_rejects_root_and_overflow():
-    tree = DaryTree(2, 2)
     with pytest.raises(ValueError):
-        LeaderAssignment(tree, {"A": ()}, pmf_of(A=1.0))
+        LeaderAssignment(2, {"A": ()}, pmf_of(A=1.0))
     with pytest.raises(ValueError):
-        LeaderAssignment(tree, {"A": (0, 1, 1)}, pmf_of(A=1.0))
+        LeaderAssignment(2, {"A": (2,)}, pmf_of(A=1.0))
     with pytest.raises(ValueError):
-        LeaderAssignment(tree, {"A": (2,)}, pmf_of(A=1.0))
-    with pytest.raises(ValueError):
-        LeaderAssignment(tree, {"B": (0,)}, pmf_of(A=1.0))
+        LeaderAssignment(2, {"B": (0,)}, pmf_of(A=1.0))
 
 
 def test_assignment_takes_integer_digits_of_any_integer_type():
     a = LeaderAssignment(
-        DaryTree(2, 2), {"A": [np.int64(0)], "B": (True, np.uint8(0))}, pmf_of(A=0.5, B=0.5)
+        np.int64(2), {"A": [np.int64(0)], "B": (True, np.uint8(0))}, pmf_of(A=0.5, B=0.5)
     )
     assert a.leaders == {"A": (0,), "B": (1, 0)}
+    assert (a.arity, a.depth) == (2, 2) and type(a.arity) is int
     assert all(type(d) is int for path in a.leaders.values() for d in path)
     assert a.security.secure
 
 
 def test_verify_secure_examples():
-    tree = DaryTree(2, 2)
     good = LeaderAssignment(
-        tree,
+        2,
         {"A": (0,), "B": (1, 0), "C": (1, 1)},
         pmf_of(A=0.5, B=0.25, C=0.25),
     )
@@ -229,7 +221,7 @@ def test_verify_secure_examples():
     assert report.secure and report.violations == ()
 
     bad = LeaderAssignment(
-        tree, {"A": (0,), "B": (0, 1)}, pmf_of(A=0.5, B=0.5)
+        2, {"A": (0,), "B": (0, 1)}, pmf_of(A=0.5, B=0.5)
     )
     report = verify_secure(bad)
     assert not report.secure

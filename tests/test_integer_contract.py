@@ -73,10 +73,8 @@ CONTRACT = {
     ),
     ("total_nodes", "d"): ("arity", lambda v: pc.total_nodes(v, 2), 2, _same),
     ("total_nodes", "n_max"): ("depth", lambda v: pc.total_nodes(2, v), 2, _same),
-    ("DaryTree", "arity"): ("arity", lambda v: pc.DaryTree(v, 2), 2, lambda t: t.arity),
-    ("DaryTree", "max_depth"): ("max depth", lambda v: pc.DaryTree(2, v), 2, lambda t: t.max_depth),
-    ("DaryTree.nodes_at_depth", "j"): (
-        "depth", lambda v: pc.DaryTree(2, 3).nodes_at_depth(v), 2, _same
+    ("LeaderAssignment", "arity"): (
+        "arity", lambda v: pc.LeaderAssignment(v, {"a": (0,)}, ONE), 2, lambda a: a.arity
     ),
     ("LevelLeaderCounts", "counts"): (
         "s_j", lambda v: pc.LevelLeaderCounts((v, 1), 2), 1, lambda c: c.counts[0]
@@ -110,7 +108,7 @@ CONTRACT = {
     ),
     # Huffman coding checks D first, so the refusal names the alphabet size
     ("assign_leaders", "d"): (
-        "alphabet size", lambda v: pc.assign_leaders(PMF, v), 2, lambda a: a.tree.arity
+        "alphabet size", lambda v: pc.assign_leaders(PMF, v), 2, lambda a: a.arity
     ),
     ("path_reliability", "n_j"): ("depth", lambda v: pc.path_reliability(0.1, v), 2, _same),
     ("last_link_failure_probability", "n_j"): (
@@ -123,7 +121,7 @@ CONTRACT = {
         "arity",
         lambda v: pc.plan_multicast(LINE, 1, ONE, v),
         2,
-        lambda p: p.assignment.tree.arity,
+        lambda p: p.assignment.arity,
     ),
     ("GossipConfig", "trials"): (
         "trials", lambda v: pc.GossipConfig((0.5,), 0.1, v, 7), 2, lambda c: c.trials
@@ -160,7 +158,10 @@ EXEMPT = {
     ("OverlapFunction", "n"): "the size of a checked IntervalSet",
     ("EmbeddedDaryTree", "arity"): "checked by embed_dary_tree, which builds it",
     ("EmbeddedDaryTree", "depth"): "counted by embed_dary_tree, which builds it",
-    ("Codeword", "digits"): "checked by PrefixCode and LeaderAssignment, which hold codewords",
+    ("Codeword", "digits"): (
+        "checked by PrefixCode, which holds codewords; LeaderAssignment holds the "
+        "same digits as tuples, checked by the same routine"
+    ),
 }
 
 # None, where a parameter documents it as the default
@@ -243,6 +244,15 @@ def test_the_contract_covers_every_int_annotated_parameter():
 def test_counts_are_refused_not_truncated():
     with pytest.raises(ValueError, match=r"^s_j must be an integer, got -0\.5$"):
         pc.LevelLeaderCounts((-0.5, 4.9), 2)
+
+
+def test_codeword_digits_of_any_integer_type_are_kept_as_int():
+    code = pc.PrefixCode(
+        2, {"a": pc.Codeword((True,)), "b": pc.Codeword((np.int64(0), np.uint8(1)))}
+    )
+    assert [str(word) for word in code.assignments.values()] == ["1", "01"]
+    assert code.assignments == {"a": pc.Codeword((1,)), "b": pc.Codeword((0, 1))}
+    assert all(type(d) is int for word in code.assignments.values() for d in word.digits)
 
 
 def test_lengths_of_any_integer_type_are_kept_as_int():

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from prefixcast.graphs import WeightedGraph, minimum_spanning_tree
-from prefixcast.hierarchy import DaryTree, LeaderAssignment, assign_leaders, verify_secure
+from prefixcast.hierarchy import LeaderAssignment, assign_leaders, verify_secure
 from prefixcast.multicast import (
     CapacityExceeded,
     embed_dary_tree,
@@ -200,7 +200,7 @@ def test_relaxed_plan_is_the_optimal_placement_behind_zeros():
         edges = [(u, v, 1.0) for u, v in zip(chain, chain[1:])]
         name = {(): chain[-1]}
         level = [()]
-        for _ in range(optimal.tree.max_depth):
+        for _ in range(optimal.depth):
             level = [p + (i,) for p in level for i in range(d)]
             for p in level:
                 name[p] = "t" + "".join(map(str, p))
@@ -215,7 +215,7 @@ def test_relaxed_plan_is_the_optimal_placement_behind_zeros():
         assert plan.assignment.leaders == {
             label: zeros + p for label, p in optimal.leaders.items()
         }
-        assert plan.assignment.tree == DaryTree(d, optimal.tree.max_depth + b)
+        assert (plan.assignment.arity, plan.assignment.depth) == (d, optimal.depth + b)
         assert plan.assignment.security.secure
         assert plan.leader_vertex == {label: name[p] for label, p in optimal.leaders.items()}
 
@@ -339,7 +339,7 @@ def test_audit_detects_route_ending_at_another_vertex():
 def test_audit_detects_prefix_clash():
     plan = plan_multicast(BALANCED, 0, pmf_of(A=0.5, B=0.5), 2)
     clashing = LeaderAssignment(
-        DaryTree(2, 2), {"A": (0,), "B": (0, 0)}, plan.assignment.importance
+        2, {"A": (0,), "B": (0, 0)}, plan.assignment.importance
     )
     clashed = dataclasses.replace(plan, assignment=clashing)
     audit = plan_cost_audit(clashed, BALANCED)

@@ -1,9 +1,10 @@
 """The sorted prefix scan against an all-pairs oracle.
 
-``prefix_violations`` is the one prefix-freeness check. It has two
-callers: ``PrefixCode``, which refuses a code that is not prefix-free, and
-``LeaderAssignment``, which keeps its verdict as ``security``;
-``verify_secure`` and ``plan_cost_audit`` read that verdict. A code and a
+``prefix_violations`` is the one prefix-freeness check. Its one caller,
+``source_coding._digit_paths``, checks the digits of a code and of a
+placement for two constructors: ``PrefixCode``, which refuses a code that
+is not prefix-free, and ``LeaderAssignment``, which keeps its verdict as
+``security``; ``verify_secure`` and ``plan_cost_audit`` read that verdict. A code and a
 placement are each built once from the canonical digits, so every request
 scans once: ``huffman`` and ``code-from-lengths`` their code,
 ``assign-leaders`` and ``plan-multicast`` (audited, relaxed or not) their
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefixcast import hierarchy, multicast, source_coding
-from prefixcast.hierarchy import DaryTree, LeaderAssignment, verify_secure
+from prefixcast.hierarchy import LeaderAssignment, verify_secure
 from prefixcast.source_coding import (
     Codeword,
     PrefixCode,
@@ -60,7 +61,7 @@ def test_prefix_violations_matches_all_pairs_oracle(paths):
 def test_verify_secure_violations_match_oracle_in_order(leaders):
     k = len(leaders)
     importance = ProbabilityMassFunction.from_pairs((label, 1.0 / k) for label in leaders)
-    assignment = LeaderAssignment(DaryTree(D, MAX_DEPTH), leaders, importance)
+    assignment = LeaderAssignment(D, leaders, importance)
 
     report = verify_secure(assignment)
 
@@ -101,6 +102,26 @@ def test_prefix_code_accepts_exactly_the_prefix_free_sets(words):
     assert str(err.value) == (
         f"codewords for {labels[i]!r} and {labels[j]!r} are not prefix-free"
     )
+
+
+@pytest.mark.parametrize(
+    "digits, message",
+    [
+        ((0.9,), "digits of 'a' must be integers, got (0.9,)"),
+        ((1, 2.0), "digits of 'a' must be integers, got (1, 2.0)"),
+        ("01", "digits of 'a' must be integers, got '01'"),
+        ((), "codeword for 'a' is empty"),
+        ((0, 3), "digit 3 out of range for D=3 in 'a'"),
+        ((True, -1), "digit -1 out of range for D=3 in 'a'"),
+    ],
+)
+def test_a_code_and_a_placement_refuse_the_same_digits_alike(digits, message):
+    # one routine checks both, so a leader path is refused as a codeword is
+    with pytest.raises(ValueError) as code_err:
+        PrefixCode(D, {"a": Codeword(digits)})
+    with pytest.raises(ValueError) as placement_err:
+        LeaderAssignment(D, {"a": digits}, ProbabilityMassFunction.from_pairs([("a", 1.0)]))
+    assert str(code_err.value) == str(placement_err.value) == message
 
 
 PLAN = "plan-multicast --graph network.edges --pmf importance.pmf --root gw"
