@@ -382,6 +382,9 @@ def cmd_code_from_lengths(args, rep):
     labels = None if args.labels is None else tuple(args.labels.split(","))
     if labels and "" in labels:
         raise ValueError(f"--labels {args.labels!r} has an empty label")
+    for label in labels or ():
+        if label.split() != [label] or "#" in label:  # no input file could carry it
+            raise ValueError(f"--labels label {label!r} holds whitespace or '#'")
     digits = sum(lengths.lengths)
     # a set that admits no code keeps code_from_lengths's Kraft error
     if digits > _LISTING_BOUND and satisfies_kraft(lengths):
@@ -516,7 +519,7 @@ def cmd_plan_multicast(args, rep):
     rep.table(
         "leaders",
         [{"label": label, "path": str(Codeword(paths[label])),
-          "vertex": plan.leader_vertex[label], "route": list(plan.leader_route[label])}
+          "vertex": plan.leader_route[label][-1], "route": list(plan.leader_route[label])}
          for label in sorted(paths, key=str)],
         lambda r: f"{r['label']} {r['path']} {'->'.join(map(str, r['route']))}",
     )

@@ -1,14 +1,15 @@
 """Parsers for the line-oriented input formats.
 
-All formats share the same skeleton: whitespace-separated tokens, blank
-lines skipped, ``#`` starts a comment (full-line or trailing). Parse errors
-carry the source name and 1-based line number. Vertex ids stay strings
-exactly as written; numeric interpretation is never guessed.
+All formats share one skeleton, read by one reader, :func:`_rows`: whitespace-
+separated tokens, blank lines skipped, ``#`` starts a comment (full-line or
+trailing). Parse errors carry the source name and 1-based line number. Vertex
+ids stay strings exactly as written; numeric interpretation is never guessed.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .fusion import Interval
 from .graphs import DiGraph, Graph, VertexColoring, WeightedGraph
@@ -19,11 +20,18 @@ class FileFormatError(ValueError):
     """A line did not match the expected format; message names the line."""
 
 
-def _rows(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+def _rows(text: str, source: str, width: int | None = None, shape: str = ""):
+    """``(lineno, tokens)`` per line with a token, comment cut; given a ``width``,
+    a row of another count fails, in line order, as ``expected {shape}, got N tokens``.
+    A graph file, the largest input, is split and filtered in C, with no loop here."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = filter(itemgetter(1), enumerate(map(str.split, lines), start=1))
+    if width is None:
+        return rows
+    return (r if len(r[1]) == width else _fail(source, r[0], f"expected {shape}, got {len(r[1])} tokens")
+            for r in rows)
 
 
 def _fail(source: str, lineno: int, message: str):
@@ -50,20 +58,15 @@ def _build(source: str, what: str, items, make, *args):
 
 def parse_pmf(text: str, source: str = "<pmf>") -> ProbabilityMassFunction:
     """``label probability`` per line."""
-    pairs = []
-    for lineno, tokens in _rows(text):
-        if len(tokens) != 2:
-            _fail(source, lineno, f"expected 'label probability', got {len(tokens)} tokens")
-        pairs.append((tokens[0], _number(tokens[1], source, lineno, "probability")))
+    pairs = [(tokens[0], _number(tokens[1], source, lineno, "probability"))
+             for lineno, tokens in _rows(text, source, 2, "'label probability'")]
     return _build(source, "entries", pairs, ProbabilityMassFunction.from_pairs, pairs)
 
 
 def parse_lengths(text: str, d: int, source: str = "<lengths>") -> CodeLengthSet:
     """One codeword length per line."""
     lengths = []
-    for lineno, tokens in _rows(text):
-        if len(tokens) != 1:
-            _fail(source, lineno, f"expected one integer, got {len(tokens)} tokens")
+    for lineno, tokens in _rows(text, source, 1, "one integer"):
         try:
             lengths.append(int(tokens[0]))
         except ValueError:
@@ -72,18 +75,14 @@ def parse_lengths(text: str, d: int, source: str = "<lengths>") -> CodeLengthSet
 
 
 def _parse_edge_lines(text: str, source: str, bare=None):
-    """Shared reader: `u v`, `u v w`, and `vertex u` lines, order preserved.
+    """The rows of every graph format: `u v`, `u v w` and `vertex u`, in order.
 
     Returns the vertices in order of first mention and (u, v, w) triples,
-    with w = ``bare`` on a `u v` line. Each line is split once, in one loop,
-    as a graph file is the largest input any command reads.
+    with w = ``bare`` on a `u v` line.
     """
     vertices: dict = {}  # insertion-ordered set
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not tokens:
-            continue
+    for lineno, tokens in _rows(text, source):
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 _fail(source, lineno, "expected 'vertex u'")
@@ -122,20 +121,14 @@ def parse_digraph(text: str, source: str = "<digraph>") -> DiGraph:
 
 def parse_coloring(text: str, source: str = "<coloring>") -> VertexColoring:
     """``vertex color`` per line."""
-    entries = []
-    for lineno, tokens in _rows(text):
-        if len(tokens) != 2:
-            _fail(source, lineno, f"expected 'vertex color', got {len(tokens)} tokens")
-        entries.append((tokens[0], tokens[1]))
+    entries = [tuple(tokens) for _, tokens in _rows(text, source, 2, "'vertex color'")]
     return _build(source, "entries", entries, VertexColoring, tuple(entries))
 
 
 def parse_vertex_map(text: str, source: str = "<map>") -> dict:
     """``from to`` per line; duplicate sources rejected."""
     mapping: dict = {}
-    for lineno, tokens in _rows(text):
-        if len(tokens) != 2:
-            _fail(source, lineno, f"expected 'from to', got {len(tokens)} tokens")
+    for lineno, tokens in _rows(text, source, 2, "'from to'"):
         if tokens[0] in mapping:
             _fail(source, lineno, f"vertex {tokens[0]!r} mapped twice")
         mapping[tokens[0]] = tokens[1]
@@ -145,9 +138,7 @@ def parse_vertex_map(text: str, source: str = "<map>") -> dict:
 def parse_positions(text: str, source: str = "<positions>") -> dict:
     """``vertex x y`` per line; coordinates must be finite."""
     positions: dict = {}
-    for lineno, tokens in _rows(text):
-        if len(tokens) != 3:
-            _fail(source, lineno, f"expected 'vertex x y', got {len(tokens)} tokens")
+    for lineno, tokens in _rows(text, source, 3, "'vertex x y'"):
         if tokens[0] in positions:
             _fail(source, lineno, f"vertex {tokens[0]!r} positioned twice")
         xy = tuple(_number(t, source, lineno, c) for c, t in zip("xy", tokens[1:]))
@@ -160,9 +151,7 @@ def parse_positions(text: str, source: str = "<positions>") -> dict:
 def parse_intervals(text: str, source: str = "<intervals>") -> tuple:
     """``lo hi`` per line; returns a tuple of Interval."""
     out = []
-    for lineno, tokens in _rows(text):
-        if len(tokens) != 2:
-            _fail(source, lineno, f"expected 'lo hi', got {len(tokens)} tokens")
+    for lineno, tokens in _rows(text, source, 2, "'lo hi'"):
         lo = _number(tokens[0], source, lineno, "lo")
         hi = _number(tokens[1], source, lineno, "hi")
         try:

@@ -62,12 +62,11 @@ class EmbeddedDaryTree:
 
 @dataclass(frozen=True)
 class MulticastPlan:
-    """A complete placement: who sits where and how traffic reaches them."""
+    """A complete placement: each leader sits where its route from the root ends."""
 
     root: object
     assignment: LeaderAssignment  # arity, digit paths in the embedded tree, importances
-    leader_vertex: dict    # label -> graph vertex
-    leader_route: dict     # label -> vertex sequence from root
+    leader_route: dict     # label -> vertex sequence from root to the leader
     carrier: tuple         # (u, v, w) edges of the minimum spanning tree
     mst_weight: float
     relaxed: bool = False
@@ -169,25 +168,25 @@ def plan_multicast(
     for bump in bumps:
         if len(run) == bump:
             run += emb.descend(run[-1], (0,)) or ()
-        missing = next(
-            (label for label, p in paths.items()
-             if len(run) <= bump or emb.descend(run[-1], p) is None),
-            None,
-        )
-        if missing is None:
+        # each leader's one walk is its route; a missing node stops the shift
+        routes = {}
+        for label, p in paths.items():
+            walk = emb.descend(run[-1], p) if len(run) > bump else None
+            if walk is None:
+                break
+            routes[label] = (*run, *walk)
+        else:
             break
     else:
         raise CapacityExceeded(
-            f"no tree node at digit-path {str(Codeword((0,) * bump + paths[missing]))!r} "
-            f"for leader {missing!r}; the embedded tree cannot host this "
+            f"no tree node at digit-path {str(Codeword((0,) * bump + p))!r} "
+            f"for leader {label!r}; the embedded tree cannot host this "
             f"placement at arity {d}"
         )
     shifted = {label: (0,) * bump + p for label, p in paths.items()}
-    routes = {label: (*run, *emb.descend(run[-1], p)) for label, p in paths.items()}
     return MulticastPlan(
         root=root,
         assignment=LeaderAssignment(d, shifted, importance),
-        leader_vertex={label: route[-1] for label, route in routes.items()},
         leader_route=routes,
         carrier=mst.edges,
         mst_weight=mst.total_weight(),
@@ -203,23 +202,19 @@ def plan_cost_audit(plan: MulticastPlan, g: WeightedGraph) -> PlanAudit:
     size) whose weights sum to the reported ``mst_weight``. No leader
     digit-path may be a prefix of another, as the assignment's own
     ``security`` verdict says, and every route must walk carrier edges from
-    the root to its leader's vertex.
+    the root; where it ends is where its leader sits.
     """
     weight_ok = _is_mst(g, plan.carrier) and (
         math.fsum(w for _, _, w in plan.carrier) == plan.mst_weight
     )
 
-    tree_pairs = {(u, v) for u, v, _ in plan.carrier}
-    routes_ok = True
-    for label, route in plan.leader_route.items():
-        if route[0] != plan.root or route[-1] != plan.leader_vertex[label]:
-            routes_ok = False
-            continue
-        for u, v in zip(route, route[1:]):
-            if (u, v) not in tree_pairs and (v, u) not in tree_pairs:
-                routes_ok = False
+    steps = {(u, v) for u, v, _ in plan.carrier}
+    steps |= {(v, u) for u, v in steps}
     return PlanAudit(
         mst_weight_minimal=weight_ok,
         prefix_free=plan.assignment.security.secure,
-        routes_follow_tree=routes_ok,
+        routes_follow_tree=all(
+            route[0] == plan.root and steps.issuperset(zip(route, route[1:]))
+            for route in plan.leader_route.values()
+        ),
     )

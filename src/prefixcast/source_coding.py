@@ -31,8 +31,9 @@ class KraftViolation(ValueError):
 class ProbabilityMassFunction:
     """Labeled probabilities: nonnegative, unique labels, summing to 1.
 
-    Inputs that do not sum to 1 within ``PMF_TOL`` are rejected rather than
-    renormalized, so upstream data errors surface immediately.
+    ``entries``, in input order, is the one copy of them. Inputs that do not
+    sum to 1 within ``PMF_TOL`` are rejected rather than renormalized, so
+    upstream data errors surface immediately.
     """
 
     entries: tuple[tuple[str, float], ...]
@@ -40,8 +41,7 @@ class ProbabilityMassFunction:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("probability mass function must have at least one entry")
-        index = dict(self.entries)
-        if len(index) != len(self.entries):
+        if len(dict(self.entries)) != len(self.entries):
             raise ValueError("duplicate labels in probability mass function")
         for label, p in self.entries:
             if math.isnan(p):
@@ -51,21 +51,13 @@ class ProbabilityMassFunction:
         total = math.fsum(p for _, p in self.entries)
         if abs(total - 1.0) > PMF_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_pairs(cls, pairs) -> "ProbabilityMassFunction":
         return cls(tuple((str(label), float(p)) for label, p in pairs))
 
-    @classmethod
-    def from_dict(cls, mapping) -> "ProbabilityMassFunction":
-        return cls.from_pairs(mapping.items())
-
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.entries)
-
-    def probability(self, label: str) -> float:
-        return self._index[label]
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.entries)

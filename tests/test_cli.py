@@ -476,6 +476,20 @@ def test_code_from_lengths_refuses_an_empty_label(labels):
     assert err == f"prefixcast code-from-lengths: --labels {labels!r} has an empty label\n"
 
 
+@pytest.mark.parametrize(
+    "labels, bad",
+    [("a b,c,d", "a b"), ("a,b\tc,d", "b\tc"), ("a,b, c", " c"), ("a,#b,c", "#b"),
+     ("a,b,c#", "c#"), ("a,b,c\nd", "c\nd"), ("a,b,\u00a0", "\u00a0")],
+)
+def test_code_from_lengths_refuses_a_label_no_input_file_could_carry(labels, bad):
+    # whitespace splits a row and '#' starts a comment in every input format,
+    # so such a label would print a row that reads back as other columns
+    code, out, err = cli("code-from-lengths", "--lengths", "1,2,2", "--labels", labels)
+    assert code == VALIDATION_EXIT
+    assert out == ""
+    assert err == f"prefixcast code-from-lengths: --labels label {bad!r} holds whitespace or '#'\n"
+
+
 def test_code_from_lengths_rejects_infeasible():
     code, _, err = cli("code-from-lengths", "--lengths", "1,1,1")
     assert code == VALIDATION_EXIT

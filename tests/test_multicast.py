@@ -9,6 +9,7 @@ from prefixcast.graphs import WeightedGraph, minimum_spanning_tree
 from prefixcast.hierarchy import LeaderAssignment, assign_leaders, verify_secure
 from prefixcast.multicast import (
     CapacityExceeded,
+    EmbeddedDaryTree,
     embed_dary_tree,
     plan_cost_audit,
     plan_multicast,
@@ -120,7 +121,8 @@ def test_embedding_monotone_in_arity():
 def test_plan_on_balanced_binary_tree():
     plan = plan_multicast(BALANCED, 0, pmf_of(A=0.5, B=0.25, C=0.25), 2)
     assert plan.assignment.leaders == {"A": (0,), "B": (1, 0), "C": (1, 1)}
-    assert plan.leader_vertex == {"A": 1, "B": 5, "C": 6}
+    ends = {label: route[-1] for label, route in plan.leader_route.items()}
+    assert ends == {"A": 1, "B": 5, "C": 6}
     assert plan.assignment.expected_depth() == pytest.approx(1.5)
     assert plan.mst_weight == pytest.approx(6.0)
     assert verify_secure(plan.assignment).secure
@@ -130,9 +132,37 @@ def test_plan_on_balanced_binary_tree():
 
 def test_plan_single_leader():
     plan = plan_multicast(TRIANGLE, "A", pmf_of(X=1.0), 2)
-    assert plan.leader_vertex["X"] == "B"  # cheapest neighbor in the MST
+    assert plan.leader_route["X"][-1] == "B"  # cheapest neighbor in the MST
     assert len(plan.leader_route["X"]) == 2
     assert verify_secure(plan.assignment).secure
+
+
+@pytest.mark.parametrize("relax", [False, True])
+def test_a_fitting_plan_walks_each_leader_once(monkeypatch, relax):
+    # the walk that finds a leader's node is its route; none is walked again
+    walked = []
+    descend = EmbeddedDaryTree.descend
+
+    def counted(self, vertex, digits):
+        walked.append(digits)
+        return descend(self, vertex, digits)
+
+    monkeypatch.setattr(EmbeddedDaryTree, "descend", counted)
+    rng = random.Random(7)
+    fitted = 0
+    while fitted < 10:
+        verts, edges = random_weighted_connected(rng, rng.randint(20, 40), 30)
+        raw = [rng.random() + 0.1 for _ in range(rng.randint(1, 6))]
+        pmf = ProbabilityMassFunction.from_pairs((f"L{i}", p / sum(raw)) for i, p in enumerate(raw))
+        walked.clear()
+        try:
+            plan = plan_multicast(WeightedGraph(verts, edges), 0, pmf, 3, relax=relax)
+        except CapacityExceeded:
+            continue
+        if plan.relaxed:
+            continue
+        fitted += 1
+        assert sorted(walked) == sorted(plan.assignment.leaders.values())
 
 
 def test_plan_capacity_exceeded_on_path_mst():
@@ -179,7 +209,6 @@ def test_relax_mode_recovers_with_longer_codes(edges, probs, leaders, routes):
         math.fsum(p * len(leaders[label]) for label, p in probs.items())
     )
     assert plan.leader_route == routes
-    assert plan.leader_vertex == {label: route[-1] for label, route in routes.items()}
     assert verify_secure(plan.assignment).secure
 
 
@@ -217,7 +246,9 @@ def test_relaxed_plan_is_the_optimal_placement_behind_zeros():
         }
         assert (plan.assignment.arity, plan.assignment.depth) == (d, optimal.depth + b)
         assert plan.assignment.security.secure
-        assert plan.leader_vertex == {label: name[p] for label, p in optimal.leaders.items()}
+        assert {label: route[-1] for label, route in plan.leader_route.items()} == {
+            label: name[p] for label, p in optimal.leaders.items()
+        }
 
 
 def test_embedding_and_relax_refusal_stay_linear_on_a_long_path():
@@ -319,21 +350,10 @@ def test_audit_passes_for_valid_plan():
 
 def test_audit_detects_tampered_route():
     plan = plan_multicast(TRIANGLE, "A", pmf_of(X=1.0), 2)
-    tampered = dataclasses.replace(
-        plan, leader_route={"X": ("A", "C", "B")}, leader_vertex={"X": "B"}
-    )
+    tampered = dataclasses.replace(plan, leader_route={"X": ("A", "C", "B")})
     audit = plan_cost_audit(tampered, TRIANGLE)
     assert not audit.routes_follow_tree
     assert not audit.ok
-
-
-def test_audit_detects_route_ending_at_another_vertex():
-    plan = plan_multicast(TRIANGLE, "A", pmf_of(X=1.0), 2)
-    assert plan.leader_route == {"X": ("A", "B")}
-    moved = dataclasses.replace(plan, leader_vertex={"X": "C"})
-    audit = plan_cost_audit(moved, TRIANGLE)
-    assert audit.routes_follow_tree is False
-    assert audit.mst_weight_minimal and audit.prefix_free
 
 
 def test_audit_detects_prefix_clash():
