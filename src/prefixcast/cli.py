@@ -325,6 +325,7 @@ def cmd_kraft(args, rep):
             "--progression is required"
         )
     d = args.D
+    lengths = None  # the length set, built for every source but --progression
     if args.consecutive is not None:
         parts = _csv(args.consecutive, "--consecutive")
         if len(parts) != 2:
@@ -342,19 +343,23 @@ def cmd_kraft(args, rep):
         # checked first: the call lists the lengths once n1, step, M and D are valid
         if m > _LISTING_BOUND:
             raise ValueError(f"--progression M={m} is more lengths than can be listed")
-        total, _ = arithmetic_progression_satisfies_kraft(n1, step, m, d)
-        lengths = CodeLengthSet(tuple(n1 + k * step for k in range(m)), d)
+        total, ok = arithmetic_progression_satisfies_kraft(n1, step, m, d)
+        listed = range(n1, n1 + m * step, step)
     else:
         lengths = _lengths(args, rep)
         total = kraft_sum(lengths)
-    ok = satisfies_kraft(lengths)
+    if lengths is not None:
+        ok = satisfies_kraft(lengths)
+        listed = lengths.lengths
     rep.field("D", d)
-    rep.field("lengths", ",".join(str(n) for n in lengths.lengths))
+    rep.field("lengths", ",".join(map(str, listed)))
     rep.field("sum", total)
     rep.field("satisfied", ok)
     verdict = "SATISFIED" if ok else "VIOLATED"
     rep.field("verdict", verdict, line=verdict)
     if args.check_at is not None:
+        if lengths is None:
+            lengths = CodeLengthSet(tuple(listed), d)
         rep.field(f"satisfied_at_{args.check_at}", kraft_alphabet_monotonicity(lengths, args.check_at))
 
 
@@ -578,7 +583,7 @@ def cmd_gossip(args, rep):
         source = args.source
     else:
         # deepest vertex, smallest id on ties: the farthest sensor reports
-        deepest = max(net.level.values())
+        deepest = net.max_level()
         source = min(
             (v for v in g.vertices if net.level[v] == deepest),
             key=g._order_key.__getitem__,

@@ -1,10 +1,11 @@
 """Level-controlled gossip: BFS leveling, sectoring, and a seeded simulator.
 
-Nodes learn their level (hop count from the base station) and optionally a
-sector id (equiangular wedge around the base station). An event message is
-rebroadcast toward the base station with a per-level probability, higher
-levels gossiping more reluctantly than lower ones, while every link drop is
-an independent Bernoulli failure.
+Nodes learn their level (hop count from the base station), which a
+:class:`LeveledNetwork` derives from its graph and base station by one BFS,
+and optionally a sector id (equiangular wedge around the base station). An
+event message is rebroadcast toward the base station with a per-level
+probability, higher levels gossiping more reluctantly than lower ones, while
+every link drop is an independent Bernoulli failure.
 
 Randomness is counter-based: every decision in every trial reads its own
 value from a splitmix64 chain keyed by (seed, trial, kind, index), where
@@ -38,7 +39,7 @@ mostly settled by the top bits of the stage's last product (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph, _hop_levels
 from .source_coding import _integer, _probability
@@ -97,48 +98,24 @@ def _band(t: int) -> tuple:
 class LeveledNetwork:
     """A graph whose vertices know their BFS distance from the base station.
 
-    Construction checks the level map in one pass over the edges, without a
-    BFS. An integer map is the BFS distance exactly when it covers the
-    vertices, puts the base station at 0, every edge joins equal or adjacent
-    levels, and every other vertex has a neighbor one level lower: stepping
-    to lower neighbors reaches the base station in ``level(v)`` steps, so no
-    level is below the distance, and no edge skips a level, so none is
-    above it. Any other map is rejected, so holding a LeveledNetwork
-    certifies the invariant that adjacent vertices differ by at most one
-    level. Levels are integers by :func:`_integer`, stored as int.
+    ``level`` is not an argument: it is derived once, on construction, by
+    one BFS from the base station, so holding a LeveledNetwork certifies
+    that adjacent vertices differ by at most one level. A base station that
+    is not a vertex, or a graph it does not reach whole, is refused.
     """
 
     graph: Graph
     base_station: object
-    level: dict
+    level: dict = field(init=False)
 
     def __post_init__(self):
-        level = {v: _integer("level", x) for v, x in self.level.items()}
+        bs = self.base_station
+        if bs not in self.graph._order_key:
+            raise ValueError(f"base station {bs!r} is not a vertex")
+        level = _hop_levels(self.graph, bs)
+        if len(level) < len(self.graph.vertices):
+            raise ValueError("graph is disconnected; leveling undefined")
         object.__setattr__(self, "level", level)
-        if not self._is_bfs_distance():
-            raise ValueError("level map is not the BFS distance from the base station")
-
-    @classmethod
-    def _trusted(cls, graph: Graph, base_station, level: dict) -> LeveledNetwork:
-        """The network of ``level``, a BFS distance map of int levels, not checked again."""
-        net = object.__new__(cls)
-        net.__dict__.update(graph=graph, base_station=base_station, level=level)
-        return net
-
-    def _is_bfs_distance(self) -> bool:
-        bs, level = self.base_station, self.level
-        if level.keys() != set(self.graph.vertices) or level.get(bs) != 0:
-            return False
-        stepped = {bs}  # the base station and each vertex with a lower neighbor
-        for u, v in self.graph.edges:
-            lu, lv = level[u], level[v]
-            if lu == lv + 1:
-                stepped.add(u)
-            elif lv == lu + 1:
-                stepped.add(v)
-            elif lu != lv:
-                return False
-        return len(stepped) == len(level)
 
     def max_level(self) -> int:
         return max(self.level.values())
@@ -198,13 +175,12 @@ class SimResult:
 
 
 def assign_levels(g: Graph, base_station) -> LeveledNetwork:
-    """Label every vertex with its hop distance from the base station."""
-    if base_station not in g._order_key:
-        raise ValueError(f"base station {base_station!r} is not a vertex")
-    level = _hop_levels(g, base_station)
-    if len(level) < len(g.vertices):
-        raise ValueError("graph is disconnected; leveling undefined")
-    return LeveledNetwork._trusted(g, base_station, level)
+    """Label every vertex with its hop distance from the base station.
+
+    The same as ``LeveledNetwork(g, base_station)``, which derives the levels
+    and refuses a base station that is not a vertex or a disconnected graph.
+    """
+    return LeveledNetwork(g, base_station)
 
 
 def assign_sectors(positions: dict, base_station, k: int) -> dict:

@@ -188,18 +188,13 @@ class VertexColoring:
 
     def __post_init__(self):
         entries = tuple(tuple(e) for e in self.entries)
-        index = dict(entries)
-        if len(index) != len(entries):
+        if len(dict(entries)) != len(entries):
             raise ValueError("vertex colored twice")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_dict(cls, mapping) -> "VertexColoring":
         return cls(tuple(mapping.items()))
-
-    def color_of(self, v):
-        return self._index[v]
 
     def as_dict(self) -> dict:
         return dict(self.entries)

@@ -15,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import prefixcast.cli as cli_module
-from prefixcast import graphs
+from prefixcast import graphs, source_coding
 from prefixcast.cli import INTERNAL_EXIT, USAGE_EXIT, VALIDATION_EXIT, fmt, run
 
 
@@ -365,6 +365,32 @@ def test_kraft_progression_and_alphabet_check():
     assert code == 0
     assert "SATISFIED" in out
     assert "satisfied_at_5 true" in out
+
+
+# --check-at lists the set once more, and kraft_alphabet_monotonicity decides
+# Kraft at the base size again and then at D', on a set of its own
+@pytest.mark.parametrize("check_at, verdicts, sets", [([], 1, 1), (["--check-at", "3"], 3, 3)])
+def test_kraft_progression_decides_kraft_once(monkeypatch, check_at, verdicts, sets):
+    calls = {"verdicts": 0, "sets": 0}
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    verdict = counted("verdicts", source_coding.satisfies_kraft)
+    monkeypatch.setattr(source_coding, "satisfies_kraft", verdict)
+    monkeypatch.setattr(cli_module, "satisfies_kraft", verdict)
+    monkeypatch.setattr(
+        source_coding.CodeLengthSet, "__post_init__",
+        counted("sets", source_coding.CodeLengthSet.__post_init__),
+    )
+    code, out, _ = cli("kraft", "--progression", "2,3,5", *check_at)
+    assert code == 0
+    assert "lengths 2,5,8,11,14\n" in out
+    assert out.endswith("SATISFIED\n" + "satisfied_at_3 true\n" * bool(check_at))
+    assert calls == {"verdicts": verdicts, "sets": sets}
 
 
 def test_kraft_source_flags_are_mutually_exclusive():

@@ -5,7 +5,6 @@ import pytest
 
 from prefixcast.gossip import (
     GossipConfig,
-    LeveledNetwork,
     SimResult,
     assign_levels,
     assign_sectors,
@@ -84,11 +83,6 @@ def test_adjacent_levels_differ_by_at_most_one():
         net = assign_levels(g, 0)
         for u, v in g.edges:
             assert abs(net.level[u] - net.level[v]) <= 1
-
-
-def test_leveled_network_rejects_forged_levels():
-    with pytest.raises(ValueError):
-        LeveledNetwork(LINE3, "BS", {"BS": 0, "A": 1, "B": 1})
 
 
 # ------------------------------------------------------------------ sectoring

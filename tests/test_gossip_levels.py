@@ -151,22 +151,22 @@ def test_oracle_splitmix64_gives_the_published_outputs():
 
 @settings(max_examples=300, deadline=None)
 @given(gossip_cases(), st.data())
-def test_leveled_network_accepts_exactly_the_bfs_distance(case, data):
+def test_leveled_network_derives_the_bfs_distance(case, data):
     g, bs, _, _ = case
-    # dropping an edge may disconnect the graph; no level map fits one then
+    # dropping an edge may disconnect the graph, which is refused
     dropped = data.draw(st.sets(st.sampled_from(g.edges), max_size=2)) if g.edges else set()
     g = Graph(g.vertices, tuple(e for e in g.edges if e not in dropped))
     truth = shortest_hops(g.vertices, g.edges, bs)
-    level = {v: d if d != math.inf else len(g.vertices) for v, d in truth.items()}
-    changes = st.tuples(st.sampled_from(g.vertices), st.integers(-2, 2))
-    for v, delta in data.draw(st.lists(changes, max_size=3)):
-        level[v] += delta
-    try:
-        LeveledNetwork(g, bs, level)
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == (level == truth)
+    if math.inf in truth.values():
+        with pytest.raises(ValueError, match=r"^graph is disconnected; leveling undefined$"):
+            LeveledNetwork(g, bs)
+    else:
+        assert LeveledNetwork(g, bs).level == truth
+
+
+def test_leveled_network_refuses_a_base_station_that_is_not_a_vertex():
+    with pytest.raises(ValueError, match=r"^base station 'missing' is not a vertex$"):
+        LeveledNetwork(LINE3, "missing")
 
 
 @pytest.mark.parametrize("seed", range(16))

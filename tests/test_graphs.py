@@ -102,9 +102,9 @@ def test_keyed_lookups_and_value_semantics():
     assert bare == twin.graph() and "_edge_set" not in repr(bare)
 
     colors = VertexColoring.from_dict({"a": "red", 3: "blue"})
-    assert colors.color_of(3) == "blue"
+    assert colors.as_dict()[3] == "blue"
     with pytest.raises(KeyError):
-        colors.color_of("b")
+        colors.as_dict()["b"]
     with pytest.raises(ValueError):
         VertexColoring((("a", "red"), ("a", "blue")))
 
@@ -241,8 +241,9 @@ def test_chain_rule_holds_for_random_colorings():
         # color entropy under the degree-mass distribution
         mass: dict = {}
         pmf = degree_pmf(g).as_dict()
+        color = colors.as_dict()
         for v in g.vertices:
-            mass[colors.color_of(v)] = mass.get(colors.color_of(v), 0.0) + pmf[str(v)]
+            mass[color[v]] = mass.get(color[v], 0.0) + pmf[str(v)]
         h_c = -math.fsum(m * math.log2(m) for m in mass.values() if m > 0.0)
         assert h_v == pytest.approx(h_c + h_given, abs=1e-10)
         assert h_given <= h_v + 1e-12

@@ -260,13 +260,3 @@ def test_lengths_of_any_integer_type_are_kept_as_int():
     assert lengths.lengths == (1,) and type(lengths.lengths[0]) is int
     assert pc.CodeLengthSet((True, 2), 2).lengths == (1, 2)
 
-
-def test_level_maps_of_any_integer_type_are_kept_as_int():
-    g = pc.Graph(("A", "B", "C"), (("A", "B"), ("B", "C")))
-    net = pc.LeveledNetwork(g, "A", {"A": np.int64(0), "B": np.int32(1), "C": 2})
-    assert net.level == {"A": 0, "B": 1, "C": 2}
-    assert all(type(x) is int for x in net.level.values())
-    pair = pc.LeveledNetwork(pc.Graph(("A", "B"), (("A", "B"),)), "A", {"A": False, "B": True})
-    assert pair.max_level() == 1 and type(pair.max_level()) is int
-    with pytest.raises(ValueError, match=r"^level must be an integer, got 1\.0$"):
-        pc.LeveledNetwork(g, "A", {"A": 0, "B": 1.0, "C": 2})
