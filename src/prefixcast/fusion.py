@@ -166,13 +166,6 @@ class OverlapFunction:
             return self.at_points[i]
         return self.between[i - 1]
 
-    def total_mass(self) -> float:
-        """Integral of the step function (breakpoints have measure zero)."""
-        return math.fsum(
-            (b - a) * c
-            for a, b, c in zip(self.breakpoints, self.breakpoints[1:], self.between)
-        )
-
 
 def overlap_function(s: IntervalSet) -> OverlapFunction:
     """Materialize the overlap count at every breakpoint and gap.

@@ -110,9 +110,6 @@ class Graph:
     def _edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
-    def has_edge(self, u, v) -> bool:
-        return (u, v) in self._edge_set or (v, u) in self._edge_set
-
 
 @dataclass(frozen=True)
 class WeightedGraph:

@@ -166,15 +166,6 @@ def test_overlap_matches_direct_count(pairs):
     assert omega.between == between
 
 
-def test_overlap_integral_identity():
-    rng = random.Random(271828)
-    for _ in range(100):
-        s = random_interval_set(rng)
-        omega = overlap_function(s)
-        total = sum(iv.width for iv in s.intervals)
-        assert omega.total_mass() == pytest.approx(total, abs=1e-9)
-
-
 # ------------------------------------------------------------------ N
 
 
