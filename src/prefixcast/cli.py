@@ -360,7 +360,7 @@ def cmd_kraft(args, rep):
     if args.check_at is not None:
         if lengths is None:
             lengths = CodeLengthSet(tuple(listed), d)
-        rep.field(f"satisfied_at_{args.check_at}", kraft_alphabet_monotonicity(lengths, args.check_at))
+        rep.field(f"satisfied_at_{args.check_at}", kraft_alphabet_monotonicity(lengths, args.check_at, ok))
 
 
 def cmd_huffman(args, rep):

@@ -13,9 +13,11 @@ cannot pass silently. The entropy extrema pass the same guards and share
 one fold under two cuts: over all trees a degree bound drops a branch when
 no tree below it beats the trees found so far, and over the minimum
 spanning trees a branch goes when its least tree's sorted weights are not
-the MST's. A tree is the tuple of its edges; the fold compares trees by the
-exact integer product of d**d over their degrees, checks both winners and
-evaluates their entropy alone. A graph is checked once, when built, and a
+the MST's. Over all trees the fold starts from the products of two greedy
+trees, taken as trees just short of them, so ties still go to the first
+extremal tree. A tree is the tuple of its edges; the fold compares trees by
+the exact integer product of d**d over their degrees, checks both winners
+and evaluates their entropy alone. A graph is checked once, when built, and a
 WeightedGraph keeps the Graph it built.
 Every tie follows one order, each vertex's int rank in ``_vkey`` order,
 which a Graph keeps as ``_order_key``. An MST shares its graph's ranks and
@@ -625,7 +627,7 @@ def _degrees(n: int, ends: list, picked: tuple) -> list:
     return deg
 
 
-def _extrema(g: Graph, power: list, edges: list, ends: list, cut_for) -> tuple:
+def _extrema(g: Graph, power: list, edges: list, ends: list, cut_for, seeds=None) -> tuple:
     """(min, max, argmin tree, argmax tree) of entropy over the trees of g that
     :func:`_spanning_search` yields under ``cut_for(found)``: the one fold of
     both scopes.
@@ -634,18 +636,23 @@ def _extrema(g: Graph, power: list, edges: list, ends: list, cut_for) -> tuple:
     least and greatest products so far, kept current for the cut. Trees
     compare by their product of ``d**d`` (see :func:`_guarded_powers`), and
     an incumbent is replaced only by a strictly better tree, so ties go to
-    the first tree in the search's order. The fold stops once the least
-    product is the path's, 4**(n-2), and the greatest the star's,
-    (n-1)**(n-1), which no tree passes. Each winner is checked to be a
-    spanning tree of g with the degree vector the fold counted, and its
-    entropy comes from that vector alone. A tree is the tuple of its (u, v)
-    pairs.
+    the first tree in the search's order. ``seeds``, the least and greatest
+    products of some trees of g, start ``found`` one past them, as trees no
+    better than the seeds: the cut then drops only branches with no tree at
+    least as good as a seed, and the first extremal tree is one, so it is
+    still the one named. The fold stops once the least product is the
+    path's, 4**(n-2), and the greatest the star's, (n-1)**(n-1), which no
+    tree passes. Each winner is checked to be a spanning tree of g with the
+    degree vector the fold counted, and its entropy comes from that vector
+    alone. A tree is the tuple of its (u, v) pairs.
     """
     n = len(power)
     path, star = 4 ** (n - 2), (n - 1) ** (n - 1)
     # every tree's product lies in [path, star]; a search that yields no
-    # tree leaves two empty winners, which the check refuses
-    found = [star + 1, path - 1]
+    # tree better than the seeds, as when a seed beats every tree, leaves
+    # two empty winners, which the check refuses
+    least, most = seeds or (star, path)
+    found = [least + 1, most - 1]
     least_picked = most_picked = ()
     least_deg = most_deg = [0] * n
     for picked in _spanning_search(n, ends, cut_for(found)):
@@ -730,6 +737,44 @@ def _degree_cut(ends: list, power: list, found: list):
     return cut
 
 
+def _greedy_trees(n: int, ends: list) -> tuple[list, list]:
+    """Two spanning trees of a connected graph on vertices 0..n-1 with edges
+    ``ends``, as indices into it: a bushy one and a path-like one.
+
+    The bushy tree starts at the vertex with the most neighbours, then
+    attaches every outside neighbour of the tree vertex that has the most.
+    The path-like one is Kruskal over the edges by their ends' summed
+    degree, first taking only edges whose ends have tree degree below 2,
+    then any edge that joins two components. Ties go to the lowest rank and
+    to ``ends`` order.
+    """
+    nbrs = [[] for _ in range(n)]
+    for j, (x, y) in enumerate(ends):
+        nbrs[x].append((y, j))
+        nbrs[y].append((x, j))
+    inside = {max(range(n), key=lambda v: (len(nbrs[v]), -v))}
+    bushy = []
+    while len(inside) < n:
+        u = max(sorted(inside), key=lambda v: sum(w not in inside for w, _ in nbrs[v]))
+        for w, j in nbrs[u]:
+            if w not in inside:
+                inside.add(w)
+                bushy.append(j)
+    order = sorted(range(len(ends)), key=lambda j: len(nbrs[ends[j][0]]) + len(nbrs[ends[j][1]]))
+    parent, tree_deg, path_like = list(range(n)), [0] * n, []
+    for cap in (2, n):
+        for j in order:
+            x, y = ends[j]
+            if tree_deg[x] < cap and tree_deg[y] < cap:
+                rx, ry = _find(parent, x), _find(parent, y)
+                if rx != ry:
+                    parent[rx] = ry
+                    tree_deg[x] += 1
+                    tree_deg[y] += 1
+                    path_like.append(j)
+    return bushy, path_like
+
+
 def spanning_tree_entropy_extrema(g: Graph):
     """(min, max, argmin tree, argmax tree) of entropy over all spanning trees.
 
@@ -737,11 +782,16 @@ def spanning_tree_entropy_extrema(g: Graph):
     them, and ties resolve to the first tree in its order. The guards are
     its guards, and the search is its search, cut by :func:`_degree_cut`
     into a branch and bound and folded by :func:`_extrema`, the fold
-    :func:`mst_entropy_extrema` shares.
+    :func:`mst_entropy_extrema` shares. The fold starts from the products
+    of :func:`_greedy_trees`, so the cut prunes from the first branch. Each
+    counts as a tree just short of its greedy tree, so a tree as good as it
+    still wins, and ties still go to the first extremal tree.
     """
     power = _guarded_powers(g)
     edges, ends = _canonical(g.edges, g._order_key)
-    return _extrema(g, power, edges, ends, partial(_degree_cut, ends, power))
+    n = len(power)
+    products = [math.prod(map(power.__getitem__, _degrees(n, ends, t))) for t in _greedy_trees(n, ends)]
+    return _extrema(g, power, edges, ends, partial(_degree_cut, ends, power), (min(products), max(products)))
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:

@@ -274,19 +274,23 @@ def arithmetic_progression_satisfies_kraft(
     return total, satisfies_kraft(lengths)
 
 
-def kraft_alphabet_monotonicity(lengths: CodeLengthSet, d_prime: int) -> bool:
+def kraft_alphabet_monotonicity(
+    lengths: CodeLengthSet, d_prime: int, base_holds: bool | None = None
+) -> bool:
     """Check the Kraft inequality at a larger alphabet size D' > D.
 
     Requires the inequality to already hold at the base alphabet size; each
     term D'**-n is then no larger than D**-n, so the result is always True
-    when the precondition holds.
+    when the precondition holds. ``base_holds`` is the base verdict of
+    :func:`satisfies_kraft` when the caller has it, so it is not decided
+    twice.
     """
     d_prime = _integer("D'", d_prime)
     if d_prime <= lengths.alphabet_size:
         raise ValueError(
             f"D'={d_prime} must exceed the base alphabet size {lengths.alphabet_size}"
         )
-    if not satisfies_kraft(lengths):
+    if not (satisfies_kraft(lengths) if base_holds is None else base_holds):
         raise KraftViolation(
             "Kraft inequality fails at the base alphabet size; monotonicity undefined"
         )

@@ -367,9 +367,9 @@ def test_kraft_progression_and_alphabet_check():
     assert "satisfied_at_5 true" in out
 
 
-# --check-at lists the set once more, and kraft_alphabet_monotonicity decides
-# Kraft at the base size again and then at D', on a set of its own
-@pytest.mark.parametrize("check_at, verdicts, sets", [([], 1, 1), (["--check-at", "3"], 3, 3)])
+# --check-at lists the set once more and hands kraft_alphabet_monotonicity the
+# base verdict, so Kraft is decided again only at D', on a set of its own
+@pytest.mark.parametrize("check_at, verdicts, sets", [([], 1, 1), (["--check-at", "3"], 2, 3)])
 def test_kraft_progression_decides_kraft_once(monkeypatch, check_at, verdicts, sets):
     calls = {"verdicts": 0, "sets": 0}
 

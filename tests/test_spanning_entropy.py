@@ -21,6 +21,7 @@ product orders tree degree vectors as the entropy does, ties included, on
 every tree the guard admits.
 """
 
+import collections
 import functools
 import gc
 import itertools
@@ -39,11 +40,18 @@ from prefixcast.graphs import (
     enumerate_spanning_trees,
     graph_entropy,
     mst_entropy_extrema,
+    path_graph,
     ring_graph,
     spanning_tree_entropy_extrema,
+    star_graph,
 )
 
-from oracles import minimum_spanning_trees_exact, random_weighted_connected, spanning_trees_by_subsets
+from oracles import (
+    minimum_spanning_trees_exact,
+    random_weighted_connected,
+    shortest_hops,
+    spanning_trees_by_subsets,
+)
 
 TENTHS = (0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 1.0, 1.1)
 
@@ -412,3 +420,96 @@ def test_equal_weights_give_equal_scopes():
         for w in (1.0, 0.1):
             weighted = WeightedGraph(g.vertices, tuple((u, v, w) for u, v in g.edges))
             assert mst_entropy_extrema(weighted) == spanning_tree_entropy_extrema(g)[:2]
+
+
+def _pool_graph(rng):
+    """An 8-vertex, 16-edge graph drawn as the enumerate benchmark draws its
+    small class: n0 joined to three random vertices, then 13 random pairs,
+    redrawn until connected (with no target tree count)."""
+    names = [f"n{i}" for i in range(8)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    while True:
+        star = rng.sample(names[1:], 3)
+        edges = [("n0", v) for v in star]
+        edges += rng.sample([p for p in pairs if not (p[0] == "n0" and p[1] in star)], 13)
+        rng.shuffle(edges)
+        if math.inf not in shortest_hops(names, edges, "n0").values():
+            return Graph(tuple(names), tuple(edges))
+
+
+def _fold(g, seeds):
+    """The all-trees fold of g started from ``seeds``, (least, greatest) products."""
+    power = graphs._guarded_powers(g)
+    edges, ends = graphs._canonical(g.edges, g._order_key)
+    return graphs._extrema(g, power, edges, ends, functools.partial(graphs._degree_cut, ends, power), seeds)
+
+
+def _product(tree):
+    return math.prod(d**d for d in collections.Counter(itertools.chain.from_iterable(tree)).values())
+
+
+def test_greedy_seeds_name_the_trees_any_seeds_name():
+    # the seeds only start the fold: seeded by the first and last trees in
+    # enumeration order, by the extrema themselves, or not at all, it names
+    # the same trees
+    for g in (*_tie_families(), *(_pool_graph(random.Random(9900 + seed)) for seed in range(20))):
+        got = spanning_tree_entropy_extrema(g)
+        products = [_product(t) for t in enumerate_spanning_trees(g)]
+        first_last = sorted((products[0], products[-1]))
+        assert _fold(g, first_last) == _fold(g, (min(products), max(products))) == _fold(g, None) == got
+        # both greedy trees are spanning trees of g, by the oracle's hop count
+        edges, ends = graphs._canonical(g.edges, g._order_key)
+        for picked in graphs._greedy_trees(len(g.vertices), ends):
+            tree = [edges[j] for j in picked]
+            assert len(tree) == len(g.vertices) - 1 and set(tree) <= set(g.edges)
+            assert math.inf not in shortest_hops(g.vertices, tree, g.vertices[0]).values()
+
+
+def test_a_seed_better_than_every_tree_is_refused():
+    # no tree beats it, so the fold names none and the tree check refuses
+    k4 = complete_graph(4)
+    with pytest.raises(RuntimeError, match="not a spanning tree of the graph"):
+        _fold(k4, (4**2 - 1, 3**3 + 1))
+
+
+def test_greedy_seeds_save_a_third_of_the_cut_evaluations(monkeypatch):
+    g = _pool_graph(random.Random(9900))
+    evaluations = []
+    degree_cut = graphs._degree_cut
+
+    def counted(ends, power, found):
+        cut = degree_cut(ends, power, found)
+
+        def counting(*branch):
+            evaluations.append(1)
+            return cut(*branch)
+
+        return counting
+
+    monkeypatch.setattr(graphs, "_degree_cut", counted)
+    want = spanning_tree_entropy_extrema(g)
+    seeded = len(evaluations)
+    evaluations.clear()
+    # unseeded, as before the greedy seeds, the fold asks the cut 92 times on
+    # this graph; seeded, 54 times
+    assert _fold(g, None) == want
+    assert len(evaluations) == 92
+    assert seeded <= 92 * 2 // 3
+
+
+def test_complete_bipartite_k36_proves_both_extrema():
+    # K(3,6) has no star and no Hamiltonian path, so neither early stop
+    # fires and the fold must prove both optima
+    g = Graph(tuple(f"{s}{i}" for s, k in (("a", 3), ("b", 6)) for i in range(k)),
+              tuple((f"a{i}", f"b{j}") for i in range(3) for j in range(6)))
+    trees = spanning_trees_by_subsets(g.vertices, sorted(g.edges, key=lambda e: (_order(e[0]), _order(e[1]))))
+    assert len(trees) == 8748
+    hs = [graph_entropy(Graph(g.vertices, tuple(t))) for t in trees]
+    lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(g)
+    assert (lo, hi) == (min(hs), max(hs))
+    assert frozenset(t_lo) == trees[hs.index(lo)]
+    assert frozenset(t_hi) == trees[hs.index(hi)]
+    star = graph_entropy(star_graph(8))
+    path = graph_entropy(path_graph(9))
+    assert star < lo and hi < path
+    assert f"{hi:.6f}" == "3.030639"
