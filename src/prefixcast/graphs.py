@@ -752,7 +752,7 @@ def _greedy_trees(n: int, ends: list) -> tuple[list, list]:
     for j, (x, y) in enumerate(ends):
         nbrs[x].append((y, j))
         nbrs[y].append((x, j))
-    inside = {max(range(n), key=lambda v: (len(nbrs[v]), -v))}
+    inside = {max(range(n), key=lambda v: len(nbrs[v]))}
     bushy = []
     while len(inside) < n:
         u = max(sorted(inside), key=lambda v: sum(w not in inside for w, _ in nbrs[v]))
