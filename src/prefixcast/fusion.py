@@ -5,8 +5,8 @@ Four views of the same question, what range can the true value be in:
 * ``m_function``: the smallest closed interval containing every point where
   at least n-f of the intervals agree (an endpoint sweep).
 * ``overlap_function``: the full step function x -> number of intervals
-  containing x, queryable anywhere and exportable as breakpoints; each
-  count bisects the sorted endpoints, O(n log n) in all.
+  containing x, as its value at every breakpoint and on every gap between
+  two; one sort and running sums of endpoint multiplicities, O(n log n).
 * ``n_function``: the same envelope as M but derived from the overlap
   function, giving an independent route to the identical answer.
 * ``s_function``: order statistics, the (f+1)-th largest left endpoint and
@@ -19,8 +19,10 @@ Intervals are closed; touching at a single point counts as overlap.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, sub
 
 from .source_coding import _integer
 
@@ -157,34 +159,31 @@ class OverlapFunction:
     at_points: tuple
     between: tuple
 
-    def value_at(self, x: float) -> int:
-        bp = self.breakpoints
-        if not bp or x < bp[0] or x > bp[-1]:
-            return 0
-        i = bisect_left(bp, x)
-        if i < len(bp) and bp[i] == x:
-            return self.at_points[i]
-        return self.between[i - 1]
-
 
 def overlap_function(s: IntervalSet) -> OverlapFunction:
     """Materialize the overlap count at every breakpoint and gap.
 
-    A sweep over the sorted endpoints, O(n log n) in all: an interval
+    One sort and one cumulative pass, O(n log n) in all: an interval
     contains x iff lo <= x and not hi < x, so the count at x is
     #{lo <= x} - #{hi < x}; no endpoint lies inside the gap (a, b), so an
     interval covers it iff lo <= a < hi, giving #{lo <= a} - #{hi <= a}.
-    Each count is a pair of bisections into the sorted ``lo`` and ``hi``
-    lists. The set union keeps the first zero among the ``lo`` values in
-    input order, else among the ``hi`` values, as the zero breakpoint.
+    Running sums of endpoint multiplicities over the sorted breakpoints
+    give #{lo <= x} and #{hi <= x}; #{hi < x} is the latter less the
+    multiplicity of x among the ``hi`` values. The set union keeps the
+    first zero among the ``lo`` values in input order, else among the
+    ``hi`` values, as the zero breakpoint.
     """
-    xs = sorted({iv.lo for iv in s.intervals} | {iv.hi for iv in s.intervals})
-    los = sorted(iv.lo for iv in s.intervals)
-    his = sorted(iv.hi for iv in s.intervals)
-    at_points = tuple(bisect_right(los, x) - bisect_left(his, x) for x in xs)
-    between = tuple(bisect_right(los, a) - bisect_right(his, a) for a in xs[:-1])
+    los = [iv.lo for iv in s.intervals]
+    his = [iv.hi for iv in s.intervals]
+    xs = sorted(set(los) | set(his))
+    lo_mult, hi_mult = Counter(los), Counter(his)
+    # .get stays in C; Counter's __missing__ for an absent key runs in Python
+    hi_at = list(map(hi_mult.get, xs, repeat(0)))
+    lo_upto = accumulate(map(lo_mult.get, xs, repeat(0)))
+    covering = tuple(map(sub, lo_upto, accumulate(hi_at)))
+    at_points = tuple(map(add, covering, hi_at))
     return OverlapFunction(
-        n=s.n, breakpoints=tuple(xs), at_points=at_points, between=between
+        n=s.n, breakpoints=tuple(xs), at_points=at_points, between=covering[:-1]
     )
 
 

@@ -105,23 +105,23 @@ def test_m_matches_subset_oracle_random():
 
 def test_overlap_worked_values():
     omega = overlap_function(WORKED)
-    assert omega.value_at(11.5) == 2
-    assert omega.value_at(-100.0) == 0
-    assert omega.value_at(100.0) == 0
-    assert omega.value_at(14.0) == 1
+    assert omega.breakpoints == (8.0, 11.0, 12.0, 13.0, 14.0, 15.0)
+    assert omega.at_points == (1, 2, 2, 1, 1, 1)
+    assert omega.between == (1, 2, 1, 0, 1)
 
 
 def test_overlap_identical_intervals():
-    s = IntervalSet.from_pairs([(2, 4)] * 5, f=0)
-    assert overlap_function(s).value_at(3.0) == 5
+    omega = overlap_function(IntervalSet.from_pairs([(2, 4)] * 5, f=0))
+    assert omega.breakpoints == (2.0, 4.0)
+    assert omega.between[0] == 5
 
 
 def test_overlap_at_touching_endpoint_counts_both():
     s = IntervalSet.from_pairs([(0, 1), (1, 2)], f=0)
     omega = overlap_function(s)
-    assert omega.value_at(1.0) == 2
-    assert omega.value_at(0.5) == 1
-    assert omega.value_at(1.5) == 1
+    assert omega.breakpoints == (0.0, 1.0, 2.0)
+    assert omega.at_points[1] == 2
+    assert omega.between == (1, 1)
 
 
 def test_overlap_matches_pointwise_oracle():
@@ -130,26 +130,37 @@ def test_overlap_matches_pointwise_oracle():
         s = random_interval_set(rng, n_max=8)
         omega = overlap_function(s)
         pairs = [(iv.lo, iv.hi) for iv in s.intervals]
-        probes = list(omega.breakpoints)
-        probes += [
-            (a + b) / 2 for a, b in zip(omega.breakpoints, omega.breakpoints[1:])
-        ]
-        probes += [omega.breakpoints[0] - 1.0, omega.breakpoints[-1] + 1.0]
-        for x in probes:
-            assert omega.value_at(x) == overlap_count_at(pairs, x)
+        bp = omega.breakpoints
+        for x, count in zip(bp, omega.at_points):
+            assert count == overlap_count_at(pairs, x)
+        for a, b, count in zip(bp, bp[1:], omega.between):
+            assert count == overlap_count_at(pairs, (a + b) / 2)
+        assert len(omega.between) == len(bp) - 1
         assert max(omega.at_points) <= s.n
 
 
 # endpoints on a coarse grid, zero in both signs: ties, touching intervals
 # and points (lo == hi) all occur often
-ENDPOINTS = st.sampled_from([-2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0])
+GRID = [-2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0]
+ENDPOINTS = st.sampled_from(GRID)
+
+
+def _closed(ends):
+    return [(a, b) if a <= b else (b, a) for a, b in ends]
 
 
 @st.composite
 def endpoint_pairs(draw):
     """Closed [lo, hi] pairs with lo <= hi, drawn from ``ENDPOINTS``."""
     ends = draw(st.lists(st.tuples(ENDPOINTS, ENDPOINTS), min_size=1, max_size=12))
-    return [(a, b) if a <= b else (b, a) for a, b in ends]
+    return _closed(ends)
+
+
+def seeded_endpoint_pairs(n, seed):
+    """n closed pairs drawn from ``ENDPOINTS`` by a seeded generator; at
+    n = 500 every breakpoint is the endpoint of dozens of intervals."""
+    rng = random.Random(seed)
+    return _closed((rng.choice(GRID), rng.choice(GRID)) for _ in range(n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -157,6 +168,8 @@ def endpoint_pairs(draw):
 @example([(0.0, 1.0), (-0.0, 0.0), (-1.0, -0.0)])
 @example([(-1.0, -0.0), (0.5, 0.5), (-0.0, 0.0)])
 @example([(0.0, 0.0), (0.0, 0.0)])
+# equal endpoints in their dozens, both zero signs among them
+@example(seeded_endpoint_pairs(500, 20261020))
 def test_overlap_matches_direct_count(pairs):
     omega = overlap_function(IntervalSet.from_pairs(pairs, f=0))
     breakpoints, at_points, between = overlap_direct(pairs)
