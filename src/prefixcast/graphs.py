@@ -19,7 +19,7 @@ extremal tree. A tree is the tuple of its edges; the fold compares trees by
 the exact integer product of d**d over their degrees, checks both winners
 and evaluates their entropy alone. A graph is checked once, when built, and a
 WeightedGraph keeps the Graph it built.
-Every tie follows one order, each vertex's int rank in ``_vkey`` order,
+Every tie follows one order, each vertex's int rank from ``_vertex_ranks``,
 which a Graph keeps as ``_order_key``. An MST shares its graph's ranks and
 checked edge triples and is not checked again.
 """
@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter, not_
 
 from .source_coding import ProbabilityMassFunction, _entropy, _integer, shannon_entropy
 
@@ -42,11 +43,14 @@ class InfiniteDivergence(ValueError):
     """KL divergence is +infinity: the second pmf has a zero where the first does not."""
 
 
-def _vkey(v):
-    """Total order over mixed int/str vertex ids: ints first, then strings."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return (0, v, "")
-    return (1, 0, str(v))
+def _vertex_ranks(vertices: tuple) -> dict:
+    """Each vertex id's rank in one total order: the int ids (not bools) by
+    value, then every other id by its ``str``. Both sorts are stable, so ids
+    that tie keep their input order and ranks are one-to-one."""
+    is_int = [isinstance(v, int) and not isinstance(v, bool) for v in vertices]
+    order = sorted(compress(vertices, is_int))
+    order += sorted(compress(vertices, map(not_, is_int)), key=str)
+    return dict(zip(order, range(len(order))))
 
 
 def _checked_pairs(vertices: tuple, pairs, noun: str, rank: dict) -> tuple:
@@ -79,9 +83,7 @@ class Graph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        # stable: ids with equal _vkey keep their input order, so ranks are one-to-one
-        order = sorted(verts, key=_vkey)
-        rank = dict(zip(order, range(len(order))))
+        rank = _vertex_ranks(verts)
         self._set(verts, _checked_pairs(verts, self.edges, "edge", rank), rank)
 
     @classmethod
@@ -406,7 +408,10 @@ def _is_mst(g: WeightedGraph, carrier) -> bool:
     top = max((w for _, _, w in tree), default=0.0)
     parent = list(range(n))
     joined = 0
-    for e in sorted([e for e in g.edges if e[2] <= top], key=lambda e: (e[2], e not in tree)):
+    # carrier edges first, then by weight: both stable, so carrier edges lead on ties
+    scan = sorted([e for e in g.edges if e[2] <= top], key=tree.__contains__, reverse=True)
+    scan.sort(key=itemgetter(2))
+    for e in scan:
         ru, rv = _find(parent, rank[e[0]]), _find(parent, rank[e[1]])
         joins = ru != rv
         if joins != (e in tree):
@@ -795,15 +800,18 @@ def spanning_tree_entropy_extrema(g: Graph):
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
-    """Kruskal MST; ties broken by weight, then by the endpoints' ranks; built unchecked."""
+    """Kruskal MST; ties broken by weight, then by the endpoints' ranks in
+    ``_vertex_ranks`` order; built unchecked."""
     n = len(g.vertices)
     rank = g.graph()._order_key
-    # (w, rank u, rank v) is unique per edge, so e itself is never compared
-    order = sorted([(e[2], rank[e[0]], rank[e[1]], e) for e in g.edges])
+    edges = g.edges
+    # by rank pair, then stably by weight: the (w, rank u, rank v) order
+    order = sorted(range(len(edges)), key=[rank[u] * n + rank[v] for u, v, _ in edges].__getitem__)
+    order.sort(key=[w for _, _, w in edges].__getitem__)
     parent = list(range(n))
     picked = []
-    for _, a, b, e in order:
-        ra, rb = _find(parent, a), _find(parent, b)
+    for e in map(edges.__getitem__, order):
+        ra, rb = _find(parent, rank[e[0]]), _find(parent, rank[e[1]])
         if ra != rb:
             parent[ra] = rb
             picked.append(e)

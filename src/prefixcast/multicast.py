@@ -19,6 +19,7 @@ behind zero digits until it fits, a heuristic, not an optimality claim.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .graphs import WeightedGraph, _hop_levels, _is_mst, minimum_spanning_tree
@@ -93,15 +94,17 @@ class PlanAudit:
 def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryTree:
     """Root the tree and retain at most D children per node.
 
-    Children are kept in increasing order of (edge weight, vertex rank);
+    Children are kept in increasing order of (edge weight, vertex rank),
+    the rank being the vertex's place in ``graphs._vertex_ranks`` order;
     the digit of a child is its index among the retained siblings. Dropping
     a child discards its entire subtree, and every vertex so discarded is
     reported in ``pruned``. The tree is rooted by :func:`_hop_levels`; with
     n-1 edges, reaching every vertex rules out a cycle. Each edge then runs
     from the lower level to the higher, and one pass in BFS order, which
-    puts a parent before its children, lists each retained vertex's
-    children; no digit-path is stored, :meth:`EmbeddedDaryTree.descend`
-    walks one down the lists.
+    puts a parent before its children, sorts and cuts the child list of
+    each retained vertex that has one; a leaf gets no list, only its empty
+    entry. No digit-path is stored, :meth:`EmbeddedDaryTree.descend` walks
+    one down the lists.
     """
     d = _integer("arity", d, 2)
     rank = spanning_tree.graph()._order_key
@@ -116,7 +119,7 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
     if len(level) != n:
         raise ValueError("not a tree: graph is disconnected")
 
-    kids: dict = {v: [] for v in level}
+    kids = defaultdict(list)
     for u, v, w in spanning_tree.edges:
         if level[u] > level[v]:
             u, v = v, u
@@ -124,9 +127,9 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
     # a vertex below a dropped child never becomes a key
     children: dict = {root: ()}
     for v in level:
-        if v in children:
-            children[v] = tuple(k for _, _, k in sorted(kids[v])[:d])
-            children.update(dict.fromkeys(children[v], ()))
+        if v in kids and v in children:
+            children[v] = kept = tuple([k for _, _, k in sorted(kids[v])[:d]])
+            children.update(dict.fromkeys(kept, ()))
 
     return EmbeddedDaryTree(
         root=root,

@@ -99,9 +99,8 @@ class Codeword:
         return len(self.digits)
 
     def __str__(self) -> str:
-        if all(d <= 9 for d in self.digits):
-            return "".join(str(d) for d in self.digits)
-        return ".".join(str(d) for d in self.digits)
+        digits = self.digits
+        return ("" if not digits or max(digits) <= 9 else ".").join(map(str, digits))
 
 
 @dataclass(frozen=True)
@@ -303,7 +302,8 @@ def _canonical_digits(lengths, d: int):
     zero-padded, so the work is linear in the digits written. Kraft must hold,
     which leaves a digit below D-1 to carry into."""
     digits: list[int] = []
-    for idx in sorted(range(len(lengths)), key=lambda i: (lengths[i], i)):
+    # stable over ascending indices, so equal lengths keep index order
+    for idx in sorted(range(len(lengths)), key=lengths.__getitem__):
         if digits:
             while digits[-1] == d - 1:
                 digits.pop()

@@ -85,13 +85,13 @@ RULES = {
         PKG, lambda n, c: imports(n) - {"prefixcast", ""} - sys.stdlib_module_names, False, []),
     # a count, arity, depth or length goes through source_coding._integer
     # (operator.index, then a bound); int() and isinstance(..., int) are
-    # left to the string parsers, the exit code, the renderer and the sort key
+    # left to the string parsers, the exit code, the renderer and the vertex ranks
     "integers are checked one way": (PKG, checks_int, False, [
         "fileio.py:parse_lengths",  # a length token read from a file
         "gossip.py:_override",  # the level number of a sweep key "P<j>"
         "cli.py:run",  # the exit code argparse raises
         "cli.py:fmt",  # renders an output value by its type
-        "graphs.py:_vkey",  # orders int vertex ids before the rest
+        "graphs.py:_vertex_ranks",  # ranks int vertex ids before the rest
     ]),
     # enumeration and both entropy scopes are cuts of one include-first
     # search; a second loop over a stack of branches is a second copy of it
@@ -220,7 +220,7 @@ PLANTS = [
     ("draws are mixed in one trial loop", "gossip.py", *before(
         "def _splitmix64(", "def _mix(z):\n    return z * 0x94D049BB133111EB  # planted\n\n\n")),
     ("draws are mixed in one trial loop", "graphs.py", *before(
-        "def _vkey(", "def _mix(z):\n    return z * 0xBF58476D1CE4E5B9  # planted\n\n\n")),
+        "def _vertex_ranks(", "def _mix(z):\n    return z * 0xBF58476D1CE4E5B9  # planted\n\n\n")),
     ("prefixes are scanned in one routine", "multicast.py", *before(
         "    steps = {(u, v) for u, v, _ in plan.carrier}", "    prefix_violations([])  # planted\n")),
     ("digit paths are checked by two constructors", "source_coding.py", *before(
@@ -250,13 +250,13 @@ PLANTS = [
     ("library defines no private name it never uses", "fusion.py", *before(
         "import math\n", "_helper = 1  # planted\n")),
     ("package exports exactly what it imports", "__init__.py", *before(
-        "__version__ = ", "from .graphs import _vkey  # planted\n")),
+        "__version__ = ", "from .graphs import _vertex_ranks  # planted\n")),
     ("integers are checked one way", "cli.py", *before(
         "    s = IntervalSet(intervals, args.f)\n", "    int(x)  # planted\n")),
     ("references import no prefixcast", "tests/oracles.py", *before(
         "from collections import Counter, deque\n", "from prefixcast import graphs  # planted\n")),
     ("spanning trees are searched one way", "graphs.py", *before(
-        "def _vkey(", "def _walk(stack):\n    while stack:  # planted\n        stack.pop()\n\n\n")),
+        "def _vertex_ranks(", "def _walk(stack):\n    while stack:  # planted\n        stack.pop()\n\n\n")),
     ("spanning trees are searched one way", "graphs.py", "    while stack:\n", "    while 0:\n"),
     ("prefixes are scanned in one routine", "source_coding.py", "prefix_violations(list(paths.values()))",
      "[]"),

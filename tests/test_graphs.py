@@ -1,6 +1,8 @@
+import enum
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -482,6 +484,11 @@ def test_tied_mixed_ids_pick_mst_edges_in_canonical_order():
     )
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 5
+
+
 @pytest.mark.parametrize(("vertices", "ranks"), [
     (("b", "a", "c"), {"a": 0, "b": 1, "c": 2}),
     ((3, 1, 2), {1: 0, 2: 1, 3: 2}),
@@ -489,6 +496,15 @@ def test_tied_mixed_ids_pick_mst_edges_in_canonical_order():
     # a bool is not an int here, and ids of equal text keep their input order
     ((True, "True", 2), {2: 0, True: 1, "True": 2}),
     (("True", True, 2), {2: 0, "True": 1, True: 2}),
+    # an IntEnum member is an int and ranks by its value, not its name
+    (("a", _Level.HIGH, 3, _Level.LOW), {_Level.LOW: 0, 3: 1, _Level.HIGH: 2, "a": 3}),
+    # a numpy.int64 is not an int here: it ranks by its text, after every int
+    ((np.int64(10), "9", 200), {200: 0, np.int64(10): 1, "9": 2}),
+    # a float ranks by its text too
+    ((2.5, 10, "2.4"), {10: 0, "2.4": 1, 2.5: 2}),
+    ((3, -1, "-5", -20), {-20: 0, -1: 1, 3: 2, "-5": 3}),
+    # a str id whose text equals an int id's ranks with the strs
+    (("7", 7, "10"), {7: 0, "10": 1, "7": 2}),
 ])
 def test_order_key_is_the_rank_in_vertex_order(vertices, ranks):
     assert Graph(vertices, ())._order_key == ranks

@@ -9,7 +9,7 @@ oracle reaches. Every input is seeded.
   graph file's lines are shuffled and about half its edges written as
   ``v u w``, after every weight is multiplied by 2**-3 or 2**5 (exact for
   floats), and after the vertices are renamed in a way that keeps their
-  ``_vkey`` order, up to that renaming.
+  ``_vertex_ranks`` order, up to that renaming.
 - ``span-entropy --msts-only`` is unchanged when an edge heavier than every
   other edge is added: no minimum spanning tree can take it. Weights near
   2**53, with the new edge one float above the heaviest, make a tree that

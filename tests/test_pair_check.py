@@ -24,7 +24,7 @@ def _weighted(vertices, pairs):
     (("a", "b"), (("b", "c"),), "edge ('b', 'c') references unknown vertex"),
     (("a", "b", "c"), (("a", "b"), ("b", "c"), ("b", "a")), "repeated edge ('b', 'a')"),
     ((1, 2), ((2, 1), (1, 2)), "repeated edge (1, 2)"),
-    # ids whose _vkey ties still orient one way: by their input position
+    # ids that tie in _vertex_ranks still orient one way: by their input position
     (("True", True), (("True", True), (True, "True")), "repeated edge (True, 'True')"),
     (("1.5", 1.5), (("1.5", 1.5), (1.5, "1.5")), "repeated edge (1.5, '1.5')"),
 ])
