@@ -82,16 +82,20 @@ def _parse_edge_lines(text: str, source: str, bare=None):
     """
     vertices: dict = {}  # insertion-ordered set
     edges = []
+    # the `u v w` row, the most common, is tested first
     for lineno, tokens in _rows(text, source):
-        if tokens[0] == "vertex":
+        if len(tokens) == 3 and tokens[0] != "vertex":
+            u, v, w = tokens
+            try:
+                w = float(w)
+            except ValueError:
+                _fail(source, lineno, f"weight {w!r} is not a number")
+            vertices[u] = vertices[v] = None
+            edges.append((u, v, w))
+        elif tokens[0] == "vertex":
             if len(tokens) != 2:
                 _fail(source, lineno, "expected 'vertex u'")
             vertices[tokens[1]] = None
-        elif len(tokens) == 3:
-            u, v, w = tokens
-            w = _number(w, source, lineno, "weight")
-            vertices[u] = vertices[v] = None
-            edges.append((u, v, w))
         elif len(tokens) == 2:
             u, v = tokens
             vertices[u] = vertices[v] = None

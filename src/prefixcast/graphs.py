@@ -17,11 +17,14 @@ the MST's. Over all trees the fold starts from the products of two greedy
 trees, taken as trees just short of them, so ties still go to the first
 extremal tree. A tree is the tuple of its edges; the fold compares trees by
 the exact integer product of d**d over their degrees, checks both winners
-and evaluates their entropy alone. A graph is checked once, when built, and a
-WeightedGraph keeps the Graph it built.
+and evaluates their entropy alone. A graph is checked once, when built, by
+one pass of ``_checked_pairs`` over its edges.
 Every tie follows one order, each vertex's int rank from ``_vertex_ranks``,
-which a Graph keeps as ``_order_key``. An MST shares its graph's ranks and
-checked edge triples and is not checked again.
+which a Graph and a WeightedGraph keep as ``_order_key``. A WeightedGraph
+also keeps each edge's packed rank key and weight, which Kruskal sorts on,
+and builds its unweighted Graph only when asked. An MST shares its graph's
+ranks and keeps its edges' checked triples, keys and weights; it is not
+checked again.
 """
 
 from __future__ import annotations
@@ -53,25 +56,39 @@ def _vertex_ranks(vertices: tuple) -> dict:
     return dict(zip(order, range(len(order))))
 
 
-def _checked_pairs(vertices: tuple, pairs, noun: str, rank: dict) -> tuple:
-    """Each pair, lower ``rank`` (vertex -> int) first, so equal ranks keep it as
-    given; rejects duplicate vertex ids, self-loops, unknown endpoints and
-    repeats, naming a pair as given."""
-    if len(rank) != len(vertices):
+def _checked_pairs(vertices: tuple, edges, noun: str, rank: dict, directed: bool = False) -> tuple:
+    """Each edge, a (u, v) pair or a (u, v, w) triple, lower ``rank`` (vertex ->
+    int) end first, with its packed key ``rank[lo] * n + rank[hi]``: a tuple of
+    the edges, the given tuple kept when it is in rank order, and a list of
+    their keys. A ``directed`` edge keeps its ends, and its key packs them, as
+    given. Rejects duplicate vertex ids, self-loops, unknown endpoints and
+    repeats, naming an edge as given; a repeat is a second edge with the same
+    key."""
+    n = len(rank)
+    if n != len(vertices):
         raise ValueError("duplicate vertex ids")
     seen = set()
+    keys = []
     out = []
-    for u, v in pairs:
+    for e in edges:
+        u, v = e[0], e[1]
         if u == v:
             raise ValueError(f"self-loop at {u!r}")
-        if u not in rank or v not in rank:
-            raise ValueError(f"{noun} ({u!r}, {v!r}) references unknown vertex")
-        pair = (v, u) if rank[v] < rank[u] else (u, v)
-        if pair in seen:
+        try:
+            ru, rv = rank[u], rank[v]
+        except KeyError:
+            raise ValueError(f"{noun} ({u!r}, {v!r}) references unknown vertex") from None
+        if rv < ru and not directed:
+            key = rv * n + ru
+            e = (v, u) + e[2:]
+        else:
+            key = ru * n + rv
+        if key in seen:
             raise ValueError(f"repeated {noun} ({u!r}, {v!r})")
-        seen.add(pair)
-        out.append(pair)
-    return tuple(out)
+        seen.add(key)
+        keys.append(key)
+        out.append(e)
+    return tuple(out), keys
 
 
 @dataclass(frozen=True)
@@ -84,7 +101,8 @@ class Graph:
     def __post_init__(self):
         verts = tuple(self.vertices)
         rank = _vertex_ranks(verts)
-        self._set(verts, _checked_pairs(verts, self.edges, "edge", rank), rank)
+        edges, _ = _checked_pairs(verts, ((u, v) for u, v in self.edges), "edge", rank)
+        self._set(verts, edges, rank)
 
     @classmethod
     def _trusted(cls, vertices: tuple, edges: tuple, rank: dict) -> Graph:
@@ -123,29 +141,40 @@ class WeightedGraph:
     edges: tuple  # (u, v, w) triples
 
     def __post_init__(self):
-        # every weight is checked before the Graph checks endpoints, loops, repeats
-        pairs = []
+        # every weight is checked before any endpoint, loop or repeat
+        triples = []
         weights = []
-        for u, v, w in self.edges:
-            w = float(w)
-            if not (math.isfinite(w) and w >= 0.0):
-                raise ValueError(f"edge ({u!r}, {v!r}) has invalid weight {w!r}")
-            pairs.append((u, v))
-            weights.append(w)
-        g = Graph(self.vertices, pairs)
-        self._set(tuple((u, v, w) for (u, v), w in zip(g.edges, weights)), g)
+        for e in self.edges:
+            u, v, w = e
+            x = float(w)
+            if not (math.isfinite(x) and x >= 0.0):
+                raise ValueError(f"edge ({u!r}, {v!r}) has invalid weight {x!r}")
+            # a float triple, as the parser gives it, is kept as it is
+            triples.append(e if type(e) is tuple and type(w) is float else (u, v, x))
+            weights.append(x)
+        verts = tuple(self.vertices)
+        rank = _vertex_ranks(verts)
+        edges, keys = _checked_pairs(verts, triples, "edge", rank)
+        self._set(verts, edges, rank, keys, weights)
 
     @classmethod
-    def _trusted(cls, edges: tuple, g: Graph) -> WeightedGraph:
-        """``g`` with its checked, oriented (u, v, w) triples, not checked again."""
-        return object.__new__(cls)._set(edges, g)
+    def _trusted(cls, vertices: tuple, edges: tuple, rank: dict, keys: list, weights: list) -> WeightedGraph:
+        """Checked, oriented (u, v, w) triples with their packed rank keys and
+        weights, as :func:`_checked_pairs` gives them; not checked again."""
+        return object.__new__(cls)._set(vertices, edges, rank, keys, weights)
 
-    def _set(self, edges: tuple, g: Graph) -> WeightedGraph:
-        self.__dict__.update(vertices=g.vertices, edges=edges, _graph=g)
+    def _set(self, vertices: tuple, edges: tuple, rank: dict, keys: list, weights: list) -> WeightedGraph:
+        self.__dict__.update(vertices=vertices, edges=edges, _order_key=rank, _keys=keys, _weights=weights)
         return self
 
+    # built on first use: the plan path reads only the ranks and keys
+    @cached_property
+    def _graph(self) -> Graph:
+        return Graph._trusted(self.vertices, tuple((u, v) for u, v, _ in self.edges), self._order_key)
+
     def graph(self) -> Graph:
-        """The unweighted graph, built and checked along with this one."""
+        """The unweighted graph, with this graph's checked edges and ranks,
+        built on the first call and the same object on every later one."""
         return self._graph
 
     # built on first use: most graphs, such as a parsed input, never look up a weight
@@ -176,7 +205,8 @@ class DiGraph:
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        arcs = _checked_pairs(verts, self.arcs, "arc", dict.fromkeys(verts, 0))
+        position = dict(zip(verts, range(len(verts))))
+        arcs, _ = _checked_pairs(verts, ((u, v) for u, v in self.arcs), "arc", position, directed=True)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "arcs", arcs)
 
@@ -399,7 +429,7 @@ def _is_mst(g: WeightedGraph, carrier) -> bool:
     vertex absent from g, or that g does not have, fails it.
     """
     n = len(g.vertices)
-    rank = g.graph()._order_key
+    rank = g._order_key
     if any(u not in rank or v not in rank for u, v, _ in carrier):
         return False
     tree = {(u, v, w) if rank[u] <= rank[v] else (v, u, w) for u, v, w in carrier}
@@ -801,26 +831,29 @@ def spanning_tree_entropy_extrema(g: Graph):
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
     """Kruskal MST; ties broken by weight, then by the endpoints' ranks in
-    ``_vertex_ranks`` order; built unchecked."""
+    ``_vertex_ranks`` order. It reads the packed rank keys and weights that
+    :func:`_checked_pairs` and the weight check kept, and its tree keeps
+    them too, built unchecked."""
     n = len(g.vertices)
-    rank = g.graph()._order_key
-    edges = g.edges
-    # by rank pair, then stably by weight: the (w, rank u, rank v) order
-    order = sorted(range(len(edges)), key=[rank[u] * n + rank[v] for u, v, _ in edges].__getitem__)
-    order.sort(key=[w for _, _, w in edges].__getitem__)
+    edges, keys, weights = g.edges, g._keys, g._weights
+    # by packed rank pair, then stably by weight: the (w, rank u, rank v) order
+    order = sorted(range(len(edges)), key=keys.__getitem__)
+    order.sort(key=weights.__getitem__)
     parent = list(range(n))
     picked = []
-    for e in map(edges.__getitem__, order):
-        ra, rb = _find(parent, rank[e[0]]), _find(parent, rank[e[1]])
+    for j in order:
+        a, b = divmod(keys[j], n)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
-            picked.append(e)
+            picked.append(j)
             if len(picked) == n - 1:
                 break
     if len(picked) != max(n - 1, 0):
         raise ValueError("graph is disconnected; it has no spanning tree")
-    tree = Graph._trusted(g.vertices, tuple(e[:2] for e in picked), rank)
-    return WeightedGraph._trusted(tuple(picked), tree)
+    return WeightedGraph._trusted(
+        g.vertices, tuple(map(edges.__getitem__, picked)), g._order_key,
+        list(map(keys.__getitem__, picked)), list(map(weights.__getitem__, picked)))
 
 
 def _weight_cut(edges: list, ends: list, target: list):

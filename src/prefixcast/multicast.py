@@ -107,7 +107,7 @@ def embed_dary_tree(spanning_tree: WeightedGraph, root, d: int) -> EmbeddedDaryT
     one down the lists.
     """
     d = _integer("arity", d, 2)
-    rank = spanning_tree.graph()._order_key
+    rank = spanning_tree._order_key
     if root not in rank:
         raise ValueError(f"root {root!r} is not a vertex")
     n = len(spanning_tree.vertices)

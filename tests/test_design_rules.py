@@ -71,6 +71,12 @@ def name_of(node):
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
+def checks_endpoints(node, called):
+    """A read of _checked_pairs, or text that refuses an unknown endpoint."""
+    return name_of(node) == "_checked_pairs" or isinstance(node, ast.Constant) and isinstance(
+        node.value, str) and "references unknown vertex" in node.value
+
+
 def loops_on(name):
     return lambda n, c: isinstance(n, ast.While) and isinstance(n.test, ast.Name) and n.test.id == name
 
@@ -124,6 +130,12 @@ RULES = {
         PKG, lambda n, c: isinstance(n, ast.Attribute) and n.attr == "__new__"
         and name_of(n.value) == "object",
         True, ["graphs.py:Graph._trusted", "graphs.py:WeightedGraph._trusted"]),
+    # _checked_pairs is the one endpoint check: the three graph constructors
+    # call it, once each, and it alone refuses an unknown endpoint; a second
+    # loop over the edges, or a second call on a built graph, checks twice
+    "endpoints are checked in one routine": (PKG, checks_endpoints, True, [
+        "graphs.py:DiGraph.__post_init__", "graphs.py:Graph.__post_init__",
+        "graphs.py:WeightedGraph.__post_init__", "graphs.py:_checked_pairs"]),
     # a LeveledNetwork derives its levels with _hop_levels, the one while
     # frontier: loop, so a second one is a second BFS
     "levels are found by one BFS": (PKG, loops_on("frontier"), True, ["graphs.py:_hop_levels"]),
@@ -262,8 +274,17 @@ PLANTS = [
      "[]"),
     ("input lines are read one way", "fileio.py", "text.splitlines()", "text.split()"),
     ("unchecked constructors are the measured ones", "graphs.py",
-     "object.__new__(cls)._set(vertices", "cls.__new__(cls)._set(vertices"),
+     "object.__new__(cls)._set(vertices, edges, rank)", "cls.__new__(cls)._set(vertices, edges, rank)"),
     ("levels are found by one BFS", "graphs.py", "    while frontier:\n", "    while 0:\n"),
+    ("endpoints are checked in one routine", "graphs.py", *before("        edges, keys = _checked_pairs(", (
+        "        for u, v, _ in triples:\n"
+        "            if u not in self.vertices or v not in self.vertices:\n"
+        "                raise ValueError(f\"edge ({u!r}, {v!r}) references unknown vertex\")  # planted\n"))),
+    ("endpoints are checked in one routine", "graphs.py", *before(
+        "    n = len(g.vertices)\n    edges, keys, weights = g.edges, g._keys, g._weights\n",
+        "    _checked_pairs(g.vertices, g.edges, \"edge\", g._order_key)  # planted\n")),
+    ("endpoints are checked in one routine", "graphs.py",
+     "arcs, _ = _checked_pairs(verts, ", "arcs, _ = _trusted_pairs(verts, "),
 ]
 
 

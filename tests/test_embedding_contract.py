@@ -9,11 +9,13 @@ separate walk in this file.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
-from prefixcast.graphs import WeightedGraph
-from prefixcast.multicast import embed_dary_tree
+from prefixcast.fileio import parse_pmf, parse_weighted_graph
+from prefixcast.graphs import Graph, WeightedGraph
+from prefixcast.multicast import embed_dary_tree, plan_cost_audit, plan_multicast
 
 from oracles import random_weighted_connected
 
@@ -129,3 +131,17 @@ def test_random_tree_embedding_contract(d):
         for v, (digits, route) in path.items():
             assert emb.descend(root, digits) == route
             assert emb.descend(root, digits + (len(emb.children[v]),)) is None
+
+
+def test_the_plan_path_builds_no_graph_of_its_input():
+    # Kruskal and the audit read the ranks and keys the weighted graph kept;
+    # its unweighted Graph is built only when asked, and equals a checked one
+    data = Path(__file__).resolve().parents[1] / "demos" / "data"
+    g = parse_weighted_graph((data / "network.edges").read_text(), "network.edges")
+    pmf = parse_pmf((data / "importance.pmf").read_text(), "importance.pmf")
+    plan = plan_multicast(g, g.vertices[0], pmf, 2, relax=True)
+    assert plan_cost_audit(plan, g).ok
+    assert "_graph" not in vars(g)
+    h = g.graph()
+    checked = Graph(g.vertices, [(u, v) for u, v, _ in g.edges])
+    assert h == checked and h._order_key == checked._order_key

@@ -536,10 +536,12 @@ def test_kruskal_ties_match_an_independent_kruskal(case):
     mst = minimum_spanning_tree(WeightedGraph(vertices, edges))
     assert mst.edges == kruskal_edges(vertices, edges)
     # the tree skips the second check; checking it changes no attribute of
-    # either object, so one that only the checked build sets fails here
+    # either object, kept keys and weights included, so one that only the
+    # checked build sets fails here, before and after each builds its Graph
     checked = WeightedGraph(mst.vertices, mst.edges)
     assert vars(checked) == vars(mst)
     assert vars(checked.graph()) == vars(mst.graph())
+    assert vars(checked) == vars(mst)
 
 
 def test_mst_disconnected_raises():
