@@ -45,7 +45,6 @@ from .graphs import (
     complete_graph,
     conditional_graph_entropy,
     degree_pmf,
-    enumerate_spanning_trees,
     graph_entropy,
     graph_kl_divergence,
     graph_mutual_information,
@@ -136,7 +135,6 @@ __all__ = [
     "complete_graph",
     "conditional_graph_entropy",
     "degree_pmf",
-    "enumerate_spanning_trees",
     "graph_entropy",
     "graph_kl_divergence",
     "graph_mutual_information",

@@ -6,16 +6,16 @@ degree. Conditional entropy, mutual information against a vertex coloring,
 Tsallis entropy, and Kullback-Leibler divergence between two graphs all
 derive from the same distribution. Spanning trees come from one
 include-first search over the canonically sorted edges, which asks a cut of
-each branch. Enumeration runs it with no cut; the matrix-tree determinant
-counts the trees first, a graph with more than ``TREE_BUDGET`` is refused,
-and the enumeration must find exactly that many, so a bug in either route
-cannot pass silently. The entropy extrema pass the same guards and share
-one fold under two cuts: over all trees a degree bound drops a branch when
-no tree below it beats the trees found so far, and over the minimum
-spanning trees a branch goes when its least tree's sorted weights are not
-the MST's. Over all trees the fold starts from the products of two greedy
-trees, taken as trees just short of them, so ties still go to the first
-extremal tree. A tree is the tuple of its edges; the fold compares trees by
+each branch; it always runs under one. Before it runs, one routine guards
+the graph: more than ``ENUMERATION_GUARD`` vertices is refused, then the
+matrix-tree determinant counts the trees, and a count of 0 (disconnected)
+or above ``TREE_BUDGET`` is refused. The two entropy scopes share that
+guard and one fold under two cuts: over all trees a degree bound drops a
+branch when no tree below it beats the trees found so far, and over the
+minimum spanning trees a branch goes when its least tree's sorted weights
+are not the MST's. Over all trees the fold starts from the products of two
+greedy trees, taken as trees just short of them, so ties still go to the
+first extremal tree. A tree is the tuple of its edges; the fold compares trees by
 the exact integer product of d**d over their degrees, checks both winners
 and evaluates their entropy alone. A graph is checked once, when built, by
 one pass of ``_checked_pairs`` over its edges.
@@ -493,29 +493,6 @@ def _matrix_tree_count(g: Graph) -> int:
     return _int_determinant(minor)
 
 
-def _enumerable_tree_count(g: Graph) -> int:
-    """The matrix-tree count of g, once g passes both guards of a search.
-
-    A graph of more than ``ENUMERATION_GUARD`` vertices is refused first;
-    then a count of 0 means g is disconnected, and a count above
-    ``TREE_BUDGET`` is refused.
-    """
-    n = len(g.vertices)
-    if n > ENUMERATION_GUARD:
-        raise ValueError(
-            f"{n} vertices exceeds the enumeration guard of {ENUMERATION_GUARD}"
-        )
-    count = _matrix_tree_count(g)
-    if count == 0:
-        raise ValueError("graph is disconnected; it has no spanning tree")
-    if count > TREE_BUDGET:
-        raise ValueError(
-            f"graph has {count} spanning trees, over the enumeration "
-            f"budget of {TREE_BUDGET}"
-        )
-    return count
-
-
 def _joined_later(ends: list, start: int, comp: list, a: int, b: int) -> bool:
     """True when the edges ``ends[start:]`` join components ``a`` and ``b``.
 
@@ -548,7 +525,7 @@ def _canonical(edges, rank: dict) -> tuple[list, list]:
     return edges, [(rank[e[0]], rank[e[1]]) for e in edges]
 
 
-def _spanning_search(n: int, ends: list, cut=None):
+def _spanning_search(n: int, ends: list, cut):
     """Yield the indices into ``ends`` of each spanning tree that ``cut`` keeps,
     on vertices 0..n-1, n >= 1.
 
@@ -563,7 +540,10 @@ def _spanning_search(n: int, ends: list, cut=None):
     need, picked)`` is asked when a branch is popped and after each include,
     leaves included, with i the next edge, comp the component label of each
     vertex, need the edges still needed and picked the indices taken; a
-    true answer drops the branch and every tree below it.
+    true answer drops the branch and every tree below it. Each entropy scope
+    passes its own cut, :func:`_degree_cut` or :func:`_weight_cut`; under a
+    cut that never fires it yields every tree, its index tuples in
+    lexicographic order.
     """
     m = len(ends)
     # a popped branch takes the include path to its tree and pushes each
@@ -571,7 +551,7 @@ def _spanning_search(n: int, ends: list, cut=None):
     stack = [(0, list(range(n)), n - 1, ())]
     while stack:
         branch = stack.pop()
-        if cut and cut(*branch):
+        if cut(*branch):
             continue
         i, comp, need, picked = branch
         while need:
@@ -583,40 +563,18 @@ def _spanning_search(n: int, ends: list, cut=None):
                 comp = [a if c == b else c for c in comp]
                 need -= 1
                 picked += (i,)
-                if cut and cut(i + 1, comp, need, picked):
+                if cut(i + 1, comp, need, picked):
                     break
             i += 1
         else:
             yield picked
 
 
-def enumerate_spanning_trees(g: Graph) -> list:
-    """Every spanning tree of g as a tuple of its edges, in a deterministic order.
-
-    The trees of :func:`_spanning_search`, with no cut, over the edges in
-    canonical order. Guarded to graphs of at most ``ENUMERATION_GUARD``
-    vertices. The matrix-tree count comes first: 0 means g is disconnected,
-    above ``TREE_BUDGET`` the graph is refused, and otherwise the search
-    must find exactly that many trees. ``Graph(g.vertices, t)`` rebuilds a
-    tree as a Graph.
-    """
-    expected = _enumerable_tree_count(g)
-    n = len(g.vertices)
-    if n <= 1:
-        return [()]
-    edges, ends = _canonical(g.edges, g._order_key)
-    trees = [tuple(map(edges.__getitem__, t)) for t in _spanning_search(n, ends)]
-    if len(trees) != expected:
-        raise RuntimeError(
-            f"enumeration found {len(trees)} spanning trees but the "
-            f"matrix-tree determinant gives {expected}"
-        )
-    return trees
-
-
 def _guarded_powers(g: Graph) -> list:
     """``d**d`` for each degree a spanning tree of g can have, once g passes the
-    guards of :func:`_enumerable_tree_count` and has an edge.
+    guards of both entropy scopes, in this order: at most ``ENUMERATION_GUARD``
+    vertices, a matrix-tree count that is not 0 (g is connected) and at most
+    ``TREE_BUDGET``, and an edge.
 
     A tree's entropy is log2(2(n-1)) - S/(2(n-1)) with S the sum of
     d*log2(d) over its degrees, so the product of their ``d**d``, 2**S,
@@ -624,8 +582,19 @@ def _guarded_powers(g: Graph) -> list:
     most ``ENUMERATION_GUARD`` vertices it ties exactly where the entropy
     does.
     """
-    _enumerable_tree_count(g)
     n = len(g.vertices)
+    if n > ENUMERATION_GUARD:
+        raise ValueError(
+            f"{n} vertices exceeds the enumeration guard of {ENUMERATION_GUARD}"
+        )
+    count = _matrix_tree_count(g)
+    if count == 0:
+        raise ValueError("graph is disconnected; it has no spanning tree")
+    if count > TREE_BUDGET:
+        raise ValueError(
+            f"graph has {count} spanning trees, over the enumeration "
+            f"budget of {TREE_BUDGET}"
+        )
     if n <= 1:
         raise ValueError("spanning trees of a trivial graph have no edges")
     return [d**d for d in range(n)]
@@ -813,14 +782,14 @@ def _greedy_trees(n: int, ends: list) -> tuple[list, list]:
 def spanning_tree_entropy_extrema(g: Graph):
     """(min, max, argmin tree, argmax tree) of entropy over all spanning trees.
 
-    The trees are edge tuples, as :func:`enumerate_spanning_trees` gives
-    them, and ties resolve to the first tree in its order. The guards are
-    its guards, and the search is its search, cut by :func:`_degree_cut`
-    into a branch and bound and folded by :func:`_extrema`, the fold
-    :func:`mst_entropy_extrema` shares. The fold starts from the products
-    of :func:`_greedy_trees`, so the cut prunes from the first branch. Each
-    counts as a tree just short of its greedy tree, so a tree as good as it
-    still wins, and ties still go to the first extremal tree.
+    The trees are tuples of (u, v) edges, and ties resolve to the first tree
+    in the order of :func:`_spanning_search`. The guards of
+    :func:`_guarded_powers`, the search and the fold of :func:`_extrema` are
+    the ones :func:`mst_entropy_extrema` uses; here the search is cut by
+    :func:`_degree_cut` into a branch and bound. The fold starts from the
+    products of :func:`_greedy_trees`, so the cut prunes from the first
+    branch. Each counts as a tree just short of its greedy tree, so a tree
+    as good as it still wins, and ties still go to the first extremal tree.
     """
     power = _guarded_powers(g)
     edges, ends = _canonical(g.edges, g._order_key)
@@ -904,11 +873,11 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
 
     A tree counts when it is a minimum spanning tree by exact weight, the
     rule of :func:`minimum_spanning_tree` and :func:`_is_mst`. The guards
-    of :func:`enumerate_spanning_trees` refuse the same graphs, in the same
-    order, before Kruskal runs. Its search is cut by :func:`_weight_cut`,
-    so it visits only the minimum trees, and folded by :func:`_extrema`, as
-    in :func:`spanning_tree_entropy_extrema`, with the same early stop and
-    tree checks. Each winner must also pass :func:`_is_mst`, the certificate
+    of :func:`_guarded_powers` refuse the same graphs as in the all-trees
+    scope, in the same order, before Kruskal runs. Its search is cut by
+    :func:`_weight_cut`, so it visits only the minimum trees, and folded by
+    :func:`_extrema`, as in :func:`spanning_tree_entropy_extrema`, with the
+    same early stop and tree checks. Each winner must also pass :func:`_is_mst`, the certificate
     the plan audit uses, or RuntimeError is raised.
     """
     h = g.graph()

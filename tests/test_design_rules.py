@@ -5,7 +5,7 @@ Each file is parsed once, and :func:`sites` is the one walk over a tree. A
 row of ``RULES`` names its files, a predicate on (node, called) and its sites,
 written ``file.py:Outer.inner`` (``file.py:`` is module scope). An exact row
 lists every site of its construct, once per occurrence; a within row lists
-the only sites where the construct may occur. Three whole-package checks are
+the only sites where the construct may occur. Four whole-package checks are
 plain functions over the same trees. A failure names each ``file:line``.
 
 To add a rule, add a row to ``RULES`` (or a check to ``CHECKS``) with its
@@ -28,7 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 LIB = "src/prefixcast/"
 PKG = tuple(LIB + p.name for p in sorted((ROOT / LIB).glob("*.py")))
 REFERENCES = ("tests/oracles.py", "perfbench/reference.py")
-TEXTS = {path: (ROOT / path).read_text() for path in PKG + REFERENCES}
+DEMOS = tuple(f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("0*.py")))
+TEXTS = {path: (ROOT / path).read_text() for path in PKG + REFERENCES + DEMOS}
 TREES = {path: ast.parse(text, path) for path, text in TEXTS.items()}
 
 
@@ -81,6 +82,13 @@ def loops_on(name):
     return lambda n, c: isinstance(n, ast.While) and isinstance(n.test, ast.Name) and n.test.id == name
 
 
+def walks_to_root(node, called):
+    """A union-find walk, ``while parent[...] != ...:``."""
+    test = node.test if isinstance(node, ast.While) else None
+    return isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.NotEq) and isinstance(
+        test.left, ast.Subscript) and name_of(test.left.value) == "parent"
+
+
 # name: (files, predicate on (node, called), exact, sites)
 RULES = {
     # the reference answers must not share code with what they check
@@ -99,8 +107,8 @@ RULES = {
         "cli.py:fmt",  # renders an output value by its type
         "graphs.py:_vertex_ranks",  # ranks int vertex ids before the rest
     ]),
-    # enumeration and both entropy scopes are cuts of one include-first
-    # search; a second loop over a stack of branches is a second copy of it
+    # both entropy scopes are cuts of one include-first search; a second
+    # loop over a stack of branches is a second copy of it
     "spanning trees are searched one way": (
         (LIB + "graphs.py",), loops_on("stack"), True, ["graphs.py:_spanning_search"]),
     # every draw is mixed by _splitmix64 or inlined in _run_trial; a
@@ -139,6 +147,16 @@ RULES = {
     # a LeveledNetwork derives its levels with _hop_levels, the one while
     # frontier: loop, so a second one is a second BFS
     "levels are found by one BFS": (PKG, loops_on("frontier"), True, ["graphs.py:_hop_levels"]),
+    # Kruskal, _is_mst and _greedy_trees call _find; the guarded search of at
+    # most 9 vertices walks to a root inline, in _joined_later and in the MST
+    # cut. Calling _find at those two sites made --msts-only slower (medians
+    # of 15 interleaved in-process runs, CPython 3.11.7 on 2 vCPUs): unit-
+    # weight K8 58.6 -> 62.6 ms (+7%), K(3,6) 97.8 -> 106.4 ms (+9%), and the
+    # 24 MST requests of 96 seed-1 enumerate benchmark requests 16.6 -> 17.2 ms
+    # (+4%). So those two stay written out
+    "union-find is written out at three sites only": (PKG, walks_to_root, True, [
+        "graphs.py:_find", "graphs.py:_joined_later", "graphs.py:_joined_later",
+        "graphs.py:_weight_cut.cut", "graphs.py:_weight_cut.cut"]),
 }
 
 
@@ -174,10 +192,24 @@ def unused_imports(trees):
     return bad
 
 
+def reads(paths, trees):
+    """Every name the files ``paths`` read: as a name, an attribute or an import."""
+    used = set()
+    for path in paths:
+        for node, *_ in sites(path, trees[path]):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
 def unused_private_names(trees):
-    """A module-level _name must be read, as a name, an attribute or an import,
-    somewhere in the package; deletions leave such names behind."""
-    defined, used = [], set()
+    """A module-level _name must be read somewhere in the package; deletions
+    leave such names behind."""
+    defined, used = [], reads(PKG, trees)
     for path in PKG:
         for node in trees[path].body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -188,13 +220,6 @@ def unused_private_names(trees):
             else:
                 continue
             defined += [(path, node.lineno, name) for name in names]
-        for node, *_ in sites(path, trees[path]):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
     return [f"{path}:{line}: defines {name} and never uses it" for path, line, name in defined
             if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
             and name not in used]
@@ -216,10 +241,26 @@ def exports(trees):
                   for name in listed if name not in imported]
 
 
+# whether to reach these through an opt-in assign-leaders flag or to delete
+# them is a later feature decision, and a simplicity change adds no option
+UNREACHED = {"node_selection_probability", "level_leader_probability", "local_leader_probability"}
+
+
+def unreached_exports(trees):
+    """Each name __init__.py imports is read by another module of the package,
+    its own included, or by a demo; a name only tests read is dead weight."""
+    path = LIB + "__init__.py"
+    used = reads([p for p in PKG if p != path] + list(DEMOS), trees) | UNREACHED
+    return [f"{path}:{alias.lineno}: exports {alias.name} and no module or demo reads it"
+            for node in trees[path].body if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name not in used]
+
+
 CHECKS = {name: functools.partial(site_check, name) for name in RULES}
 CHECKS.update({"library imports no name it leaves unused": unused_imports,
                "library defines no private name it never uses": unused_private_names,
-               "package exports exactly what it imports": exports})
+               "package exports exactly what it imports": exports,
+               "public names are reached": unreached_exports})
 
 
 def before(anchor, text):
@@ -263,6 +304,8 @@ PLANTS = [
         "import math\n", "_helper = 1  # planted\n")),
     ("package exports exactly what it imports", "__init__.py", *before(
         "__version__ = ", "from .graphs import _vertex_ranks  # planted\n")),
+    ("public names are reached", "__init__.py", *before(
+        "__version__ = ", "from .graphs import enumerate_spanning_trees  # planted\n")),
     ("integers are checked one way", "cli.py", *before(
         "    s = IntervalSet(intervals, args.f)\n", "    int(x)  # planted\n")),
     ("references import no prefixcast", "tests/oracles.py", *before(
@@ -285,6 +328,13 @@ PLANTS = [
         "    _checked_pairs(g.vertices, g.edges, \"edge\", g._order_key)  # planted\n")),
     ("endpoints are checked in one routine", "graphs.py",
      "arcs, _ = _checked_pairs(verts, ", "arcs, _ = _trusted_pairs(verts, "),
+    ("union-find is written out at three sites only", "graphs.py",
+     "        ra, rb = _find(parent, a), _find(parent, b)\n", (
+        "        ra, rb = a, b\n        while parent[ra] != ra:  # planted\n            ra = parent[ra]\n"
+        "        while parent[rb] != rb:  # planted\n            rb = parent[rb]\n")),
+    ("union-find is written out at three sites only", "graphs.py",
+     "def _find(parent: list, x: int) -> int:\n    while parent[x] != x:",
+     "def _find(parent: list, x: int) -> int:\n    while x != parent[x]:"),
 ]
 
 

@@ -13,12 +13,13 @@ from prefixcast.graphs import (
     InfiniteDivergence,
     VertexColoring,
     WeightedGraph,
+    _canonical,
     _is_mst,
     _matrix_tree_count,
+    _spanning_search,
     complete_graph,
     conditional_graph_entropy,
     degree_pmf,
-    enumerate_spanning_trees,
     graph_entropy,
     graph_kl_divergence,
     graph_mutual_information,
@@ -379,54 +380,66 @@ def test_entropy_is_permutation_invariant():
 # ------------------------------------------------------------ spanning trees
 
 
-def test_enumerate_triangle():
+def _every_tree(g):
+    """Each spanning tree of g as a tuple of its edges, in the order the one
+    search yields them under a cut that never fires."""
+    edges, ends = _canonical(g.edges, g._order_key)
+    found = _spanning_search(len(g.vertices), ends, lambda *branch: False)
+    return [tuple(map(edges.__getitem__, t)) for t in found]
+
+
+def test_search_triangle():
     tri = ring_graph(3)
-    trees = enumerate_spanning_trees(tri)
-    assert len(trees) == 3
+    trees = _every_tree(tri)
+    assert len(trees) == 3 == _matrix_tree_count(tri)
     for t in trees:
         assert type(t) is tuple and len(t) == 2
         assert is_connected(Graph(tri.vertices, t))
 
 
-def test_enumerate_tree_returns_itself():
+def test_search_tree_yields_itself():
     t = path_graph(5)
-    trees = enumerate_spanning_trees(t)
-    assert trees == [t.edges]
+    assert _every_tree(t) == [t.edges]
+    assert _matrix_tree_count(t) == 1
 
 
-def test_enumerate_k4_matches_cayley_and_oracle():
+def test_search_k4_matches_cayley_and_oracle():
     k4 = complete_graph(4)
-    trees = enumerate_spanning_trees(k4)
-    assert len(trees) == 16  # Cayley: 4**2
+    trees = _every_tree(k4)
+    assert len(trees) == 16 == _matrix_tree_count(k4)  # Cayley: 4**2
     oracle = spanning_trees_by_subsets(k4.vertices, k4.edges)
     assert {frozenset(t) for t in trees} == set(oracle)
 
 
-def test_enumerate_guard_and_disconnected():
+def test_extrema_guard_and_disconnected():
     with pytest.raises(ValueError, match="^10 vertices exceeds the enumeration guard of 9$"):
-        enumerate_spanning_trees(complete_graph(10))
+        spanning_tree_entropy_extrema(complete_graph(10))
     with pytest.raises(ValueError, match="^graph is disconnected; it has no spanning tree$"):
-        enumerate_spanning_trees(Graph((0, 1, 2), ((0, 1),)))
+        spanning_tree_entropy_extrema(Graph((0, 1, 2), ((0, 1),)))
     # vertex 1 is isolated, so the tree count's first pivot is 0
     with pytest.raises(ValueError, match="^graph is disconnected; it has no spanning tree$"):
-        enumerate_spanning_trees(Graph((0, 1, 2), ((0, 2),)))
+        spanning_tree_entropy_extrema(Graph((0, 1, 2), ((0, 2),)))
 
 
-def test_enumeration_count_matches_matrix_tree_random():
+def test_search_count_matches_matrix_tree_random():
     rng = random.Random(23)
     for _ in range(25):
         g = random_connected_graph(rng, rng.randint(2, 7), rng.randint(0, 8))
-        trees = enumerate_spanning_trees(g)
+        trees = _every_tree(g)
         assert len(trees) == _matrix_tree_count(g)
         assert len({frozenset(t) for t in trees}) == len(trees)
+        assert {frozenset(t) for t in trees} == set(spanning_trees_by_subsets(g.vertices, g.edges))
 
 
 def test_spanning_tree_extrema_triangle():
-    lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(ring_graph(3))
+    tri = ring_graph(3)
+    lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(tri)
     assert lo == pytest.approx(1.5, abs=1e-12)
     assert hi == pytest.approx(1.5, abs=1e-12)
     assert len(t_lo) == 2 and len(t_hi) == 2
-    assert t_lo == t_hi == enumerate_spanning_trees(ring_graph(3))[0]
+    # the first tree in search order: the first subset of the sorted edges
+    first = spanning_trees_by_subsets(tri.vertices, sorted(tri.edges))[0]
+    assert frozenset(t_lo) == frozenset(t_hi) == first
 
 
 def test_spanning_tree_extrema_tree_input():

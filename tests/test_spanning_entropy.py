@@ -4,21 +4,20 @@ Both scopes work on the searches' edge tuples, not on one ``Graph`` and one
 degree pmf per tree, and compare trees by the product of d**d over their
 degrees. These tests hold them to the exhaustive oracle: the values equal
 ``graph_entropy``'s exactly, the named trees are the first extremal ones in
-``enumerate_spanning_trees`` order, also where many trees tie, and the MST
-scope keeps exactly the trees of least exact weight, summed as Fractions by
-the oracle. Weights in tenths make left-to-right sums of one tree's weights
-depend on their order, weights near 2**53 make a tree that is not an MST
-round to the MST's weight, and weights near the largest float make a
-minimum's sum overflow; the MST scope drops the first and answers the
-second, since it compares sorted weights and sums none. One search serves
-all three callers: its order is the subset oracle's order over the
-canonically sorted edges, with no cut and under the MST cut. The all-trees
-scope cuts it by a degree bound and the MST scope by weight, neither calls
-the full enumerator, and both share one fold, which evaluates the entropy
-of its two winners alone and checks them, the MST scope's also by the plan
-audit's MST certificate. With every weight equal the two scopes agree. The
-product orders tree degree vectors as the entropy does, ties included, on
-every tree the guard admits.
+the search's order, also where many trees tie, and the MST scope keeps
+exactly the trees of least exact weight, summed as Fractions by the oracle.
+Weights in tenths make left-to-right sums of one tree's weights depend on
+their order, weights near 2**53 make a tree that is not an MST round to the
+MST's weight, and weights near the largest float make a minimum's sum
+overflow; the MST scope drops the first and answers the second, since it
+compares sorted weights and sums none. One search serves both scopes: its
+order is the subset oracle's order over the canonically sorted edges, under
+a cut that never fires and under the MST cut. The all-trees scope cuts it
+by a degree bound and the MST scope by weight, and both share one fold,
+which evaluates the entropy of its two winners alone and checks them, the
+MST scope's also by the plan audit's MST certificate. With every weight
+equal the two scopes agree. The product orders tree degree vectors as the
+entropy does, ties included, on every tree the guard admits.
 """
 
 import collections
@@ -37,7 +36,6 @@ from prefixcast.graphs import (
     Graph,
     WeightedGraph,
     complete_graph,
-    enumerate_spanning_trees,
     graph_entropy,
     mst_entropy_extrema,
     path_graph,
@@ -59,6 +57,17 @@ TENTHS = (0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 1.0, 1.1)
 def _order(v):
     # ints before strings, each in its own order
     return (0, v, "") if isinstance(v, int) else (1, 0, v)
+
+
+def _trees_in_search_order(g):
+    """The subset oracle's spanning trees of g over its edges sorted by their
+    endpoints' order, which is the order of the one search."""
+    return spanning_trees_by_subsets(g.vertices, sorted(g.edges, key=lambda e: (_order(e[0]), _order(e[1]))))
+
+
+def _never(*branch):
+    """A cut that keeps every branch."""
+    return False
 
 
 def _graph_with_bridges(rng):
@@ -88,9 +97,9 @@ def test_search_order_is_subset_order_over_sorted_edges():
     for seed in range(60):
         g = _graph_with_bridges(random.Random(9100 + seed))
         mixed += len({type(v) for v in g.vertices}) == 2
-        edges = sorted(g.edges, key=lambda e: (_order(e[0]), _order(e[1])))
-        trees = enumerate_spanning_trees(g)
-        assert [frozenset(t) for t in trees] == spanning_trees_by_subsets(g.vertices, edges)
+        edges, ends = graphs._canonical(g.edges, g._order_key)
+        found = graphs._spanning_search(len(g.vertices), ends, _never)
+        assert [frozenset(map(edges.__getitem__, t)) for t in found] == _trees_in_search_order(g)
     assert mixed > 0
 
 
@@ -114,11 +123,8 @@ def test_extrema_match_subset_oracle():
         rng = random.Random(7000 + seed)
         g = _random_graph(rng)
         weight = {(u, v): w for u, v, w in g.edges}
-        oracle = [
-            (sorted(weight[p] for p in tree), graph_entropy(Graph(g.vertices, tuple(tree))))
-            for tree in spanning_trees_by_subsets(g.vertices, g.edges)
-        ]
-        entropies = [h for _, h in oracle]
+        trees = _trees_in_search_order(g)
+        entropies = [graph_entropy(Graph(g.vertices, tuple(tree))) for tree in trees]
         msts = [
             (sorted(weight[p] for p in tree), graph_entropy(Graph(g.vertices, tuple(tree))))
             for tree in minimum_spanning_trees_exact(g.vertices, g.edges)
@@ -130,10 +136,8 @@ def test_extrema_match_subset_oracle():
         assert (lo, hi) == (min(entropies), max(entropies))
         assert mst_entropy_extrema(g) == (min(h for _, h in msts), max(h for _, h in msts))
 
-        trees = enumerate_spanning_trees(g.graph())
-        hs = [graph_entropy(Graph(g.vertices, t)) for t in trees]
-        assert t_lo == trees[hs.index(lo)]
-        assert t_hi == trees[hs.index(hi)]
+        assert frozenset(t_lo) == trees[entropies.index(lo)]
+        assert frozenset(t_hi) == trees[entropies.index(hi)]
     # some cases have minimum trees whose left-to-right sums depend on the order
     assert order_sensitive > 0
 
@@ -195,18 +199,13 @@ def test_mst_scope_matches_the_exact_subset_oracle():
     assert rounded > 0 and overflowing > 0 and answered > 0
 
 
-def test_mst_scope_searches_without_enumerating_every_tree(monkeypatch):
+def test_mst_scope_on_k6_and_its_guard():
     k6 = complete_graph(6)
     weighted = WeightedGraph(k6.vertices, tuple((u, v, float((u + v) % 3 + 1)) for u, v in k6.edges))
-    trees = enumerate_spanning_trees(k6)
+    trees = _trees_in_search_order(k6)
     sums = [math.fsum(weighted.weight_of(u, v) for u, v in t) for t in trees]
     least = min(sums)
-    hs = [graph_entropy(Graph(k6.vertices, t)) for t, s in zip(trees, sums) if s == least]
-
-    def refuse(g):
-        raise AssertionError("the MST scope enumerated every spanning tree")
-
-    monkeypatch.setattr(graphs, "enumerate_spanning_trees", refuse)
+    hs = [graph_entropy(Graph(k6.vertices, tuple(t))) for t, s in zip(trees, sums) if s == least]
     assert mst_entropy_extrema(weighted) == (min(hs), max(hs))
     # the guards still refuse first, with their own messages
     k9 = complete_graph(9)
@@ -214,9 +213,8 @@ def test_mst_scope_searches_without_enumerating_every_tree(monkeypatch):
         mst_entropy_extrema(WeightedGraph(k9.vertices, tuple((u, v, 1.0) for u, v in k9.edges)))
 
 
-def test_extrema_and_enumeration_build_no_graph_per_tree(monkeypatch):
+def test_extrema_build_no_graph_per_tree(monkeypatch):
     k5 = complete_graph(5)
-    k6 = complete_graph(6)
     weighted = WeightedGraph(k5.vertices, tuple((u, v, float(u + v) % 3) for u, v in k5.edges))
     built = {"Graph": 0, "pmf": 0}
     graph_init = graphs.Graph.__post_init__
@@ -237,19 +235,17 @@ def test_extrema_and_enumeration_build_no_graph_per_tree(monkeypatch):
     mst_entropy_extrema(weighted)
     # the one Graph is Kruskal's tree, inside its WeightedGraph
     assert built["Graph"] <= 1 and built["pmf"] == 0
-    built["Graph"] = 0
-    assert len(enumerate_spanning_trees(k6)) == 1296
-    assert built == {"Graph": 0, "pmf": 0}
 
 
 def test_spanning_search_leaves_no_cyclic_garbage():
     # the whole list of trees must be freed when the caller drops it, not
     # wait for a cycle collection
     k5 = complete_graph(5)
+    _, ends = graphs._canonical(k5.edges, k5._order_key)
     gc.collect()
     gc.disable()
     try:
-        trees = enumerate_spanning_trees(k5)
+        trees = list(graphs._spanning_search(5, ends, _never))
         assert len(trees) == 125
         del trees
         assert gc.collect() == 0
@@ -260,14 +256,14 @@ def test_spanning_search_leaves_no_cyclic_garbage():
 def test_fold_evaluates_entropy_once_per_degree_vector(monkeypatch):
     k6 = complete_graph(6)
     weighted = WeightedGraph(k6.vertices, tuple((u, v, float((u + v) % 3 + 1)) for u, v in k6.edges))
-    trees = enumerate_spanning_trees(k6)
+    trees = _trees_in_search_order(k6)
     assert len(trees) == 1296
-    hs = [graph_entropy(Graph(k6.vertices, t)) for t in trees]
+    hs = [graph_entropy(Graph(k6.vertices, tuple(t))) for t in trees]
     weights = [math.fsum(weighted.weight_of(u, v) for u, v in t) for t in trees]
     msts = [i for i, w in enumerate(weights) if w == min(weights)]
 
     def degree_vector(t):
-        return tuple(Graph(k6.vertices, t).degree()[v] for v in k6.vertices)
+        return tuple(Graph(k6.vertices, tuple(t)).degree()[v] for v in k6.vertices)
 
     calls = []
     entropy = graphs._entropy
@@ -282,7 +278,7 @@ def test_fold_evaluates_entropy_once_per_degree_vector(monkeypatch):
     # is evaluated, fewer calls than one per degree vector
     assert len(calls) <= 2 < len({degree_vector(t) for t in trees})
     assert (lo, hi) == (min(hs), max(hs))
-    assert t_lo == trees[hs.index(lo)] and t_hi == trees[hs.index(hi)]
+    assert frozenset(t_lo) == trees[hs.index(lo)] and frozenset(t_hi) == trees[hs.index(hi)]
 
     calls.clear()
     assert mst_entropy_extrema(weighted) == (min(hs[i] for i in msts), max(hs[i] for i in msts))
@@ -317,8 +313,7 @@ def _tie_families():
 def test_search_matches_subset_oracle_with_forced_ties():
     tied = 0
     for g in _tie_families():
-        edges = sorted(g.edges, key=lambda e: (_order(e[0]), _order(e[1])))
-        trees = spanning_trees_by_subsets(g.vertices, edges)
+        trees = _trees_in_search_order(g)
         hs = [graph_entropy(Graph(g.vertices, tuple(t))) for t in trees]
         lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(g)
         assert (lo, hi) == (min(hs), max(hs))
@@ -329,17 +324,13 @@ def test_search_matches_subset_oracle_with_forced_ties():
     assert tied > 10
 
 
-def test_all_scope_searches_without_enumerating_every_tree(monkeypatch):
+def test_all_scope_on_k6_k8_and_its_guard():
     k6 = complete_graph(6)
-    trees = enumerate_spanning_trees(k6)
-    hs = [graph_entropy(Graph(k6.vertices, t)) for t in trees]
-    want = (min(hs), max(hs), trees[hs.index(min(hs))], trees[hs.index(max(hs))])
-
-    def refuse(g):
-        raise AssertionError("the all-trees scope enumerated every spanning tree")
-
-    monkeypatch.setattr(graphs, "enumerate_spanning_trees", refuse)
-    assert spanning_tree_entropy_extrema(k6) == want
+    trees = _trees_in_search_order(k6)
+    hs = [graph_entropy(Graph(k6.vertices, tuple(t))) for t in trees]
+    lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(k6)
+    assert (lo, hi) == (min(hs), max(hs))
+    assert (frozenset(t_lo), frozenset(t_hi)) == (trees[hs.index(lo)], trees[hs.index(hi)])
     # of K8's 262144 trees, the first star and the first Hamiltonian path in
     # include-first order
     k8 = complete_graph(8)
@@ -450,11 +441,11 @@ def _product(tree):
 
 def test_greedy_seeds_name_the_trees_any_seeds_name():
     # the seeds only start the fold: seeded by the first and last trees in
-    # enumeration order, by the extrema themselves, or not at all, it names
-    # the same trees
+    # search order, by the extrema themselves, or not at all, it names the
+    # same trees
     for g in (*_tie_families(), *(_pool_graph(random.Random(9900 + seed)) for seed in range(20))):
         got = spanning_tree_entropy_extrema(g)
-        products = [_product(t) for t in enumerate_spanning_trees(g)]
+        products = [_product(t) for t in _trees_in_search_order(g)]
         first_last = sorted((products[0], products[-1]))
         assert _fold(g, first_last) == _fold(g, (min(products), max(products))) == _fold(g, None) == got
         # both greedy trees are spanning trees of g, by the oracle's hop count
@@ -502,7 +493,7 @@ def test_complete_bipartite_k36_proves_both_extrema():
     # fires and the fold must prove both optima
     g = Graph(tuple(f"{s}{i}" for s, k in (("a", 3), ("b", 6)) for i in range(k)),
               tuple((f"a{i}", f"b{j}") for i in range(3) for j in range(6)))
-    trees = spanning_trees_by_subsets(g.vertices, sorted(g.edges, key=lambda e: (_order(e[0]), _order(e[1]))))
+    trees = _trees_in_search_order(g)
     assert len(trees) == 8748
     hs = [graph_entropy(Graph(g.vertices, tuple(t))) for t in trees]
     lo, hi, t_lo, t_hi = spanning_tree_entropy_extrema(g)
