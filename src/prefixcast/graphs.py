@@ -5,15 +5,16 @@ distribution: each vertex gets probability deg(v) divided by the total
 degree. Conditional entropy, mutual information against a vertex coloring,
 Tsallis entropy, and Kullback-Leibler divergence between two graphs all
 derive from the same distribution. Spanning trees come from one
-include-first search over the canonically sorted edges, which asks a cut of
+include-first search over the edges in Kruskal's order, which asks a cut of
 each branch; it always runs under one. Before it runs, one routine guards
 the graph: more than ``ENUMERATION_GUARD`` vertices is refused, then the
 matrix-tree determinant counts the trees, and a count of 0 (disconnected)
 or above ``TREE_BUDGET`` is refused. The two entropy scopes share that
-guard and one fold under two cuts: over all trees a degree bound drops a
-branch when no tree below it beats the trees found so far, and over the
-minimum spanning trees a branch goes when its least tree's sorted weights
-are not the MST's. Over all trees the fold starts from the products of two
+guard, the search and one fold. Over all trees the edges are one class and
+a degree bound drops a branch when no tree below it beats the trees found
+so far. Over the minimum spanning trees each weight class must span what
+it and the lighter classes join, so the search reaches those trees alone
+and nothing is cut. Over all trees the fold starts from the products of two
 greedy trees, taken as trees just short of them, so ties still go to the
 first extremal tree. A tree is the tuple of its edges; the fold compares trees by
 the exact integer product of d**d over their degrees, checks both winners
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, compress
+from itertools import chain, compress, groupby
 from operator import itemgetter, not_
 
 from .source_coding import ProbabilityMassFunction, _entropy, _integer, shannon_entropy
@@ -493,14 +494,14 @@ def _matrix_tree_count(g: Graph) -> int:
     return _int_determinant(minor)
 
 
-def _joined_later(ends: list, start: int, comp: list, a: int, b: int) -> bool:
-    """True when the edges ``ends[start:]`` join components ``a`` and ``b``.
+def _joined_later(ends: list, start: int, stop: int, comp: list, a: int, b: int) -> bool:
+    """True when the edges ``ends[start:stop]`` join components ``a`` and ``b``.
 
     ``comp`` labels each vertex index with its component; the scan unions
     labels and stops as soon as the sets holding ``a`` and ``b`` meet.
     """
     parent = list(range(len(comp)))
-    for x, y in ends[start:]:
+    for x, y in ends[start:stop]:
         x, y = comp[x], comp[y]
         while parent[x] != x:
             x = parent[x]
@@ -518,31 +519,42 @@ def _joined_later(ends: list, start: int, comp: list, a: int, b: int) -> bool:
     return False
 
 
-def _canonical(edges, rank: dict) -> tuple[list, list]:
-    """``edges``, pairs or (u, v, w) triples, in the searches' order, by their
-    endpoints' ranks, and those rank pairs."""
-    edges = sorted(edges, key=lambda e: (rank[e[0]], rank[e[1]]))
-    return edges, [(rank[e[0]], rank[e[1]]) for e in edges]
+def _canonical(edges, rank: dict) -> tuple[list, list, list]:
+    """``edges``, pairs or (u, v, w) triples, in the searches' order, Kruskal's:
+    by weight, if any, then by their endpoints' ranks; those rank pairs; and
+    each edge's stop, the index just past the last edge of its weight, which
+    ends its weight class. Pairs are one class: every stop is their count."""
+    edges = sorted(edges, key=lambda e: (e[2:], rank[e[0]], rank[e[1]]))
+    stops = []
+    for _, run in groupby(e[2:] for e in edges):
+        k = sum(1 for _ in run)
+        stops += [len(stops) + k] * k
+    return edges, [(rank[e[0]], rank[e[1]]) for e in edges], stops
 
 
-def _spanning_search(n: int, ends: list, cut):
+def _spanning_search(n: int, ends: list, stops: list, cut):
     """Yield the indices into ``ends`` of each spanning tree that ``cut`` keeps,
-    on vertices 0..n-1, n >= 1.
+    on vertices 0..n-1, n >= 1, that picks in each weight class a spanning
+    forest over the components of the lighter classes.
 
+    ``stops[i]`` ends edge i's class (see :func:`_canonical`). In Kruskal's
+    order those trees are exactly the minimum spanning trees, each reached
+    once; with one class, every stop ``len(ends)``, they are all the trees.
     Depth-first over the edges in ``ends`` order, including an edge before
-    excluding it. The invariant is that the picked edges plus the edges not
-    yet decided contain a spanning tree, so every branch ends in one.
-    Including an edge that joins two components keeps that edge set as it
-    is, and excluding an edge that closes a cycle loses no connection, so
+    excluding it. The invariant is that the picked edges plus the class's
+    edges not yet decided join what every edge up to its stop joins, so
+    every branch ends in a tree. Including an edge that joins two
+    components keeps that edge set as it is, and excluding an edge that
+    closes a cycle of picked, no heavier edges loses no connection, so
     neither is tested. Only excluding a joining edge is: the later edges
-    must be at least as many as the tree still needs, and must join its two
-    components in the graph contracted by the picked edges. ``cut(i, comp,
-    need, picked)`` is asked when a branch is popped and after each include,
-    leaves included, with i the next edge, comp the component label of each
-    vertex, need the edges still needed and picked the indices taken; a
-    true answer drops the branch and every tree below it. Each entropy scope
-    passes its own cut, :func:`_degree_cut` or :func:`_weight_cut`; under a
-    cut that never fires it yields every tree, its index tuples in
+    must be at least as many as the tree still needs, and those before its
+    stop must join its two components in the graph contracted by the picked
+    edges. ``cut(i, comp, need, picked)`` is asked when a branch is popped
+    and after each include, leaves included, with i the next edge, comp the
+    component label of each vertex, need the edges still needed and picked
+    the indices taken; a true answer drops the branch and every tree below
+    it. The all-trees scope passes :func:`_degree_cut`, the MST scope a cut
+    that never fires; under such a cut the index tuples come in
     lexicographic order.
     """
     m = len(ends)
@@ -558,7 +570,7 @@ def _spanning_search(n: int, ends: list, cut):
             x, y = ends[i]
             a, b = comp[x], comp[y]
             if a != b:
-                if m - i > need and _joined_later(ends, i + 1, comp, a, b):
+                if m - i > need and _joined_later(ends, i + 1, stops[i], comp, a, b):
                     stack.append((i + 1, comp, need, picked))
                 comp = [a if c == b else c for c in comp]
                 need -= 1
@@ -631,24 +643,27 @@ def _degrees(n: int, ends: list, picked: tuple) -> list:
     return deg
 
 
-def _extrema(g: Graph, power: list, edges: list, ends: list, cut_for, seeds=None) -> tuple:
+def _extrema(g: Graph, power: list, edges: list, ends: list, stops: list, cut_for, seeds=None) -> tuple:
     """(min, max, argmin tree, argmax tree) of entropy over the trees of g that
     :func:`_spanning_search` yields under ``cut_for(found)``: the one fold of
-    both scopes.
+    both scopes, over every tree or, with Kruskal's order and its class
+    stops, over the minimum ones.
 
-    ``edges`` and ``ends`` are :func:`_canonical`'s, and ``found`` holds the
-    least and greatest products so far, kept current for the cut. Trees
-    compare by their product of ``d**d`` (see :func:`_guarded_powers`), and
-    an incumbent is replaced only by a strictly better tree, so ties go to
-    the first tree in the search's order. ``seeds``, the least and greatest
-    products of some trees of g, start ``found`` one past them, as trees no
-    better than the seeds: the cut then drops only branches with no tree at
-    least as good as a seed, and the first extremal tree is one, so it is
-    still the one named. The fold stops once the least product is the
-    path's, 4**(n-2), and the greatest the star's, (n-1)**(n-1), which no
-    tree passes. Each winner is checked to be a spanning tree of g with the
-    degree vector the fold counted, and its entropy comes from that vector
-    alone. A tree is the tuple of its (u, v) pairs.
+    ``edges``, ``ends`` and ``stops`` are :func:`_canonical`'s, and ``found``
+    holds the least and greatest products so far, kept current for the cut;
+    the MST scope's never fires, so its fold visits every MST up to the
+    early stop. Trees compare by their product of ``d**d`` (see
+    :func:`_guarded_powers`), and an incumbent is replaced only by a
+    strictly better tree, so ties go to the first tree in the search's
+    order. ``seeds``, the least and greatest products of some trees of g,
+    start ``found`` one past them, as trees no better than the seeds: the
+    cut then drops only branches with no tree at least as good as a seed,
+    and the first extremal tree is one, so it is still the one named. The
+    fold stops once the least product is the path's, 4**(n-2), and the
+    greatest the star's, (n-1)**(n-1), which no tree passes. Each winner is
+    checked to be a spanning tree of g with the degree vector the fold
+    counted, and its entropy comes from that vector alone. A tree is the
+    tuple of its (u, v) pairs.
     """
     n = len(power)
     path, star = 4 ** (n - 2), (n - 1) ** (n - 1)
@@ -659,7 +674,7 @@ def _extrema(g: Graph, power: list, edges: list, ends: list, cut_for, seeds=None
     found = [least + 1, most - 1]
     least_picked = most_picked = ()
     least_deg = most_deg = [0] * n
-    for picked in _spanning_search(n, ends, cut_for(found)):
+    for picked in _spanning_search(n, ends, stops, cut_for(found)):
         deg = _degrees(n, ends, picked)
         p = math.prod(map(power.__getitem__, deg))
         if p < found[0]:
@@ -792,10 +807,10 @@ def spanning_tree_entropy_extrema(g: Graph):
     as good as it still wins, and ties still go to the first extremal tree.
     """
     power = _guarded_powers(g)
-    edges, ends = _canonical(g.edges, g._order_key)
+    edges, ends, stops = _canonical(g.edges, g._order_key)
     n = len(power)
     products = [math.prod(map(power.__getitem__, _degrees(n, ends, t))) for t in _greedy_trees(n, ends)]
-    return _extrema(g, power, edges, ends, partial(_degree_cut, ends, power), (min(products), max(products)))
+    return _extrema(g, power, edges, ends, stops, partial(_degree_cut, ends, power), (min(products), max(products)))
 
 
 def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
@@ -825,66 +840,24 @@ def minimum_spanning_tree(g: WeightedGraph) -> WeightedGraph:
         list(map(keys.__getitem__, picked)), list(map(weights.__getitem__, picked)))
 
 
-def _weight_cut(edges: list, ends: list, target: list):
-    """The MST scope's cut: true unless the branch's least tree, its picked
-    edges plus the lightest completion from its undecided ones, exists and
-    has the sorted weights ``target``, an MST's.
-
-    ``edges`` are (u, v, w) triples and ``ends`` their rank pairs, both in
-    :func:`_canonical` order. The completion is Kruskal on the graph
-    contracted by the picked edges, so the least tree is the lightest tree
-    below the branch. Every MST has the same weight multiset, so the branch
-    holds an MST exactly when its least tree has that multiset; no weights
-    are summed. At a leaf the least tree is the tree itself.
-    """
-    weights = [w for _, _, w in edges]
-    # later[i]: the edges i.. in Kruskal's order, each as (index, ends)
-    later = [[] for _ in range(len(ends) + 1)]
-    for j in sorted(range(len(ends)), key=weights.__getitem__):
-        entry = (j, *ends[j])
-        for row in later[: j + 1]:
-            row.append(entry)
-
-    def cut(i: int, comp: list, need: int, picked: tuple) -> bool:
-        tree = list(picked)
-        if need:
-            parent = list(range(len(comp)))
-            for j, x, y in later[i]:
-                x, y = comp[x], comp[y]
-                while parent[x] != x:
-                    x = parent[x]
-                while parent[y] != y:
-                    y = parent[y]
-                if x != y:
-                    parent[x] = y
-                    tree.append(j)
-                    need -= 1
-                    if not need:
-                        break
-            else:
-                return True
-        return sorted(map(weights.__getitem__, tree)) != target
-
-    return cut
-
-
 def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     """Entropy extrema over every spanning tree of minimum total weight.
 
     A tree counts when it is a minimum spanning tree by exact weight, the
     rule of :func:`minimum_spanning_tree` and :func:`_is_mst`. The guards
     of :func:`_guarded_powers` refuse the same graphs as in the all-trees
-    scope, in the same order, before Kruskal runs. Its search is cut by
-    :func:`_weight_cut`, so it visits only the minimum trees, and folded by
-    :func:`_extrema`, as in :func:`spanning_tree_entropy_extrema`, with the
-    same early stop and tree checks. Each winner must also pass :func:`_is_mst`, the certificate
-    the plan audit uses, or RuntimeError is raised.
+    scope, in the same order. The edges go in Kruskal's order, so
+    :func:`_spanning_search`, bounded by each weight class's stop, reaches
+    the minimum trees alone; no weight is summed and no cut is needed.
+    They are folded by :func:`_extrema`, as in
+    :func:`spanning_tree_entropy_extrema`, with the same early stop and tree
+    checks. Each winner must also pass :func:`_is_mst`, the certificate the
+    plan audit uses, or RuntimeError is raised.
     """
     h = g.graph()
     power = _guarded_powers(h)
-    target = sorted(w for _, _, w in minimum_spanning_tree(g).edges)
-    edges, ends = _canonical(g.edges, h._order_key)
-    lo, hi, t_lo, t_hi = _extrema(h, power, edges, ends, lambda found: _weight_cut(edges, ends, target))
+    edges, ends, stops = _canonical(g.edges, h._order_key)
+    lo, hi, t_lo, t_hi = _extrema(h, power, edges, ends, stops, lambda found: lambda *branch: False)
     for tree in (t_lo, t_hi):
         if not _is_mst(g, [(u, v, g.weight_of(u, v)) for u, v in tree]):
             raise RuntimeError("the search returned a tree heavier than the minimum spanning tree")

@@ -148,15 +148,15 @@ RULES = {
     # frontier: loop, so a second one is a second BFS
     "levels are found by one BFS": (PKG, loops_on("frontier"), True, ["graphs.py:_hop_levels"]),
     # Kruskal, _is_mst and _greedy_trees call _find; the guarded search of at
-    # most 9 vertices walks to a root inline, in _joined_later and in the MST
-    # cut. Calling _find at those two sites made --msts-only slower (medians
-    # of 15 interleaved in-process runs, CPython 3.11.7 on 2 vCPUs): unit-
-    # weight K8 58.6 -> 62.6 ms (+7%), K(3,6) 97.8 -> 106.4 ms (+9%), and the
-    # 24 MST requests of 96 seed-1 enumerate benchmark requests 16.6 -> 17.2 ms
-    # (+4%). So those two stay written out
+    # most 9 vertices walks to a root inline, twice in _joined_later, its one
+    # union-find. Calling _find there was slightly slower (medians of six
+    # interleaved runs of 21 in-process medians, CPython 3.11.7 on 2 vCPUs):
+    # --msts-only on unit-weight K8 33.1 -> 33.7 ms and on K(3,6) 49.8 ->
+    # 51.9 ms, and the 24 MST and 32 all-trees span-entropy requests of 96
+    # seed-1 enumerate benchmark requests 10.3 -> 10.5 and 34.7 -> 35.5 ms.
+    # So those walks stay written out
     "union-find is written out at three sites only": (PKG, walks_to_root, True, [
-        "graphs.py:_find", "graphs.py:_joined_later", "graphs.py:_joined_later",
-        "graphs.py:_weight_cut.cut", "graphs.py:_weight_cut.cut"]),
+        "graphs.py:_find", "graphs.py:_joined_later", "graphs.py:_joined_later"]),
 }
 
 

@@ -383,8 +383,8 @@ def test_entropy_is_permutation_invariant():
 def _every_tree(g):
     """Each spanning tree of g as a tuple of its edges, in the order the one
     search yields them under a cut that never fires."""
-    edges, ends = _canonical(g.edges, g._order_key)
-    found = _spanning_search(len(g.vertices), ends, lambda *branch: False)
+    edges, ends, stops = _canonical(g.edges, g._order_key)
+    found = _spanning_search(len(g.vertices), ends, stops, lambda *branch: False)
     return [tuple(map(edges.__getitem__, t)) for t in found]
 
 

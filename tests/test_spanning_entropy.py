@@ -10,10 +10,11 @@ Weights in tenths make left-to-right sums of one tree's weights depend on
 their order, weights near 2**53 make a tree that is not an MST round to the
 MST's weight, and weights near the largest float make a minimum's sum
 overflow; the MST scope drops the first and answers the second, since it
-compares sorted weights and sums none. One search serves both scopes: its
-order is the subset oracle's order over the canonically sorted edges, under
-a cut that never fires and under the MST cut. The all-trees scope cuts it
-by a degree bound and the MST scope by weight, and both share one fold,
+sums none. One search serves both scopes: its order is the subset oracle's
+order over the canonically sorted edges under a cut that never fires, and
+over the edges in Kruskal's order, bounded by each weight class's stop, it
+yields the exact MSTs alone, in that order. The all-trees scope cuts it by
+a degree bound and the MST scope not at all, and both share one fold,
 which evaluates the entropy of its two winners alone and checks them, the
 MST scope's also by the plan audit's MST certificate. With every weight
 equal the two scopes agree. The product orders tree degree vectors as the
@@ -97,8 +98,10 @@ def test_search_order_is_subset_order_over_sorted_edges():
     for seed in range(60):
         g = _graph_with_bridges(random.Random(9100 + seed))
         mixed += len({type(v) for v in g.vertices}) == 2
-        edges, ends = graphs._canonical(g.edges, g._order_key)
-        found = graphs._spanning_search(len(g.vertices), ends, _never)
+        edges, ends, stops = graphs._canonical(g.edges, g._order_key)
+        # pairs are one weight class
+        assert stops == [len(ends)] * len(ends)
+        found = graphs._spanning_search(len(g.vertices), ends, stops, _never)
         assert [frozenset(map(edges.__getitem__, t)) for t in found] == _trees_in_search_order(g)
     assert mixed > 0
 
@@ -188,12 +191,15 @@ def test_mst_scope_matches_the_exact_subset_oracle():
             answered += least == math.inf
             hs = [graph_entropy(Graph(vertices, tuple(t))) for t in msts]
             assert mst_entropy_extrema(g) == (min(hs), max(hs))
-            # the search's order is the subset oracle's order over sorted edges
-            # under the MST cut
-            canon, ends = graphs._canonical(edges, g.graph()._order_key)
-            cut = graphs._weight_cut(canon, ends, sorted(weight[p] for p in msts[0]))
-            found = graphs._spanning_search(n, ends, cut)
-            assert [frozenset(canon[j][:2] for j in t) for t in found] == msts
+            # under a cut that never fires, the search over the edges in
+            # Kruskal's order, bounded by the class stops, yields exactly the
+            # MSTs, in the subset oracle's order over those edges
+            canon, ends, stops = graphs._canonical(edges, g.graph()._order_key)
+            assert [w for _, _, w in canon] == sorted(weight.values())
+            found = graphs._spanning_search(n, ends, stops, _never)
+            in_order = [t for t in spanning_trees_by_subsets(vertices, canon) if t in msts]
+            assert len(in_order) == len(msts)
+            assert [frozenset(canon[j][:2] for j in t) for t in found] == in_order
     # some trees only round to the minimum, some trees that are not minimal
     # overflow, and some minima overflow yet are answered
     assert rounded > 0 and overflowing > 0 and answered > 0
@@ -233,19 +239,18 @@ def test_extrema_build_no_graph_per_tree(monkeypatch):
     spanning_tree_entropy_extrema(k5)
     assert built == {"Graph": 0, "pmf": 0}
     mst_entropy_extrema(weighted)
-    # the one Graph is Kruskal's tree, inside its WeightedGraph
-    assert built["Graph"] <= 1 and built["pmf"] == 0
+    assert built == {"Graph": 0, "pmf": 0}
 
 
 def test_spanning_search_leaves_no_cyclic_garbage():
     # the whole list of trees must be freed when the caller drops it, not
     # wait for a cycle collection
     k5 = complete_graph(5)
-    _, ends = graphs._canonical(k5.edges, k5._order_key)
+    _, ends, stops = graphs._canonical(k5.edges, k5._order_key)
     gc.collect()
     gc.disable()
     try:
-        trees = list(graphs._spanning_search(5, ends, _never))
+        trees = list(graphs._spanning_search(5, ends, stops, _never))
         assert len(trees) == 125
         del trees
         assert gc.collect() == 0
@@ -294,6 +299,12 @@ def _wheel(k):
 def _cube():
     """The cube Q3: vertices are 3-bit labels, edges flip one bit."""
     return Graph(tuple(range(8)), tuple((i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b))
+
+
+def _k36():
+    """The complete bipartite graph K(3,6), on a0..a2 and b0..b5."""
+    return Graph(tuple(f"{s}{i}" for s, k in (("a", 3), ("b", 6)) for i in range(k)),
+                 tuple((f"a{i}", f"b{j}") for i in range(3) for j in range(6)))
 
 
 def _tie_families():
@@ -391,14 +402,21 @@ def test_returned_trees_are_checked(monkeypatch):
 
 
 def test_mst_scope_winners_weigh_at_most_the_mst(monkeypatch):
-    # the star at 0 is the only MST; with an MST cut that never cuts, a
-    # heavier path wins the maximum and the weight check must refuse it
+    # the star at 0 is the only MST; with every stop at the last edge the
+    # search yields every tree, a heavier path wins the maximum and the
+    # weight check must refuse it
     g = WeightedGraph(tuple(range(4)), (
         (0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 2.0), (2, 3, 2.0),
     ))
     h_star = graph_entropy(Graph(g.vertices, ((0, 1), (0, 2), (0, 3))))
     assert mst_entropy_extrema(g) == (h_star, h_star)
-    monkeypatch.setattr(graphs, "_weight_cut", lambda edges, ends, target: lambda *branch: False)
+    canonical = graphs._canonical
+
+    def one_class(edges, rank):
+        edges, ends, _ = canonical(edges, rank)
+        return edges, ends, [len(ends)] * len(ends)
+
+    monkeypatch.setattr(graphs, "_canonical", one_class)
     with pytest.raises(RuntimeError, match="heavier than the minimum spanning tree"):
         mst_entropy_extrema(g)
 
@@ -406,8 +424,9 @@ def test_mst_scope_winners_weigh_at_most_the_mst(monkeypatch):
 def test_equal_weights_give_equal_scopes():
     # every tree is minimal, so the scopes must agree although only the
     # all-trees scope has the degree bound; on K8 the MST scope relies on
-    # the shared stop at the first path and star in search order
-    for g in (complete_graph(8), _cube(), *(_wheel(k) for k in range(3, 8))):
+    # the shared stop at the first path and star in search order, and on
+    # K(3,6) neither stop fires, so it visits all 8748 trees
+    for g in (complete_graph(8), _k36(), _cube(), *(_wheel(k) for k in range(3, 8))):
         for w in (1.0, 0.1):
             weighted = WeightedGraph(g.vertices, tuple((u, v, w) for u, v in g.edges))
             assert mst_entropy_extrema(weighted) == spanning_tree_entropy_extrema(g)[:2]
@@ -431,8 +450,8 @@ def _pool_graph(rng):
 def _fold(g, seeds):
     """The all-trees fold of g started from ``seeds``, (least, greatest) products."""
     power = graphs._guarded_powers(g)
-    edges, ends = graphs._canonical(g.edges, g._order_key)
-    return graphs._extrema(g, power, edges, ends, functools.partial(graphs._degree_cut, ends, power), seeds)
+    edges, ends, stops = graphs._canonical(g.edges, g._order_key)
+    return graphs._extrema(g, power, edges, ends, stops, functools.partial(graphs._degree_cut, ends, power), seeds)
 
 
 def _product(tree):
@@ -449,7 +468,7 @@ def test_greedy_seeds_name_the_trees_any_seeds_name():
         first_last = sorted((products[0], products[-1]))
         assert _fold(g, first_last) == _fold(g, (min(products), max(products))) == _fold(g, None) == got
         # both greedy trees are spanning trees of g, by the oracle's hop count
-        edges, ends = graphs._canonical(g.edges, g._order_key)
+        edges, ends, _ = graphs._canonical(g.edges, g._order_key)
         for picked in graphs._greedy_trees(len(g.vertices), ends):
             tree = [edges[j] for j in picked]
             assert len(tree) == len(g.vertices) - 1 and set(tree) <= set(g.edges)
@@ -491,8 +510,7 @@ def test_greedy_seeds_save_a_third_of_the_cut_evaluations(monkeypatch):
 def test_complete_bipartite_k36_proves_both_extrema():
     # K(3,6) has no star and no Hamiltonian path, so neither early stop
     # fires and the fold must prove both optima
-    g = Graph(tuple(f"{s}{i}" for s, k in (("a", 3), ("b", 6)) for i in range(k)),
-              tuple((f"a{i}", f"b{j}") for i in range(3) for j in range(6)))
+    g = _k36()
     trees = _trees_in_search_order(g)
     assert len(trees) == 8748
     hs = [graph_entropy(Graph(g.vertices, tuple(t))) for t in trees]
