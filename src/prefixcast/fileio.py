@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .fusion import Interval
+from .fusion import _endpoints
 from .graphs import DiGraph, Graph, VertexColoring, WeightedGraph
 from .source_coding import CodeLengthSet, ProbabilityMassFunction
 
@@ -153,13 +153,14 @@ def parse_positions(text: str, source: str = "<positions>") -> dict:
 
 
 def parse_intervals(text: str, source: str = "<intervals>") -> tuple:
-    """``lo hi`` per line; returns a tuple of Interval."""
-    out = []
-    for lineno, tokens in _rows(text, source, 2, "'lo hi'"):
-        lo = _number(tokens[0], source, lineno, "lo")
-        hi = _number(tokens[1], source, lineno, "hi")
+    """``lo hi`` per line; returns the checked ``(lo, hi)`` float pairs, in
+    line order, which an ``IntervalSet`` takes as its two columns."""
+    pairs = []
+    for lineno, (lo, hi) in _rows(text, source, 2, "'lo hi'"):
         try:
-            out.append(Interval(lo, hi))
-        except ValueError as err:
+            pairs.append(_endpoints(lo, hi))
+        except ValueError as err:  # a token that is no number is named first
+            _number(lo, source, lineno, "lo")
+            _number(hi, source, lineno, "hi")
             _fail(source, lineno, str(err))
-    return _build(source, "intervals", out, tuple, out)
+    return _build(source, "intervals", pairs, tuple, pairs)

@@ -13,7 +13,11 @@ Four views of the same question, what range can the true value be in:
   (f+1)-th smallest right endpoint; wider than M but 1-Lipschitz in the
   endpoints where M can jump discontinuously.
 
-Intervals are closed; touching at a single point counts as overlap.
+Intervals are closed; touching at a single point counts as overlap. An
+:class:`IntervalSet` holds its inputs as two float columns in input order,
+``los`` and ``his``, and every function here reads those columns; its
+``intervals``, the same inputs as :class:`Interval` objects, are built only
+when read.
 """
 
 from __future__ import annotations
@@ -21,10 +25,22 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import add, sub
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter, le, sub
 
 from .source_coding import _integer
+
+
+def _endpoints(lo, hi) -> tuple:
+    """``(float(lo), float(hi))``, refused unless both are finite and lo <= hi:
+    the one check of an interval's endpoints."""
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"endpoints must be finite, got [{lo!r}, {hi!r}]")
+    if lo > hi:
+        raise ValueError(f"empty interval: lo {lo!r} > hi {hi!r}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -35,11 +51,7 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"endpoints must be finite, got [{lo!r}, {hi!r}]")
-        if lo > hi:
-            raise ValueError(f"empty interval: lo {lo!r} > hi {hi!r}")
+        lo, hi = _endpoints(self.lo, self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -63,38 +75,52 @@ class Inconsistent:
     b: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntervalSet:
     """n sensor intervals of which at most f may be faulty; the width of
-    their hull, which holds every derived interval, must be a finite float."""
+    their hull, which holds every derived interval, must be a finite float.
 
-    intervals: tuple
+    Built from :class:`Interval` objects or ``(lo, hi)`` pairs, and held as
+    two float columns in input order: input i is [``los[i]``, ``his[i]``].
+    """
+
+    los: tuple
+    his: tuple
     f: int
 
-    def __post_init__(self):
-        ivs = tuple(
-            iv if isinstance(iv, Interval) else Interval(iv[0], iv[1])
-            for iv in self.intervals
-        )
-        if not ivs:
+    def __init__(self, intervals, f: int):
+        items = tuple(intervals)
+        try:  # an Interval has no [0], so Intervals take the walk below
+            los = tuple(map(float, map(itemgetter(0), items)))
+            his = tuple(map(float, map(itemgetter(1), items)))
+            checked = all(map(math.isfinite, chain(los, his))) and all(map(le, los, his))
+        except (TypeError, ValueError, LookupError, OverflowError):
+            checked = False
+        if not checked:  # the first bad item in input order raises its Interval error
+            ivs = [iv if isinstance(iv, Interval) else Interval(iv[0], iv[1]) for iv in items]
+            los, his = tuple(iv.lo for iv in ivs), tuple(iv.hi for iv in ivs)
+        if not los:
             raise ValueError("interval set is empty")
-        object.__setattr__(self, "f", _integer("fault bound", self.f))
-        if not 0 <= self.f < len(ivs):
-            raise ValueError(
-                f"fault bound {self.f} outside 0..{len(ivs) - 1} for {len(ivs)} intervals"
-            )
-        lo, hi = min(iv.lo for iv in ivs), max(iv.hi for iv in ivs)
+        f = _integer("fault bound", f)
+        if not 0 <= f < len(los):
+            raise ValueError(f"fault bound {f} outside 0..{len(los) - 1} for {len(los)} intervals")
+        lo, hi = min(los), max(his)
         if math.isinf(hi - lo):
             raise ValueError(f"interval hull [{lo!r}, {hi!r}] is too wide for a float")
-        object.__setattr__(self, "intervals", ivs)
+        self.__dict__.update(los=los, his=his, f=f)
 
     @classmethod
     def from_pairs(cls, pairs, f: int) -> "IntervalSet":
-        return cls(tuple(Interval(lo, hi) for lo, hi in pairs), f)
+        return cls(pairs, f)
+
+    # built on first read: no fusion function reads it
+    @cached_property
+    def intervals(self) -> tuple:
+        return tuple(map(Interval, self.los, self.his))
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self.los)
 
     @property
     def quorum(self) -> int:
@@ -112,12 +138,10 @@ def agreement_regions(s: IntervalSet) -> tuple:
     tuple when no quorum point exists.
     """
     k = s.quorum
-    starts = [(iv.lo, 0) for iv in s.intervals]
-    ends = [(iv.hi, 1) for iv in s.intervals]
     regions = []
     count = 0
     at = None
-    for x, end in sorted(starts + ends):
+    for x, end in sorted(chain(zip(s.los, repeat(0)), zip(s.his, repeat(1)))):
         if x != at:
             at = x
         if end:
@@ -173,8 +197,7 @@ def overlap_function(s: IntervalSet) -> OverlapFunction:
     first zero among the ``lo`` values in input order, else among the
     ``hi`` values, as the zero breakpoint.
     """
-    los = [iv.lo for iv in s.intervals]
-    his = [iv.hi for iv in s.intervals]
+    los, his = s.los, s.his
     xs = sorted(set(los) | set(his))
     lo_mult, hi_mult = Counter(los), Counter(his)
     # .get stays in C; Counter's __missing__ for an absent key runs in Python
@@ -213,8 +236,8 @@ def s_function(s: IntervalSet):
     signals more than f faults. Unlike M, both bounds move by at most eps
     when every input endpoint moves by at most eps.
     """
-    los = sorted((iv.lo for iv in s.intervals), reverse=True)
-    his = sorted(iv.hi for iv in s.intervals)
+    los = sorted(s.los, reverse=True)
+    his = sorted(s.his)
     a = los[s.f]
     b = his[s.f]
     if a > b:

@@ -147,11 +147,11 @@ class WeightedGraph:
         weights = []
         for e in self.edges:
             u, v, w = e
-            x = float(w)
+            x = float(w) or 0.0  # a weight of -0.0 is stored as 0.0
             if not (math.isfinite(x) and x >= 0.0):
                 raise ValueError(f"edge ({u!r}, {v!r}) has invalid weight {x!r}")
-            # a float triple, as the parser gives it, is kept as it is
-            triples.append(e if type(e) is tuple and type(w) is float else (u, v, x))
+            # a float triple, as the parser gives it, is kept as it is unless it weighs zero
+            triples.append(e if type(e) is tuple and type(w) is float and x else (u, v, x))
             weights.append(x)
         verts = tuple(self.vertices)
         rank = _vertex_ranks(verts)

@@ -595,6 +595,21 @@ def test_mst_weight(square):
     assert sum(1 for l in out.splitlines() if l.startswith("edge ")) == 3
 
 
+def test_mst_renders_a_negative_zero_weight_as_zero(tmp_path):
+    # the text renderer prints -0.0 as 0; JSON prints the stored float, so
+    # the weight check stores 0.0 and both renderings agree
+    p = tmp_path / "zero.edges"
+    p.write_text("a b -0\nb c 1\n")
+    code, text, _ = cli("mst", "--graph", str(p))
+    assert code == 0
+    assert text.splitlines()[-3:] == ["edge a b 0", "edge b c 1", "total_weight 1"]
+    code, out, _ = cli("mst", "--graph", str(p), "--json")
+    assert code == 0
+    edges = json.loads(out)["result"]["edges"]
+    assert [repr(e["weight"]) for e in edges] == ["0.0", "1.0"]
+    assert "-0.0" not in out
+
+
 def test_failed_self_check_is_internal_error(square, monkeypatch):
     # span-entropy checks that each tree it returns is a spanning tree of the
     # graph; a failure is a bug, reported in one line with exit 70

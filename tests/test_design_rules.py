@@ -78,6 +78,12 @@ def checks_endpoints(node, called):
         node.value, str) and "references unknown vertex" in node.value
 
 
+def refuses_an_interval(node, called):
+    """Text that refuses an interval's endpoints: not finite, or lo > hi."""
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+        "endpoints must be finite" in node.value or "empty interval" in node.value)
+
+
 def loops_on(name):
     return lambda n, c: isinstance(n, ast.While) and isinstance(n.test, ast.Name) and n.test.id == name
 
@@ -144,6 +150,11 @@ RULES = {
     "endpoints are checked in one routine": (PKG, checks_endpoints, True, [
         "graphs.py:DiGraph.__post_init__", "graphs.py:Graph.__post_init__",
         "graphs.py:WeightedGraph.__post_init__", "graphs.py:_checked_pairs"]),
+    # fusion._endpoints is the one check of an interval's endpoints: Interval
+    # and the interval parser call it, and an IntervalSet that finds a bad
+    # column builds an Interval, so a second copy of its messages checks twice
+    "interval endpoints are checked in one routine": (
+        PKG, refuses_an_interval, False, ["fusion.py:_endpoints"]),
     # a LeveledNetwork derives its levels with _hop_levels, the one while
     # frontier: loop, so a second one is a second BFS
     "levels are found by one BFS": (PKG, loops_on("frontier"), True, ["graphs.py:_hop_levels"]),
@@ -293,6 +304,10 @@ PLANTS = [
         "        net = object.__new__(cls)  # planted\n"
         "        net.__dict__.update(graph=graph, base_station=base_station, level=level)\n"
         "        return net\n\n"))),
+    ("interval endpoints are checked in one routine", "fileio.py", *before(
+        "            pairs.append(_endpoints(lo, hi))\n", (
+            "            if float(lo) > float(hi):\n"
+            "                raise ValueError(f\"empty interval: lo {lo} > hi {hi}\")  # planted\n"))),
     ("levels are found by one BFS", "gossip.py", *before("def _splitmix64(", (
         "def _levels(adj, frontier):\n    while frontier:  # planted\n"
         "        frontier = [v for u in frontier for v in adj[u]]\n\n\n"))),

@@ -8,8 +8,12 @@ formats (pmf, lengths, coloring, vertex map, positions, intervals) are
 read the same way, and each of their messages is pinned word for word.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
+from prefixcast.cli import VALIDATION_EXIT, run
 from prefixcast.fileio import (
     FileFormatError,
     parse_coloring,
@@ -21,7 +25,7 @@ from prefixcast.fileio import (
     parse_vertex_map,
     parse_weighted_graph,
 )
-from prefixcast.fusion import Interval
+from prefixcast.fusion import IntervalSet
 from prefixcast.graphs import VertexColoring
 from prefixcast.source_coding import CodeLengthSet, ProbabilityMassFunction
 
@@ -100,7 +104,7 @@ SKIPPED = "# header\r\n\r\n   \t\r\n# another\n"  # lines 1-4 carry no row
         (parse_positions, "a\t0 1.5 # a\r\nb -2\t3\n", 3, "'vertex x y'",
          {"a": (0.0, 1.5), "b": (-2.0, 3.0)}),
         (parse_intervals, "0\t1 # a\r\n-1 2.5\n", 2, "'lo hi'",
-         (Interval(0.0, 1.0), Interval(-1.0, 2.5))),
+         ((0.0, 1.0), (-1.0, 2.5))),
     ],
 )
 def test_fixed_width_formats_read_and_count_tokens_alike(parse, good, width, shape, value):
@@ -139,9 +143,42 @@ def test_fixed_width_formats_read_and_count_tokens_alike(parse, good, width, sha
         (parse_intervals, "0 nan\n", "p:1: endpoints must be finite, got [0.0, nan]"),
         (parse_intervals, "2 1\n", "p:1: empty interval: lo 2.0 > hi 1.0"),
         (parse_intervals, "#\n", "p: no intervals"),
+        # within a line: the count, lo, hi, then the endpoints
+        (parse_intervals, "x y\n", "p:1: lo 'x' is not a number"),
+        (parse_intervals, "nan y\n", "p:1: hi 'y' is not a number"),
+        (parse_intervals, "inf 0\n", "p:1: endpoints must be finite, got [inf, 0.0]"),
+        # two faults of different kinds on consecutive lines: the earlier is named
+        (parse_intervals, "0 1\n2 1\nx 1\n", "p:2: empty interval: lo 2.0 > hi 1.0"),
+        (parse_intervals, "0 1\n0 y\n2 1\n", "p:2: hi 'y' is not a number"),
+        (parse_intervals, "0 1\n-inf 1\n2\n", "p:2: endpoints must be finite, got [-inf, 1.0]"),
+        (parse_intervals, "0 1 2\n2 1\n", "p:1: expected 'lo hi', got 3 tokens"),
+        (parse_intervals, "2 1\n0 nan\n", "p:1: empty interval: lo 2.0 > hi 1.0"),
     ],
 )
 def test_fixed_width_format_messages(parse, text, message):
     with pytest.raises(FileFormatError) as err:
         parse(text, "p")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (2, 1), (0, float("nan"))], "empty interval: lo 2.0 > hi 1.0"),
+    ([(0, 1), (0, float("nan")), (2, 1)], "endpoints must be finite, got [0.0, nan]"),
+    ([(3, 2), (2, 1)], "empty interval: lo 3.0 > hi 2.0"),
+    ([(0, 1), ("x", 1), (2, 1)], "could not convert string to float: 'x'"),
+])
+def test_an_interval_set_names_its_first_bad_pair(pairs, message):
+    with pytest.raises(ValueError) as err:
+        IntervalSet.from_pairs(pairs, 0)
+    assert str(err.value) == message
+
+
+def test_a_long_interval_file_is_refused_at_its_last_line(tmp_path):
+    p = tmp_path / "long.intervals"
+    p.write_text("0 1\n" * 19999 + "3 2\n")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["fuse", "--intervals", str(p), "--f", "0", "--function", "m"])
+    assert code == VALIDATION_EXIT == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"prefixcast fuse: {p}:20000: empty interval: lo 3.0 > hi 2.0\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prefixcast.fileio import parse_intervals
 from prefixcast.fusion import (
     Inconsistent,
     Interval,
@@ -177,6 +178,24 @@ def test_overlap_matches_direct_count(pairs):
     assert [repr(x) for x in omega.breakpoints] == [repr(x) for x in breakpoints]
     assert omega.at_points == at_points
     assert omega.between == between
+
+
+@settings(max_examples=300, deadline=None)
+@given(endpoint_pairs(), st.integers(0, 11))
+@example([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)], 1)
+@example([(-0.0, 1.0), (0.0, 0.0), (-1.0, 0.0)], 0)
+@example(seeded_endpoint_pairs(500, 20261020), 7)
+def test_parsed_paired_and_interval_sets_are_one_set(pairs, k):
+    f = k % len(pairs)
+    parsed = parse_intervals("".join(f"{lo!r} {hi!r}\n" for lo, hi in pairs))
+    assert all(type(x) is float for pair in parsed for x in pair)
+    sets = [IntervalSet(parsed, f), IntervalSet.from_pairs(pairs, f),
+            IntervalSet([Interval(lo, hi) for lo, hi in pairs], f)]
+    # repr tells -0.0 from 0.0, which == does not
+    for read in (lambda s: s.los, lambda s: s.his, lambda s: s.intervals,
+                 overlap_function, fusion_compare):
+        assert len({repr(read(s)) for s in sets}) == 1
+    assert repr(sets[0].intervals) == repr(tuple(Interval(lo, hi) for lo, hi in pairs))
 
 
 # ------------------------------------------------------------------ N
