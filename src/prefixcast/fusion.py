@@ -59,8 +59,18 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+
+def _interval(item) -> Interval:
+    """``item``, an :class:`Interval` or a ``(lo, hi)`` pair, as an Interval."""
+    if isinstance(item, Interval):
+        return item
+    try:
+        pair = len(item) == 2
+    except TypeError:
+        pair = False
+    if not pair:
+        raise ValueError(f"interval set item {item!r} is not a (lo, hi) pair")
+    return Interval(item[0], item[1])
 
 
 @dataclass(frozen=True)
@@ -80,8 +90,9 @@ class IntervalSet:
     """n sensor intervals of which at most f may be faulty; the width of
     their hull, which holds every derived interval, must be a finite float.
 
-    Built from :class:`Interval` objects or ``(lo, hi)`` pairs, and held as
-    two float columns in input order: input i is [``los[i]``, ``his[i]``].
+    Built from :class:`Interval` objects or ``(lo, hi)`` pairs, refusing any
+    other item, and held as two float columns in input order: input i is
+    [``los[i]``, ``his[i]``].
     """
 
     los: tuple
@@ -90,14 +101,15 @@ class IntervalSet:
 
     def __init__(self, intervals, f: int):
         items = tuple(intervals)
-        try:  # an Interval has no [0], so Intervals take the walk below
+        try:  # an Interval has no len, so Intervals take the walk below
+            pairs = set(map(len, items)) == {2}
             los = tuple(map(float, map(itemgetter(0), items)))
             his = tuple(map(float, map(itemgetter(1), items)))
-            checked = all(map(math.isfinite, chain(los, his))) and all(map(le, los, his))
+            checked = pairs and all(map(math.isfinite, chain(los, his))) and all(map(le, los, his))
         except (TypeError, ValueError, LookupError, OverflowError):
             checked = False
-        if not checked:  # the first bad item in input order raises its Interval error
-            ivs = [iv if isinstance(iv, Interval) else Interval(iv[0], iv[1]) for iv in items]
+        if not checked:  # the first bad item in input order raises its error
+            ivs = list(map(_interval, items))
             los, his = tuple(iv.lo for iv in ivs), tuple(iv.hi for iv in ivs)
         if not los:
             raise ValueError("interval set is empty")

@@ -178,18 +178,6 @@ class WeightedGraph:
         built on the first call and the same object on every later one."""
         return self._graph
 
-    # built on first use: most graphs, such as a parsed input, never look up a weight
-    @cached_property
-    def _weight(self) -> dict:
-        return {(u, v): w for u, v, w in self.edges}
-
-    def weight_of(self, u, v) -> float:
-        weight = self._weight
-        try:
-            return weight[u, v] if (u, v) in weight else weight[v, u]
-        except KeyError:
-            raise KeyError(f"no edge ({u!r}, {v!r})") from None
-
     def total_weight(self) -> float:
         try:
             return math.fsum(w for _, _, w in self.edges)
@@ -620,9 +608,10 @@ def _tree_entropy(deg) -> float:
 
 
 def _check_tree(g: Graph, tree: tuple, deg: list) -> None:
-    """Raise RuntimeError unless ``tree`` is a spanning tree of g whose degree
-    vector, indexed by rank, is ``deg``."""
+    """Raise RuntimeError unless ``tree``, pairs or (u, v, w) triples, is a
+    spanning tree of g whose degree vector, indexed by rank, is ``deg``."""
     rank = g._order_key
+    tree = tuple(e[:2] for e in tree)
     t = Graph._trusted(g.vertices, tree, rank)
     if not (len(tree) == len(rank) - 1 and g._edge_set.issuperset(tree) and is_connected(t)):
         raise RuntimeError(
@@ -663,7 +652,7 @@ def _extrema(g: Graph, power: list, edges: list, ends: list, stops: list, cut_fo
     greatest the star's, (n-1)**(n-1), which no tree passes. Each winner is
     checked to be a spanning tree of g with the degree vector the fold
     counted, and its entropy comes from that vector alone. A tree is the
-    tuple of its (u, v) pairs.
+    tuple of its edges from ``edges``, pairs or (u, v, w) triples.
     """
     n = len(power)
     path, star = 4 ** (n - 2), (n - 1) ** (n - 1)
@@ -683,7 +672,7 @@ def _extrema(g: Graph, power: list, edges: list, ends: list, stops: list, cut_fo
             found[1], most_picked, most_deg = p, picked, deg
         if found == [path, star]:
             break
-    t_lo, t_hi = (tuple(edges[j][:2] for j in t) for t in (most_picked, least_picked))
+    t_lo, t_hi = (tuple(map(edges.__getitem__, t)) for t in (most_picked, least_picked))
     _check_tree(g, t_lo, most_deg)
     _check_tree(g, t_hi, least_deg)
     return _tree_entropy(most_deg), _tree_entropy(least_deg), t_lo, t_hi
@@ -859,7 +848,7 @@ def mst_entropy_extrema(g: WeightedGraph) -> tuple[float, float]:
     edges, ends, stops = _canonical(g.edges, h._order_key)
     lo, hi, t_lo, t_hi = _extrema(h, power, edges, ends, stops, lambda found: lambda *branch: False)
     for tree in (t_lo, t_hi):
-        if not _is_mst(g, [(u, v, g.weight_of(u, v)) for u, v in tree]):
+        if not _is_mst(g, tree):
             raise RuntimeError("the search returned a tree heavier than the minimum spanning tree")
     return lo, hi
 

@@ -98,9 +98,6 @@ class LeaderAssignment:
         object.__setattr__(self, "depth", max(map(len, paths.values())))
         object.__setattr__(self, "security", SecurityReport(not pairs, tuple(sorted(pairs))))
 
-    def depths(self) -> dict:
-        return {label: len(path) for label, path in self.leaders.items()}
-
     def expected_depth(self) -> float:
         return math.fsum(
             p * len(self.leaders[label]) for label, p in self.importance.entries

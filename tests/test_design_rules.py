@@ -379,3 +379,8 @@ def test_every_rule_has_a_planted_failure():
 def test_the_workflow_holds_no_inline_rule():
     # a rule written into the workflow would run outside this table
     assert "import ast" not in (ROOT / ".github/workflows/tests.yml").read_text()
+
+
+def test_the_workflow_holds_no_heredoc():
+    # a worst case written into the workflow would run outside tests/test_worst_cases.py
+    assert "<<" not in (ROOT / ".github/workflows/tests.yml").read_text()

@@ -13,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from prefixcast import fusion
 from prefixcast.cli import VALIDATION_EXIT, run
 from prefixcast.fileio import (
     FileFormatError,
@@ -166,11 +167,24 @@ def test_fixed_width_format_messages(parse, text, message):
     ([(0, 1), (0, float("nan")), (2, 1)], "endpoints must be finite, got [0.0, nan]"),
     ([(3, 2), (2, 1)], "empty interval: lo 3.0 > hi 2.0"),
     ([(0, 1), ("x", 1), (2, 1)], "could not convert string to float: 'x'"),
+    ([(0, 1, 99), (2, 3, "x")], "interval set item (0, 1, 99) is not a (lo, hi) pair"),
+    ([(0,)], "interval set item (0,) is not a (lo, hi) pair"),
+    ([(0, 1), (2, 3, 4)], "interval set item (2, 3, 4) is not a (lo, hi) pair"),
+    ([(0, 1), 5, (2, 1)], "interval set item 5 is not a (lo, hi) pair"),
+    ([(0, 1), (2, 1), (3,)], "empty interval: lo 2.0 > hi 1.0"),
 ])
 def test_an_interval_set_names_its_first_bad_pair(pairs, message):
-    with pytest.raises(ValueError) as err:
-        IntervalSet.from_pairs(pairs, 0)
-    assert str(err.value) == message
+    for build in (IntervalSet, IntervalSet.from_pairs):
+        with pytest.raises(ValueError) as err:
+            build(pairs, 0)
+        assert str(err.value) == message
+
+
+def test_parsed_pairs_are_checked_without_a_walk(monkeypatch):
+    # only a set whose columns fail their check walks its items
+    monkeypatch.setattr(fusion, "_interval", None)
+    s = IntervalSet(parse_intervals("0 1\n-1 2.5\n", "p"), 1)
+    assert (s.los, s.his) == ((0.0, -1.0), (1.0, 2.5))
 
 
 def test_a_long_interval_file_is_refused_at_its_last_line(tmp_path):

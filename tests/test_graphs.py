@@ -85,15 +85,11 @@ def test_weighted_graph_rejects_bad_weights():
 
 def test_keyed_lookups_and_value_semantics():
     g = WeightedGraph(("a", "b", 3), (("b", "a", 2.5), (3, "a", 1.0)))
-    assert g.weight_of("a", "b") == g.weight_of("b", "a") == 2.5
-    assert g.weight_of("a", 3) == 1.0
-    with pytest.raises(KeyError):
-        g.weight_of("b", 3)
-    with pytest.raises(KeyError) as err:
-        g.weight_of("z", "a")  # "z" is not a vertex
-    assert err.value.args == ("no edge ('z', 'a')",)
-    zero = WeightedGraph(("a", "b"), (("b", "a", 0.0),))
-    assert zero.weight_of("a", "b") == zero.weight_of("b", "a") == 0.0
+    # each edge keeps its weight, lower-ranked end first
+    assert g.edges == (("a", "b", 2.5), (3, "a", 1.0))
+    for w in (0.0, -0.0):  # a zero weight is kept, and -0.0 is stored as 0.0
+        zero = WeightedGraph(("a", "b"), (("b", "a", w),))
+        assert [repr(e) for e in zero.edges] == ["('a', 'b', 0.0)"]
     twin = WeightedGraph(("a", "b", 3), (("a", "b", 2.5), ("a", 3, 1.0)))
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
     assert "_weight" not in repr(g)

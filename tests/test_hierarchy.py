@@ -156,13 +156,13 @@ def test_assign_leaders_dyadic():
 
 def test_assign_leaders_single():
     a = assign_leaders(pmf_of(A=1.0), 2)
-    assert a.depths() == {"A": 1}
+    assert a.leaders == {"A": (0,)}
     assert a.expected_depth() <= 1.0
 
 
 def test_assign_leaders_uniform_four():
     a = assign_leaders(pmf_of(A=0.25, B=0.25, C=0.25, D=0.25), 2)
-    assert all(d == 2 for d in a.depths().values())
+    assert all(len(path) == 2 for path in a.leaders.values())
     assert a.expected_depth() == pytest.approx(2.0)
 
 
@@ -278,7 +278,7 @@ def test_importance_monotonicity():
         )
         a = assign_leaders(pmf, rng.choice([2, 3]))
         probs = pmf.as_dict()
-        depths = a.depths()
+        depths = {label: len(path) for label, path in a.leaders.items()}
         for x in probs:
             for y in probs:
                 if probs[x] > probs[y]:

@@ -209,7 +209,8 @@ def test_mst_scope_on_k6_and_its_guard():
     k6 = complete_graph(6)
     weighted = WeightedGraph(k6.vertices, tuple((u, v, float((u + v) % 3 + 1)) for u, v in k6.edges))
     trees = _trees_in_search_order(k6)
-    sums = [math.fsum(weighted.weight_of(u, v) for u, v in t) for t in trees]
+    weight = {(u, v): w for u, v, w in weighted.edges}
+    sums = [math.fsum(map(weight.__getitem__, t)) for t in trees]
     least = min(sums)
     hs = [graph_entropy(Graph(k6.vertices, tuple(t))) for t, s in zip(trees, sums) if s == least]
     assert mst_entropy_extrema(weighted) == (min(hs), max(hs))
@@ -264,7 +265,8 @@ def test_fold_evaluates_entropy_once_per_degree_vector(monkeypatch):
     trees = _trees_in_search_order(k6)
     assert len(trees) == 1296
     hs = [graph_entropy(Graph(k6.vertices, tuple(t))) for t in trees]
-    weights = [math.fsum(weighted.weight_of(u, v) for u, v in t) for t in trees]
+    weight = {(u, v): w for u, v, w in weighted.edges}
+    weights = [math.fsum(map(weight.__getitem__, t)) for t in trees]
     msts = [i for i, w in enumerate(weights) if w == min(weights)]
 
     def degree_vector(t):
