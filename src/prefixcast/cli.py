@@ -9,13 +9,12 @@ Output discipline: every run prints a manifest header (tool version,
 subcommand, the flags verbatim, a sha256 per input file, and the seed when
 randomness is involved) followed by the results, so any output file is
 self-describing and a rerun of the same invocation is byte-identical.
-Both modes render from the same records (see :class:`Report`), and only the
-mode asked for is rendered: text mode prints numbers with six decimal
-places, trailing zeros trimmed; ``--json`` emits one strict JSON document
-(no NaN or Infinity) with a fixed key order and full-precision floats. Its
-bytes are those of ``json.dumps(document, indent=2)``. Before CPython 3.13
-an indent forces the pure-Python encoder, so there :func:`json_text` writes
-the same bytes with its scalars, lists and table columns encoded in C.
+Only the mode asked for is rendered (see :class:`Report`): text mode prints
+numbers with six decimal places, trailing zeros trimmed; ``--json`` emits
+one strict JSON document (no NaN or Infinity) with a fixed key order and
+full-precision floats. Its bytes are those of ``json.dumps(document,
+indent=2)``, written by :func:`json_text`, which encodes scalars, lists and
+each table column in C on every Python version.
 
 Exit codes: 0 on success, 2 for input or validation problems (one line on
 stderr), 64 for usage errors such as unknown subcommands or malformed flags.
@@ -30,6 +29,7 @@ import json
 import math
 import shlex
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -85,7 +85,7 @@ from .hierarchy import (
 from .multicast import plan_cost_audit, plan_multicast
 from .source_coding import (
     CodeLengthSet,
-    Codeword,
+    _path_text,
     arithmetic_progression_satisfies_kraft,
     code_from_lengths,
     consecutive_lengths_sum,
@@ -152,16 +152,16 @@ def json_text(obj, level: int = 0) -> str:
     """The bytes of ``json.dumps(obj, indent=2)``, for the shapes a Report
     emits, with the scalars, lists of scalars and table columns encoded in C.
 
-    The text continues a line ``level`` indents deep. A list of dicts with one
-    key order is a table: one ``%`` template per row, and each column is one
-    C call split on newlines, which the ASCII encoder never writes inside a
-    value. Empty containers, non-str keys and any other type are left to
-    ``json.dumps``.
+    The text continues a line ``level`` indents deep. A :class:`Table` is
+    written as the list of its rows' records. Empty containers, non-str keys
+    and any other type are left to ``json.dumps``.
     """
     kind = type(obj)
     scalar = _JSON_SCALAR.get(kind)
     if scalar is not None:
         return scalar(obj)
+    if kind is Table:
+        return _table_text(obj, level)
     close = "\n" + "  " * level
     pad = close + "  "
     if kind is dict and set(map(type, obj)) == {str}:
@@ -169,39 +169,58 @@ def json_text(obj, level: int = 0) -> str:
                  for k, v in obj.items())
         return "{" + pad + ("," + pad).join(items) + close + "}"
     if (kind is list or kind is tuple) and obj:
-        kinds = set(map(type, obj))
-        if kinds <= _SCALAR_TYPES:
+        if set(map(type, obj)) <= _SCALAR_TYPES:
             return "[" + pad + _c_list("," + pad)(obj)[1:-1] + close + "]"
-        if (kinds == {dict} and len(set(map(tuple, obj))) == 1
-                and set(map(type, obj[0])) == {str}):
-            items = _json_rows(obj, level + 2)
-        else:
-            items = (json_text(v, level + 1) for v in obj)
+        items = (json_text(v, level + 1) for v in obj)
         return "[" + pad + ("," + pad).join(items) + close + "]"
     return json.dumps(obj, indent=2).replace("\n", close)
 
 
-def _json_rows(records: list, level: int):
-    """The JSON text of each record of a table whose fields sit ``level``
-    indents deep."""
-    pad = "\n" + "  " * level
-    template = "{" + pad + ("," + pad).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in records[0]
-    ) + pad[:-2] + "}"
-    columns = []
-    for column in zip(*map(dict.values, records)):
-        if set(map(type, column)) <= _SCALAR_TYPES:
-            columns.append(_c_list("\n")(column)[1:-1].split("\n"))
-        else:
-            columns.append([json_text(v, level) for v in column])
-    return map(template.__mod__, zip(*columns))
+def _table_text(columns: dict, level: int) -> str:
+    """The JSON text of a table's rows as records, the list ``level`` indents
+    deep: each column is written by :func:`_column_text`, and the rows are
+    stitched by one join."""
+    rows = len(next(iter(columns.values()), ()))
+    if not rows:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    parts, head = [], "{"
+    for key, column in columns.items():
+        field = f"{head}{pad}  {encode_basestring_ascii(key)}: "
+        parts += repeat(field, rows), _column_text(column, level + 2)
+        head = ","
+    parts.append(repeat(pad + "}," + pad, rows))
+    return "[" + pad + "".join(chain.from_iterable(zip(*parts)))[:-len(pad) - 1] + pad[:-2] + "]"
+
+
+def _column_text(column, level: int) -> list:
+    """The JSON text of each value of a column, the values ``level`` indents
+    deep: one C call when all are scalars, or all are lists of scalars. The
+    ASCII encoder writes no newline inside a value, so each newline in its
+    output starts a separator."""
+    column = list(column)
+    kinds = set(map(type, column))
+    if kinds <= _SCALAR_TYPES:
+        return _c_list("\n")(column)[1:-1].split("\n")
+    if kinds <= {list, tuple} and set(map(type, chain.from_iterable(column))) <= _SCALAR_TYPES:
+        pad = "\n" + "  " * (level + 1)
+        head, tail = "[" + pad, pad[:-2] + "]"
+        # [[a,<pad>b],<pad>[],<pad>[c]] splits into each list's items
+        lists = _c_list("," + pad)(column)[2:-2].split("]," + pad + "[")
+        return [head + items + tail if items else "[]" for items in lists]
+    return [json_text(v, level) for v in column]
+
+
+class Table(dict):
+    """Named columns of one length, ``{name: sequence}``, which
+    :func:`json_text` writes as the list of their rows' records."""
 
 
 class Report:
     """The manifest and results of one run. Each input is read through it and
     listed with its sha256 in read order. Each result is written once, as a
-    record and the way to its text line, and only the mode asked for is
-    rendered."""
+    value or a table of columns and the way to its text, and only the mode
+    asked for is rendered."""
 
     def __init__(self, subcommand: str, argv: list, seed=None):
         self.manifest = {
@@ -214,7 +233,7 @@ class Report:
         if seed is not None:
             self.manifest["seed"] = seed
         self._result = {}  # --json body, insertion order = output order
-        self._text = []    # text body: lines, and (records, line function) pairs
+        self._text = []    # text body: lines, and (columns, line function) pairs
         self._stdin = None
 
     def read(self, path: str) -> str:
@@ -252,18 +271,18 @@ class Report:
         """One text line that is a reading aid, not a result."""
         self._text.append(line)
 
-    def table(self, key: str, records: list, line):
-        """A list of records under ``key``; ``line(record)`` is a record's text
+    def table(self, key: str, columns: dict, line):
+        """A table under ``key`` as named columns, ``{name: sequence}``, all
+        of one length (else RuntimeError); ``line(*row)`` is a row's text
         line, called only when text is rendered."""
-        self._result[key] = records
-        self._text.append((records, line))
+        if len(set(map(len, columns.values()))) > 1:
+            raise RuntimeError(f"table {key!r} has columns of unequal length")
+        self._result[key] = Table(columns)
+        self._text.append((columns, line))
 
     def render(self, as_json: bool) -> str:
         if as_json:
-            doc = {"manifest": self.manifest, "result": self._result}
-            if sys.version_info >= (3, 13):  # json's C encoder indents from 3.13
-                return json.dumps(doc, indent=2)
-            return json_text(doc)
+            return json_text({"manifest": self.manifest, "result": self._result})
         lines = [
             f"# prefixcast {self.manifest['version']}",
             f"# subcommand: {self.manifest['subcommand']}",
@@ -277,8 +296,8 @@ class Report:
             if isinstance(block, str):
                 lines.append(block)
             else:
-                records, line = block
-                lines.extend(map(line, records))
+                columns, line = block
+                lines.extend(map(line, *columns.values()))
         return "\n".join(lines)
 
 
@@ -368,12 +387,13 @@ def cmd_huffman(args, rep):
     code = huffman_code(pmf, args.D)
     rep.field("D", args.D)
     rep.field("symbols", len(pmf))
-    words = code.assignments
+    labels, probabilities = zip(*pmf.entries)
+    words = [code.assignments[label] for label in labels]
     rep.table(
         "code",
-        [{"label": label, "codeword": str(words[label]), "length": words[label].length,
-          "probability": p} for label, p in pmf.entries],
-        lambda r: f"{r['label']} {r['codeword']} {r['length']} {fmt(r['probability'])}",
+        {"label": labels, "codeword": list(map(str, words)),
+         "length": [word.length for word in words], "probability": probabilities},
+        lambda label, word, length, p: f"{label} {word} {length} {fmt(p)}",
     )
     rep.field("expected_length", expected_length(code, pmf))
     rep.field("entropy_base_D", shannon_entropy(pmf, base=float(args.D)))
@@ -396,9 +416,10 @@ def cmd_code_from_lengths(args, rep):
         raise ValueError(f"the code's {digits} digits are more than can be listed")
     code = code_from_lengths(lengths, labels)
     rep.field("D", args.D)
-    rep.table("code", [{"label": label, "codeword": str(word), "length": word.length}
-                       for label, word in code.assignments.items()],
-              lambda r: f"{r['label']} {r['codeword']} {r['length']}")
+    words = code.assignments.values()
+    rep.table("code", {"label": list(code.assignments), "codeword": list(map(str, words)),
+                       "length": [word.length for word in words]},
+              lambda label, word, length: f"{label} {word} {length}")
     rep.field("kraft_sum", kraft_sum(lengths))
 
 
@@ -418,8 +439,8 @@ def cmd_graph_entropy(args, rep):
         rep.field("vertices", len(dg.vertices))
         rep.field("arcs", len(dg.arcs))
         for name, pmf in (("in", in_pmf), ("out", out_pmf)):
-            rep.table(f"{name}_pmf", [{"vertex": v, "probability": p} for v, p in pmf.entries],
-                      lambda r, name=name: f"{name}_pmf {r['vertex']} {fmt(r['probability'])}")
+            rep.table(f"{name}_pmf", dict(zip(("vertex", "probability"), zip(*pmf.entries))),
+                      lambda v, p, name=name: f"{name}_pmf {v} {fmt(p)}")
             rep.field(f"{name}_entropy", shannon_entropy(pmf))
         return
 
@@ -429,8 +450,8 @@ def cmd_graph_entropy(args, rep):
         coloring = parse_coloring(rep.read(args.coloring), args.coloring)
     rep.field("vertices", len(g.vertices))
     rep.field("edges", len(g.edges))
-    rep.table("degree_pmf", [{"vertex": v, "probability": p} for v, p in degree_pmf(g).entries],
-              lambda r: f"pmf {r['vertex']} {fmt(r['probability'])}")
+    rep.table("degree_pmf", dict(zip(("vertex", "probability"), zip(*degree_pmf(g).entries))),
+              lambda v, p: f"pmf {v} {fmt(p)}")
     rep.field("entropy_bits", graph_entropy(g))
     rep.field("regular_degree", is_regular(g))
     rep.field("max_entropy_bits", math.log2(len(g.vertices)))
@@ -457,8 +478,9 @@ def cmd_mst(args, rep):
     mst = minimum_spanning_tree(g)
     rep.field("vertices", len(g.vertices))
     rep.field("input_edges", len(g.edges))
-    rep.table("edges", [{"u": u, "v": v, "weight": w} for u, v, w in mst.edges],
-              lambda r: f"edge {r['u']} {r['v']} {fmt(r['weight'])}")
+    us, vs, weights = zip(*mst.edges) if mst.edges else ((), (), ())
+    rep.table("edges", {"u": us, "v": vs, "weight": weights},
+              lambda u, v, w: f"edge {u} {v} {fmt(w)}")
     rep.field("total_weight", mst.total_weight())
 
 
@@ -487,12 +509,13 @@ def cmd_assign_leaders(args, rep):
     assignment = assign_leaders(pmf, args.D)
     report = verify_secure(assignment)
     rep.field("D", args.D)
-    paths = assignment.leaders
+    labels, probabilities = zip(*pmf.entries)
+    paths = [assignment.leaders[label] for label in labels]
     rep.table(
         "leaders",
-        [{"label": label, "path": str(Codeword(paths[label])), "depth": len(paths[label]),
-          "probability": p} for label, p in pmf.entries],
-        lambda r: f"{r['label']} {r['path']} {r['depth']} {fmt(r['probability'])}",
+        {"label": labels, "path": list(map(_path_text, paths)),
+         "depth": list(map(len, paths)), "probability": probabilities},
+        lambda label, path, depth, p: f"{label} {path} {depth} {fmt(p)}",
     )
     rep.field("expected_depth", assignment.expected_depth())
     rep.field("entropy_bound", shannon_entropy(pmf, base=float(args.D)))
@@ -521,12 +544,13 @@ def cmd_plan_multicast(args, rep):
     rep.field("kraft_sum", assignment.depth_kraft_sum())
     rep.field("secure", verify_secure(assignment).secure)
     rep.field("relaxed", plan.relaxed)
+    labels = sorted(paths, key=str)
+    routes = [plan.leader_route[label] for label in labels]
     rep.table(
         "leaders",
-        [{"label": label, "path": str(Codeword(paths[label])),
-          "vertex": plan.leader_route[label][-1], "route": list(plan.leader_route[label])}
-         for label in sorted(paths, key=str)],
-        lambda r: f"{r['label']} {r['path']} {'->'.join(map(str, r['route']))}",
+        {"label": labels, "path": [_path_text(paths[label]) for label in labels],
+         "vertex": [route[-1] for route in routes], "route": routes},
+        lambda label, path, vertex, route: f"{label} {path} {'->'.join(map(str, route))}",
     )
     if args.audit:
         audit = plan_cost_audit(plan, g)
@@ -549,8 +573,8 @@ def cmd_levels(args, rep):
     g = parse_graph(rep.read(args.graph), args.graph)
     net = assign_levels(g, args.bs)
     rep.field("base_station", args.bs)
-    rep.table("levels", [{"vertex": v, "level": net.level[v]} for v in g.vertices],
-              lambda r: f"{r['vertex']} {r['level']}")
+    rep.table("levels", {"vertex": g.vertices, "level": [net.level[v] for v in g.vertices]},
+              lambda v, level: f"{v} {level}")
     rep.field("max_level", net.max_level())
 
 
@@ -559,8 +583,9 @@ def cmd_sectors(args, rep):
     sectors = assign_sectors(positions, args.bs, args.K)
     rep.field("base_station", args.bs)
     rep.field("K", args.K)
-    rep.table("sectors", [{"vertex": v, "sector": sectors[v]} for v in positions],  # file order
-              lambda r: f"{r['vertex']} {r['sector']}")
+    rep.table("sectors", {"vertex": list(positions),  # file order
+                          "sector": [sectors[v] for v in positions]},
+              lambda v, sector: f"{v} {sector}")
 
 
 def cmd_gossip(args, rep):
@@ -600,12 +625,12 @@ def cmd_gossip(args, rep):
         rep.field("allow_nonmonotone", True)
     if args.trial_log:
         outcomes = list(outcomes)
+        delivered, transmissions, hops = zip(*outcomes)
         rep.table(
             "trial_log",
-            [{"trial": t, "delivered": ok, "transmissions": tx, "hops": hops}
-             for t, (ok, tx, hops) in enumerate(outcomes)],
-            lambda r: f"trial {r['trial']} {'1' if r['delivered'] else '0'} "
-            f"{r['transmissions']} {r['hops'] if r['delivered'] else '-'}",
+            {"trial": range(len(outcomes)), "delivered": delivered,
+             "transmissions": transmissions, "hops": hops},
+            lambda t, ok, tx, h: f"trial {t} {'1' if ok else '0'} {tx} {h if ok else '-'}",
         )
     result = summarize_trials(cfg, outcomes)
     rep.field("delivered", result.delivered)
@@ -623,9 +648,8 @@ def cmd_fuse(args, rep):
     which = args.function
     if which == "omega":
         omega = overlap_function(s)
-        rep.table("omega", [{"breakpoint": x, "count": c}
-                            for x, c in zip(omega.breakpoints, omega.at_points)],
-                  lambda r: f"{fmt(r['breakpoint'])} {r['count']}")
+        rep.table("omega", {"breakpoint": omega.breakpoints, "count": omega.at_points},
+                  lambda x, c: f"{fmt(x)} {c}")
         # the counts between breakpoints have no text row
         rep.json_only("between", list(omega.between))
     elif which == "compare":

@@ -99,8 +99,12 @@ class Codeword:
         return len(self.digits)
 
     def __str__(self) -> str:
-        digits = self.digits
-        return ("" if not digits or max(digits) <= 9 else ".").join(map(str, digits))
+        return _path_text(self.digits)
+
+
+def _path_text(digits) -> str:
+    """A digit path as text: its digits run together, dotted once one exceeds 9."""
+    return ("" if not digits or max(digits) <= 9 else ".").join(map(str, digits))
 
 
 @dataclass(frozen=True)

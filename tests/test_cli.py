@@ -5,6 +5,7 @@ to the installed entry point to pin the real exit codes and byte-identical
 reruns.
 """
 
+import dataclasses
 import io
 import json
 import resource
@@ -621,6 +622,20 @@ def test_failed_self_check_is_internal_error(square, monkeypatch):
         "prefixcast span-entropy: internal error: the search returned 3 edges "
         "that are not a spanning tree of the graph\n"
     )
+
+
+def test_table_of_unequal_columns_is_internal_error(tmp_path, monkeypatch):
+    # columns of unequal length would lose rows to zip, so the report refuses
+    # them as a bug, in one line with exit 70
+    overlap = cli_module.overlap_function
+    monkeypatch.setattr(cli_module, "overlap_function", lambda s: dataclasses.replace(
+        overlap(s), at_points=overlap(s).at_points[:-1]))
+    p = tmp_path / "two.intervals"
+    p.write_text("0 1\n0.5 2\n")
+    code, out, err = cli("fuse", "--intervals", str(p), "--f", "0", "--function", "omega")
+    assert code == INTERNAL_EXIT
+    assert out == ""
+    assert err == "prefixcast fuse: internal error: table 'omega' has columns of unequal length\n"
 
 
 def test_span_entropy_full_vs_msts_only(square):

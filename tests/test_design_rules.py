@@ -155,6 +155,12 @@ RULES = {
     # column builds an Interval, so a second copy of its messages checks twice
     "interval endpoints are checked in one routine": (
         PKG, refuses_an_interval, False, ["fusion.py:_endpoints"]),
+    # json_text is the one JSON writer: it gives the bytes of json.dumps(doc,
+    # indent=2) on every interpreter and hands json.dumps only the shapes it
+    # does not write itself, so a second call is a second writer (or a fork
+    # by interpreter version) whose bytes no test holds to the first
+    "JSON is written by one writer": (
+        PKG, lambda n, c: c and name_of(n) in {"dump", "dumps"}, False, ["cli.py:json_text"]),
     # a LeveledNetwork derives its levels with _hop_levels, the one while
     # frontier: loop, so a second one is a second BFS
     "levels are found by one BFS": (PKG, loops_on("frontier"), True, ["graphs.py:_hop_levels"]),
@@ -321,6 +327,8 @@ PLANTS = [
         "__version__ = ", "from .graphs import _vertex_ranks  # planted\n")),
     ("public names are reached", "__init__.py", *before(
         "__version__ = ", "from .graphs import enumerate_spanning_trees  # planted\n")),
+    ("JSON is written by one writer", "cli.py", *before(
+        "            return json_text({", "            json.dumps(doc, indent=2)  # planted\n")),
     ("integers are checked one way", "cli.py", *before(
         "    s = IntervalSet(intervals, args.f)\n", "    int(x)  # planted\n")),
     ("references import no prefixcast", "tests/oracles.py", *before(
