@@ -43,8 +43,8 @@ print("same lengths at D'=3..6:",
 
 # From lengths to an actual code. Canonical assignment, nothing clever.
 code = code_from_lengths(lengths, labels=("stop", "left", "right"))
-for label, word in code.assignments.items():
-    print(f"  {label:>5} -> {word}")
+for label, path in code.assignments.items():
+    print(f"  {label:>5} -> {''.join(map(str, path))}")
 
 print()
 
@@ -59,6 +59,6 @@ for d in (2, 3):
     h = shannon_entropy(pmf, base=float(d))
     print(f"huffman at D={d}")
     for label, p in pmf.entries:
-        print(f"  {label} {code.assignments[label]}  (p={p})")
+        print(f"  {label} {''.join(map(str, code.assignments[label]))}  (p={p})")
     # expected length always lands inside [H_D, H_D + 1)
     print(f"  expected length {avg:.4f}, entropy {h:.4f}")

@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 from .source_coding import (
     CodeLengthSet,
-    Codeword,
     KraftViolation,
     PrefixCode,
     ProbabilityMassFunction,
@@ -111,7 +110,6 @@ __all__ = [
     "__version__",
     # source coding
     "CodeLengthSet",
-    "Codeword",
     "KraftViolation",
     "PrefixCode",
     "ProbabilityMassFunction",

@@ -388,11 +388,11 @@ def cmd_huffman(args, rep):
     rep.field("D", args.D)
     rep.field("symbols", len(pmf))
     labels, probabilities = zip(*pmf.entries)
-    words = [code.assignments[label] for label in labels]
+    paths = [code.assignments[label] for label in labels]
     rep.table(
         "code",
-        {"label": labels, "codeword": list(map(str, words)),
-         "length": [word.length for word in words], "probability": probabilities},
+        {"label": labels, "codeword": list(map(_path_text, paths)),
+         "length": list(map(len, paths)), "probability": probabilities},
         lambda label, word, length, p: f"{label} {word} {length} {fmt(p)}",
     )
     rep.field("expected_length", expected_length(code, pmf))
@@ -416,9 +416,9 @@ def cmd_code_from_lengths(args, rep):
         raise ValueError(f"the code's {digits} digits are more than can be listed")
     code = code_from_lengths(lengths, labels)
     rep.field("D", args.D)
-    words = code.assignments.values()
-    rep.table("code", {"label": list(code.assignments), "codeword": list(map(str, words)),
-                       "length": [word.length for word in words]},
+    paths = code.assignments.values()
+    rep.table("code", {"label": list(code.assignments), "codeword": list(map(_path_text, paths)),
+                       "length": list(map(len, paths))},
               lambda label, word, length: f"{label} {word} {length}")
     rep.field("kraft_sum", kraft_sum(lengths))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .graphs import WeightedGraph, _hop_levels, _is_mst, minimum_spanning_tree
 from .hierarchy import LeaderAssignment
-from .source_coding import Codeword, ProbabilityMassFunction, _huffman_paths, _integer
+from .source_coding import ProbabilityMassFunction, _huffman_paths, _integer, _path_text
 
 
 class CapacityExceeded(ValueError):
@@ -182,7 +182,7 @@ def plan_multicast(
             break
     else:
         raise CapacityExceeded(
-            f"no tree node at digit-path {str(Codeword((0,) * bump + p))!r} "
+            f"no tree node at digit-path {_path_text((0,) * bump + p)!r} "
             f"for leader {label!r}; the embedded tree cannot host this "
             f"placement at arity {d}"
         )

@@ -5,11 +5,12 @@ prefix-free code exactly when the Kraft sum ``sum(D**-n_i)`` is at most 1.
 This module computes that sum (directly and in closed form for consecutive
 and arithmetic-progression length sets), builds optimal D-ary Huffman codes
 from a probability mass function, and writes every code's and leader
-placement's digits by one canonical, deterministic routine. Kraft verdicts
-are decided in integer arithmetic; the float sum is for display and for the
-closed forms. Each code or placement is checked once, by its constructor,
-with :func:`_digit_paths`: integer digits in range, then one
-:func:`prefix_violations` scan over the sorted paths.
+placement's digits by one canonical, deterministic routine. A code, like a
+placement, is its digit paths: each label maps to a tuple of int digits.
+Kraft verdicts are decided in integer arithmetic; the float sum is for
+display and for the closed forms. Each code or placement is checked once,
+by its constructor, with :func:`_digit_paths`: integer digits in range,
+then one :func:`prefix_violations` scan over the sorted paths.
 """
 
 from __future__ import annotations
@@ -59,16 +60,13 @@ class ProbabilityMassFunction:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.entries)
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
 
 @dataclass(frozen=True)
 class CodeLengthSet:
-    """Codeword lengths, each at least 1, and the alphabet size D >= 2; all are
+    """Lengths of codewords, each at least 1, and the alphabet size D >= 2; all are
     integers by :func:`_integer` (int, bool or numpy integers), stored as int."""
 
     lengths: tuple[int, ...]
@@ -88,20 +86,6 @@ class CodeLengthSet:
         return len(self.lengths)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """A sequence of digits, each in ``{0, ..., D-1}`` for the owning code's D."""
-
-    digits: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.digits)
-
-    def __str__(self) -> str:
-        return _path_text(self.digits)
-
-
 def _path_text(digits) -> str:
     """A digit path as text: its digits run together, dotted once one exceeds 9."""
     return ("" if not digits or max(digits) <= 9 else ".").join(map(str, digits))
@@ -111,9 +95,10 @@ def _path_text(digits) -> str:
 class PrefixCode:
     """A prefix-free assignment of codewords to labels.
 
-    Construction validates, by :func:`_digit_paths`, that every codeword
-    is a non-empty run of integer digits in range and that the code is
-    prefix-free, and stores each codeword's digits as ints, so a
+    ``assignments`` maps each label to its codeword's digits, an int tuple,
+    as a placement's ``leaders`` map each leader to its path. Construction
+    validates, by :func:`_digit_paths`, that every codeword is a non-empty
+    run of integer digits in range and that the code is prefix-free, so a
     ``PrefixCode`` value is a certificate that the assignment is actually
     decodable. It satisfies the Kraft inequality without a further check:
     the long digit strings that start with a length-n codeword are a D**-n
@@ -122,15 +107,13 @@ class PrefixCode:
     """
 
     alphabet_size: int
-    assignments: dict[str, Codeword]
+    assignments: dict[str, tuple[int, ...]]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphabet_size", _integer("alphabet size", self.alphabet_size, 2))
         if not self.assignments:
             raise ValueError("prefix code has no assignments")
-        paths, clashes = _digit_paths(
-            self.alphabet_size, {label: word.digits for label, word in self.assignments.items()}
-        )
+        paths, clashes = _digit_paths(self.alphabet_size, self.assignments)
         if clashes:
             # name the first clashing pair in assignment order
             rank = {label: i for i, label in enumerate(paths)}
@@ -139,15 +122,10 @@ class PrefixCode:
             raise ValueError(
                 f"codewords for {labels[i]!r} and {labels[j]!r} are not prefix-free"
             )
-        object.__setattr__(self, "assignments", {k: Codeword(p) for k, p in paths.items()})
-
-    def lengths(self) -> dict[str, int]:
-        return {label: word.length for label, word in self.assignments.items()}
+        object.__setattr__(self, "assignments", paths)
 
     def length_set(self) -> CodeLengthSet:
-        return CodeLengthSet(
-            tuple(word.length for word in self.assignments.values()), self.alphabet_size
-        )
+        return CodeLengthSet(tuple(map(len, self.assignments.values())), self.alphabet_size)
 
 
 def _integer(name: str, value, low: int | None = None) -> int:
@@ -321,7 +299,7 @@ def code_from_lengths(
 ) -> PrefixCode:
     """Canonical prefix code for a Kraft-satisfying length set.
 
-    Codewords are those of :func:`_canonical_digits`, so ties in length are
+    The codewords are those of :func:`_canonical_digits`, so ties in length are
     broken by input order. Raises :class:`KraftViolation` when no prefix
     code exists and ``ValueError`` when the label count is wrong or a label
     repeats; the count is checked first, and the repeat named is the first
@@ -335,11 +313,11 @@ def code_from_lengths(
         raise KraftViolation(
             f"Kraft sum exceeds 1 (about {kraft_sum(lengths)!r}); no prefix code exists"
         )
-    assignments: dict[str, Codeword] = {}
+    assignments: dict[str, tuple[int, ...]] = {}
     for idx, digits in _canonical_digits(lengths.lengths, lengths.alphabet_size):
         if labels[idx] in assignments:
             raise ValueError(f"label {labels[idx]!r} appears more than once")
-        assignments[labels[idx]] = Codeword(digits)
+        assignments[labels[idx]] = digits
     # re-emit in input-label order for stable downstream iteration
     return PrefixCode(lengths.alphabet_size, {label: assignments[label] for label in labels})
 
@@ -395,16 +373,16 @@ def huffman_code(pmf: ProbabilityMassFunction, d: int = 2) -> PrefixCode:
 
     Expected length is minimal over all D-ary prefix codes for ``pmf`` and
     satisfies ``H_D(pmf) <= L < H_D(pmf) + 1`` for two or more symbols.
-    Codewords are those :func:`code_from_lengths` gives the Huffman length
+    The codewords are those :func:`code_from_lengths` gives the Huffman length
     profile, so equal inputs yield identical codes.
     """
-    return PrefixCode(d, {label: Codeword(p) for label, p in _huffman_paths(pmf, d).items()})
+    return PrefixCode(d, _huffman_paths(pmf, d))
 
 
 def expected_length(code: PrefixCode, pmf: ProbabilityMassFunction) -> float:
     """Probability-weighted mean codeword length, correctly rounded by fsum."""
     try:
-        return math.fsum(p * code.assignments[label].length for label, p in pmf.entries)
+        return math.fsum(p * len(code.assignments[label]) for label, p in pmf.entries)
     except KeyError as err:
         raise KeyError(f"code has no codeword for label {err.args[0]!r}") from None
 

@@ -1,20 +1,25 @@
-"""The JSON writer's byte check and the benchmark smoke, under each interpreter.
+"""The JSON writer's byte check, the demo digests and the benchmark smoke, under each
+interpreter.
 
     python3 tests/interpreters.py PYTHON [PYTHON ...]
 
 prints one row per interpreter: how many documents ``cli.json_text`` wrote
-differently from ``json.dumps(obj, indent=2)``, and the correctness, failed
-share and p50 latency of a 2 s seed-1 ``fuse`` and ``plan`` benchmark run.
-It needs only the standard library, so it runs on interpreters that have no
-pytest. ``python3 tests/interpreters.py --check`` runs the byte check alone
-under the current interpreter.
+differently from ``json.dumps(obj, indent=2)``, how many of the demos exit 0
+and print the digest ``DEMO_SHA256`` pins in ``tests/test_demos_golden.py``,
+and the correctness, failed share and p50 latency of a 2 s seed-1 ``fuse``
+and ``plan`` benchmark run. It needs only the standard library, so it runs
+on interpreters that have no pytest. ``python3 tests/interpreters.py
+--check`` runs the byte check alone under the current interpreter.
 """
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -96,6 +101,28 @@ def byte_check(documents: int, seed: int = 0) -> list:
     return bad
 
 
+def pinned_demos() -> dict:
+    """``DEMO_SHA256`` of ``tests/test_demos_golden.py``, read without importing pytest."""
+    tree = ast.parse((ROOT / "tests" / "test_demos_golden.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+                "DEMO_SHA256"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("tests/test_demos_golden.py assigns no DEMO_SHA256")
+
+
+def demos(python: str) -> tuple:
+    """(passed, summary): how many demos, run as the demo golden test runs
+    them, exit 0 and print their pinned digest under ``python``."""
+    pinned, env = pinned_demos(), dict(os.environ, PYTHONPATH="src")
+    same = 0
+    for name, digest in pinned.items():
+        out = subprocess.run([python, str(Path("demos") / name)], cwd=ROOT, env=env,
+                             capture_output=True)
+        same += not out.returncode and hashlib.sha256(out.stdout).hexdigest() == digest
+    return same == len(pinned), f"demos: {same} of {len(pinned)} pinned"
+
+
 def smoke(python: str, workload: str) -> tuple:
     """(passed, summary) of a 2 s seed-1 benchmark run of ``workload``."""
     out = subprocess.run([python, "perfbench/run.py", "--workload", workload, "--seed", "1",
@@ -119,10 +146,11 @@ def main(argv: list) -> int:
         version = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
                                  capture_output=True, text=True).stdout.strip()
         check = subprocess.run([python, __file__, "--check"], capture_output=True, text=True)
+        demos_ok, shown = demos(python)
         (fuse_ok, fuse), (plan_ok, plan) = smoke(python, "fuse"), smoke(python, "plan")
-        passed &= not check.returncode and fuse_ok and plan_ok
-        print(" | ".join([version, (check.stdout or check.stderr).splitlines()[0], fuse, plan]),
-              flush=True)
+        passed &= not check.returncode and demos_ok and fuse_ok and plan_ok
+        print(" | ".join([version, (check.stdout or check.stderr).splitlines()[0], shown, fuse,
+                          plan]), flush=True)
     return 0 if passed else 1
 
 

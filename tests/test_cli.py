@@ -791,7 +791,7 @@ PATH10 = "".join(f"v{i} v{i + 1} 1\n" for i in range(9))
     [
         ("A B 1\nB C 2\nC A 3\n", "A", "X 0.5\nY 0.5\n", ["--D", "2"], "1", "Y"),
         ("A B 1\nB C 2\nC A 3\n", "A", "X 0.5\nY 0.5\n", ["--D", "2", "--relax"], "01", "Y"),
-        # at D >= 11 a digit-path is written dotted, as Codeword prints it
+        # at D >= 11 a digit-path is written dotted, by the _path_text of every table
         (STAR14, "h", PMF13, ["--D", "11"], "10.0", "L0"),
         # depth 9 against codewords 0, 10, 11: the last shift tried is 7 zeros
         (PATH10, "v0", "X 0.5\nY 0.25\nZ 0.25\n", ["--D", "2", "--relax"], "000000010", "Y"),

@@ -4,8 +4,8 @@ The digests were recorded from the implementation in which each handler
 wrote its JSON record and its text row separately. Any change to how the
 command line renders results must reproduce the same bytes. The inputs are
 the files of ``demos/data`` plus a few small ones written here (a coloring,
-a vertex map, a lengths file, a regular graph and a graph that only a
-relaxed plan fits); all are copied into one directory and named by relative
+a vertex map, a lengths file, a regular graph, a graph that only a
+relaxed plan fits and a uniform 13-label pmf); all are copied into one directory and named by relative
 paths, so the manifest's flags line does not depend on where the suite runs. Every ``--json`` document must also be
 strict JSON: no ``NaN`` or ``Infinity``.
 """
@@ -31,6 +31,8 @@ EXTRA_INPUTS = {
     "ring.edges": "a b\nb c\nc d\nd a\n",
     # the root has one child, so the code fits only with a leading 0 digit
     "relay.edges": "r a 1\na x 1\na y 2\ny p 1\ny q 1\n",
+    # 13 labels at D=11 take two-digit paths, so digit 10 is written dotted
+    "u13.pmf": "".join(f"L{i} {1 / 13!r}\n" for i in range(13)),
 }
 
 GOSSIP = "gossip --graph network.edges --bs gw --seed 7"
@@ -77,6 +79,15 @@ GOLDEN = {
     "code-from-lengths --lengths-file code.lengths --D 3": (
         "79628a7aefd7fa5a8766324a572f4e05dccc477e7add5a2a9444e758103bd77e",
         "e5122e97d9c89fda957bff9a91c0bbd24696105206961b0aa8dd97d18247f7d7",
+    ),
+    # rows such as "L0 10.0 2 0.076923" and "10 10.0 2" pin the dotted paths
+    "huffman --pmf u13.pmf --D 11": (
+        "bd05350cbc78e64d4d86ff556ad8eff9e578491ae5ac7ecee5d0539122323219",
+        "522bb98c948d2ae006ef55ec4a9b973879ec8c0f54709ae957d2bee58aafd4b6",
+    ),
+    "code-from-lengths --lengths 1,1,1,1,1,1,1,1,1,1,2,2 --D 11": (
+        "df939de32e7b0bd75f21b9afba7e815bafda164f18c03fa5b91318de2abc302f",
+        "eab755e19c7e8e56fcfc2e7e5804ea41e73985f33f65579d5fd40150038a86d4",
     ),
     "entropy --pmf importance.pmf": (
         "749d5005839f4eefa084127cc9669831894ebd39896af094f9b33bd8ca1feec9",
@@ -133,6 +144,10 @@ GOLDEN = {
     "assign-leaders --pmf importance.pmf --D 3": (
         "b8961827a17379f18de7abed5ea022c7415b1aea67a14bcc285b8e7f20522664",
         "f047ab7ebc56f2c361c92c0302e5a0e477d6d6262a8a6f192763d6d734e7487a",
+    ),
+    "assign-leaders --pmf u13.pmf --D 11": (
+        "5985c4803ddfab8964a5f10456b27b40254d13e4e47b562e6879faf2afff9e7f",
+        "de75c84ed1bd0a89bec101d1ce9bdffe2591bb3524b8ba0cf19b63fdbdd88aef",
     ),
     PLAN + " --audit": (
         "bbd65f26c1d7087d8fe39d43a6907d233d936ee252141d8791df7bcb19a66a75",

@@ -294,7 +294,7 @@ PLANTS = [
     ("prefixes are scanned in one routine", "multicast.py", *before(
         "    steps = {(u, v) for u, v, _ in plan.carrier}", "    prefix_violations([])  # planted\n")),
     ("digit paths are checked by two constructors", "source_coding.py", *before(
-        "    return PrefixCode(d, {label: Codeword(p)", "    _digit_paths(d, {})  # planted\n")),
+        "    return PrefixCode(d, _huffman_paths(pmf, d))", "    _digit_paths(d, {})  # planted\n")),
     ("digit checks are called, never aliased", "hierarchy.py", *before(
         "\n\ndef total_nodes(", "\n_scan = prefix_violations  # planted")),
     ("prefixes are scanned in one routine", "source_coding.py", *before(

@@ -118,15 +118,15 @@ def test_digraph_allows_antiparallel_arcs():
 
 
 def test_degree_pmf_examples():
-    assert degree_pmf(ring_graph(4)).as_dict() == {
+    assert dict(degree_pmf(ring_graph(4)).entries) == {
         "0": 0.25, "1": 0.25, "2": 0.25, "3": 0.25
     }
-    star = degree_pmf(star_graph(4)).as_dict()
+    star = dict(degree_pmf(star_graph(4)).entries)
     assert star["0"] == pytest.approx(0.5)
     for leaf in "1234":
         assert star[leaf] == pytest.approx(0.125)
     single = Graph(("a", "b"), (("a", "b"),))
-    assert degree_pmf(single).as_dict() == {"a": 0.5, "b": 0.5}
+    assert dict(degree_pmf(single).entries) == {"a": 0.5, "b": 0.5}
 
 
 def test_degree_pmf_requires_an_edge():
@@ -236,7 +236,7 @@ def test_chain_rule_holds_for_random_colorings():
         h_given = conditional_graph_entropy(g, colors)
         # color entropy under the degree-mass distribution
         mass: dict = {}
-        pmf = degree_pmf(g).as_dict()
+        pmf = dict(degree_pmf(g).entries)
         color = colors.as_dict()
         for v in g.vertices:
             mass[color[v]] = mass.get(color[v], 0.0) + pmf[str(v)]
@@ -320,19 +320,19 @@ def test_kl_nonnegative_random():
 def test_in_out_degree_pmfs():
     ring3 = DiGraph((0, 1, 2), ((0, 1), (1, 2), (2, 0)))
     in_pmf, out_pmf = in_out_degree_pmfs(ring3)
-    assert all(abs(p - 1 / 3) < 1e-12 for p in in_pmf.as_dict().values())
-    assert all(abs(p - 1 / 3) < 1e-12 for p in out_pmf.as_dict().values())
+    assert all(abs(p - 1 / 3) < 1e-12 for _, p in in_pmf.entries)
+    assert all(abs(p - 1 / 3) < 1e-12 for _, p in out_pmf.entries)
 
     single = DiGraph(("a", "b"), (("a", "b"),))
     in_pmf, out_pmf = in_out_degree_pmfs(single)
-    assert in_pmf.as_dict() == {"a": 0.0, "b": 1.0}
-    assert out_pmf.as_dict() == {"a": 1.0, "b": 0.0}
+    assert dict(in_pmf.entries) == {"a": 0.0, "b": 1.0}
+    assert dict(out_pmf.entries) == {"a": 1.0, "b": 0.0}
 
     hub = DiGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)))
     in_pmf, out_pmf = in_out_degree_pmfs(hub)
-    assert out_pmf.as_dict()["0"] == pytest.approx(1.0)
+    assert dict(out_pmf.entries)["0"] == pytest.approx(1.0)
     for leaf in "123":
-        assert in_pmf.as_dict()[leaf] == pytest.approx(1 / 3)
+        assert dict(in_pmf.entries)[leaf] == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         in_out_degree_pmfs(DiGraph((0, 1), ()))
 
@@ -355,7 +355,7 @@ def test_degree_pmf_sums_to_one_large_random():
     for _ in range(10):
         n = rng.randint(50, 100)
         g = random_connected_graph(rng, n, rng.randint(0, 3 * n))
-        total = math.fsum(degree_pmf(g).as_dict().values())
+        total = math.fsum(p for _, p in degree_pmf(g).entries)
         assert abs(total - 1.0) <= 1e-12
 
 

@@ -187,7 +187,7 @@ def test_placement_and_code_are_the_canonical_code_of_huffman_lengths():
         code = huffman_code(pmf, d)
         placement = assign_leaders(pmf, d)
         assert list(placement.leaders) == list(code.assignments) == list(labels)
-        assert placement.leaders == {label: w.digits for label, w in code.assignments.items()}
+        assert code.assignments == placement.leaders
         assert code == canonical
         assert (placement.arity, placement.depth) == (d, max(lengths.values()))
 
@@ -277,7 +277,7 @@ def test_importance_monotonicity():
             [(f"L{i}", p / total) for i, p in enumerate(raw)]
         )
         a = assign_leaders(pmf, rng.choice([2, 3]))
-        probs = pmf.as_dict()
+        probs = dict(pmf.entries)
         depths = {label: len(path) for label, path in a.leaders.items()}
         for x in probs:
             for y in probs:

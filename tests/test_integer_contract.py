@@ -37,7 +37,7 @@ CONTRACT = {
     ),
     ("PrefixCode", "alphabet_size"): (
         "alphabet size",
-        lambda v: pc.PrefixCode(v, {"a": pc.Codeword((0,))}),
+        lambda v: pc.PrefixCode(v, {"a": (0,)}),
         2,
         lambda c: c.alphabet_size,
     ),
@@ -158,7 +158,7 @@ EXEMPT = {
     ("OverlapFunction", "n"): "the size of a checked IntervalSet",
     ("EmbeddedDaryTree", "arity"): "checked by embed_dary_tree, which builds it",
     ("EmbeddedDaryTree", "depth"): "counted by embed_dary_tree, which builds it",
-    ("Codeword", "digits"): (
+    ("PrefixCode", "assignments"): (
         "checked by PrefixCode, which holds codewords; LeaderAssignment holds the "
         "same digits as tuples, checked by the same routine"
     ),
@@ -247,12 +247,10 @@ def test_counts_are_refused_not_truncated():
 
 
 def test_codeword_digits_of_any_integer_type_are_kept_as_int():
-    code = pc.PrefixCode(
-        2, {"a": pc.Codeword((True,)), "b": pc.Codeword((np.int64(0), np.uint8(1)))}
-    )
-    assert [str(word) for word in code.assignments.values()] == ["1", "01"]
-    assert code.assignments == {"a": pc.Codeword((1,)), "b": pc.Codeword((0, 1))}
-    assert all(type(d) is int for word in code.assignments.values() for d in word.digits)
+    code = pc.PrefixCode(2, {"a": (True,), "b": (np.int64(0), np.uint8(1))})
+    assert ["".join(map(str, path)) for path in code.assignments.values()] == ["1", "01"]
+    assert code.assignments == {"a": (1,), "b": (0, 1)}
+    assert all(type(d) is int for path in code.assignments.values() for d in path)
 
 
 def test_lengths_of_any_integer_type_are_kept_as_int():

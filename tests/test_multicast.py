@@ -295,7 +295,7 @@ def test_plan_preserves_importance_ordering():
             continue
         done += 1
         assert verify_secure(plan.assignment).secure
-        probs = pmf.as_dict()
+        probs = dict(pmf.entries)
         for x in probs:
             for y in probs:
                 if probs[x] > probs[y]:
@@ -332,7 +332,7 @@ def test_plan_depth_is_optimal_for_embedded_tree():
         done += 1
         emb = embed_dary_tree(minimum_spanning_tree(g), 0, 2)
         available = _digit_paths(emb)
-        oracle = best_realizable_depth(available, list(pmf.as_dict().values()))
+        oracle = best_realizable_depth(available, [p for _, p in pmf.entries])
         assert oracle is not None
         assert plan.assignment.expected_depth() == pytest.approx(oracle, abs=1e-9)
 

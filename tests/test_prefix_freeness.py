@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from prefixcast import hierarchy, multicast, source_coding
 from prefixcast.hierarchy import LeaderAssignment, verify_secure
 from prefixcast.source_coding import (
-    Codeword,
     PrefixCode,
     ProbabilityMassFunction,
     prefix_violations,
@@ -88,17 +87,16 @@ def test_verify_secure_violations_match_oracle_in_order(leaders):
 @example(words={"z": (0,), "y": (2, 1), "x": (0,)})
 @settings(max_examples=300)
 def test_prefix_code_accepts_exactly_the_prefix_free_sets(words):
-    assignments = {label: Codeword(path) for label, path in words.items()}
     digit_paths = list(words.values())
 
     if is_prefix_free(digit_paths):
-        assert PrefixCode(D, assignments).assignments == assignments
+        assert PrefixCode(D, words).assignments == words
         return
     # the error names the first clashing pair in assignment order
     i, j = min((min(p), max(p)) for p in prefix_pairs(digit_paths))
     labels = list(words)
     with pytest.raises(ValueError) as err:
-        PrefixCode(D, assignments)
+        PrefixCode(D, words)
     assert str(err.value) == (
         f"codewords for {labels[i]!r} and {labels[j]!r} are not prefix-free"
     )
@@ -118,7 +116,7 @@ def test_prefix_code_accepts_exactly_the_prefix_free_sets(words):
 def test_a_code_and_a_placement_refuse_the_same_digits_alike(digits, message):
     # one routine checks both, so a leader path is refused as a codeword is
     with pytest.raises(ValueError) as code_err:
-        PrefixCode(D, {"a": Codeword(digits)})
+        PrefixCode(D, {"a": digits})
     with pytest.raises(ValueError) as placement_err:
         LeaderAssignment(D, {"a": digits}, ProbabilityMassFunction.from_pairs([("a", 1.0)]))
     assert str(code_err.value) == str(placement_err.value) == message

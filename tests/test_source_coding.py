@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from prefixcast.source_coding import (
     CodeLengthSet,
-    Codeword,
     KraftViolation,
     PrefixCode,
     ProbabilityMassFunction,
@@ -35,7 +34,11 @@ from oracles import (
 
 
 def words_as_strings(code):
-    return {label: str(w) for label, w in code.assignments.items()}
+    return {label: "".join(map(str, path)) for label, path in code.assignments.items()}
+
+
+def lengths_of(code):
+    return {label: len(path) for label, path in code.assignments.items()}
 
 
 # ---------------------------------------------------------------- kraft sums
@@ -163,7 +166,7 @@ def test_code_from_lengths_small_binary():
 
 def test_code_from_lengths_unsorted_input_keeps_label_pairing():
     code = code_from_lengths(CodeLengthSet((3, 1, 3, 2), 2), ("w", "x", "y", "z"))
-    lens = code.lengths()
+    lens = lengths_of(code)
     assert lens == {"w": 3, "x": 1, "y": 3, "z": 2}
     assert words_as_strings(code)["x"] == "0"
 
@@ -196,13 +199,11 @@ def test_stretched_canonical_code_is_the_optimal_code_behind_zeros():
         labels = pmf.labels()
         for b in (1, 2, 5):
             stretched = code_from_lengths(
-                CodeLengthSet(tuple(code.assignments[l].length + b for l in labels), d),
+                CodeLengthSet(tuple(len(code.assignments[l]) + b for l in labels), d),
                 labels,
             )
             for label in labels:
-                assert stretched.assignments[label].digits == (
-                    (0,) * b + code.assignments[label].digits
-                )
+                assert stretched.assignments[label] == (0,) * b + code.assignments[label]
 
 
 @given(data=st.data())
@@ -220,9 +221,9 @@ def test_code_from_lengths_is_prefix_free_with_exact_lengths(data):
     if not lengths:
         lengths = [1]
     code = code_from_lengths(CodeLengthSet(tuple(lengths), d))
-    words = [w.digits for w in code.assignments.values()]
+    words = list(code.assignments.values())
     assert is_prefix_free(words)
-    got = sorted(w.length for w in code.assignments.values())
+    got = sorted(map(len, words))
     assert got == sorted(lengths)
 
 
@@ -244,7 +245,7 @@ def test_code_from_lengths_matches_the_canonical_oracle(data):
     lengths = [n for n in leaves if rng.random() < 0.5] or leaves
     rng.shuffle(lengths)
     code = code_from_lengths(CodeLengthSet(tuple(lengths), d))
-    assert [w.digits for w in code.assignments.values()] == canonical_code(lengths, d)
+    assert list(code.assignments.values()) == canonical_code(lengths, d)
 
 
 @pytest.mark.parametrize(
@@ -259,7 +260,7 @@ def test_code_from_lengths_matches_the_canonical_oracle(data):
 )
 def test_code_from_lengths_matches_the_oracle_on_long_codewords(lengths, d):
     code = code_from_lengths(CodeLengthSet(lengths, d))
-    assert [w.digits for w in code.assignments.values()] == canonical_code(lengths, d)
+    assert list(code.assignments.values()) == canonical_code(lengths, d)
 
 
 def test_long_codeword_is_linear_in_its_digits():
@@ -275,8 +276,8 @@ def test_long_codeword_is_linear_in_its_digits():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert code.assignments["0"].digits == (0,)
-    assert code.assignments["1"].digits == (1,) + (0,) * 299999
+    assert code.assignments["0"] == (0,)
+    assert code.assignments["1"] == (1,) + (0,) * 299999
 
 
 # ------------------------------------------------------------------- huffman
@@ -287,7 +288,7 @@ def test_huffman_binary_dyadic_pmf_matches_entropy():
         [("a", 0.5), ("b", 0.25), ("c", 0.125), ("d", 0.125)]
     )
     code = huffman_code(pmf, 2)
-    assert sorted(code.lengths().values()) == [1, 2, 3, 3]
+    assert sorted(lengths_of(code).values()) == [1, 2, 3, 3]
     assert expected_length(code, pmf) == pytest.approx(1.75)
     assert shannon_entropy(pmf) == pytest.approx(1.75)
 
@@ -297,7 +298,7 @@ def test_huffman_binary_non_dyadic():
         [("a", 0.4), ("b", 0.3), ("c", 0.2), ("d", 0.1)]
     )
     code = huffman_code(pmf, 2)
-    assert code.lengths() == {"a": 1, "b": 2, "c": 3, "d": 3}
+    assert lengths_of(code) == {"a": 1, "b": 2, "c": 3, "d": 3}
     assert expected_length(code, pmf) == pytest.approx(1.9)
 
 
@@ -306,7 +307,7 @@ def test_huffman_ternary_with_dummy_padding():
         [("a", 0.4), ("b", 0.3), ("c", 0.2), ("d", 0.1)]
     )
     code = huffman_code(pmf, 3)
-    assert code.lengths() == {"a": 1, "b": 1, "c": 2, "d": 2}
+    assert lengths_of(code) == {"a": 1, "b": 1, "c": 2, "d": 2}
     assert expected_length(code, pmf) == pytest.approx(1.3)
     assert words_as_strings(code) == {"a": "0", "b": "1", "c": "20", "d": "21"}
 
@@ -415,8 +416,8 @@ def test_huffman_output_is_valid_prefix_code(raw, d):
     )
     code = huffman_code(pmf, d)
     assert set(code.assignments) == set(pmf.labels())
-    assert is_prefix_free([w.digits for w in code.assignments.values()])
-    assert all(0 <= dig < d for w in code.assignments.values() for dig in w.digits)
+    assert is_prefix_free(list(code.assignments.values()))
+    assert all(0 <= dig < d for path in code.assignments.values() for dig in path)
 
 
 def test_huffman_lengths_only_route_agrees_with_code():
@@ -424,7 +425,7 @@ def test_huffman_lengths_only_route_agrees_with_code():
         [("a", 0.35), ("b", 0.3), ("c", 0.2), ("d", 0.1), ("e", 0.05)]
     )
     for d in (2, 3, 4):
-        assert huffman_lengths(pmf, d) == huffman_code(pmf, d).lengths()
+        assert huffman_lengths(pmf, d) == lengths_of(huffman_code(pmf, d))
 
 
 # ties (small integers), zeros and dyadic values decide which node merges first
@@ -478,20 +479,20 @@ def test_length_set_rejects_bad_input():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: PrefixCode(1, {"a": Codeword((0,))}), "alphabet size must be >= 2, got 1"),
+        (lambda: PrefixCode(1, {"a": (0,)}), "alphabet size must be >= 2, got 1"),
         (lambda: PrefixCode(2, {}), "prefix code has no assignments"),
-        (lambda: PrefixCode(2, {"a": Codeword((2,))}), "digit 2 out of range for D=2 in 'a'"),
+        (lambda: PrefixCode(2, {"a": (2,)}), "digit 2 out of range for D=2 in 'a'"),
         (
-            lambda: PrefixCode(2, {"a": Codeword((0,)), "b": Codeword((1, 0.5))}),
+            lambda: PrefixCode(2, {"a": (0,), "b": (1, 0.5)}),
             "digits of 'b' must be integers, got (1, 0.5)",
         ),
         (
-            lambda: PrefixCode(2, {"a": Codeword(("1",))}),
+            lambda: PrefixCode(2, {"a": ("1",)}),
             "digits of 'a' must be integers, got ('1',)",
         ),
-        (lambda: PrefixCode(2, {"a": Codeword(())}), "codeword for 'a' is empty"),
+        (lambda: PrefixCode(2, {"a": ()}), "codeword for 'a' is empty"),
         (
-            lambda: PrefixCode(2, {"a": Codeword((0,)), "b": Codeword(())}),
+            lambda: PrefixCode(2, {"a": (0,), "b": ()}),
             "codeword for 'b' is empty",
         ),
         (lambda: consecutive_lengths_sum(0, 1, 2), "n1 must be >= 1, got 0"),
@@ -511,7 +512,7 @@ def test_out_of_range_arguments_are_named(call, message):
 
 
 def test_expected_length_names_a_label_the_code_lacks():
-    code = PrefixCode(2, {"a": Codeword((0,))})
+    code = PrefixCode(2, {"a": (0,)})
     pmf = ProbabilityMassFunction.from_pairs([("a", 0.5), ("b", 0.5)])
     with pytest.raises(KeyError) as err:
         expected_length(code, pmf)
