@@ -22,11 +22,10 @@ Because a draw is a pure function of its key, a trial can be evaluated in
 any order, and a draw that cannot change the trial need not be made. The
 simulator runs a trial level by level. A node below the source fires
 exactly when its gate passes and some link to it from a fired node one
-level up survives, so at each level it draws each candidate's likelier
-failure first (the gate when p_level < 1 - q, else the links) and the other
-only once that passes. Every draw it makes reads the same keyed value, and
-a node's firing is the same conjunction of the same values whichever is
-drawn first, so no outcome depends on the order. The first three stages of
+level up survives, so at each level it draws each candidate's gate once
+and its links only while the gate is open, until one survives. Every draw
+it makes reads the same keyed value, and a draw it skips cannot change that
+conjunction, so no outcome depends on the order. The first three stages of
 the chain depend only on (seed), (seed, trial) and (seed, trial, kind), so
 they are computed once per run and once per trial, with the last stage's
 splitmix64 increment folded into the trial's gate and link keys. Each
@@ -241,21 +240,18 @@ def _run_trial(level, downhill, gates, link_band, source, broadcast, root, trial
     from that z by the decision's :func:`_band`, as the last stage of the
     draw chain in the module docstring would be. ``gates[j]`` is the band of
     the gate at level j and ``link_band`` the band of a surviving link. The
-    base station has no gate: its threshold 2**64 puts its links first, and
-    its gate is not drawn.
+    base station's gate has the threshold 2**64, so every draw passes it.
 
     The source fires with its level's probability and then costs one
     transmission per incident link, ``broadcast`` of them to neighbors not
     below it. Every other node that fires costs one transmission per
     downhill link. At each level below the source, a candidate is a downhill
     neighbor of a fired node, and it fires when its gate passes and some
-    link to it from a fired node survives. Its likelier failure is drawn
-    first: its gate when the gate threshold is below the link threshold,
-    else its links until one survives; the other is drawn only once that
-    passes. The per-level dict ``state`` marks a candidate True while its
-    gate has passed and no link has, and False once it is decided, so no
-    decision is drawn twice. A candidate fires on the same conjunction of
-    the same keyed values whichever is drawn first, so the fired sets, and
+    link to it from a fired node survives. Its gate is drawn once, and its
+    links only while the gate is open, until one survives. The per-level
+    dict ``state`` marks a candidate True while its gate has passed and no
+    link has, and False once it is decided, so no decision is drawn twice.
+    A skipped draw cannot change the conjunction, so the fired sets, and
     with them every transmission count and outcome, are those of drawing
     every decision. A trial delivers when the base station fires, after
     ``level(source)`` hops.
@@ -275,42 +271,24 @@ def _run_trial(level, downhill, gates, link_band, source, broadcast, root, trial
     fired = (source,)
     for lv in range(top - 1, -1, -1):
         gate_lo, gate_hi, gate_t = gates[lv]
-        gate_first = gate_t < link_t
         state = {}
         nxt = []
         for u in fired:
             links = downhill[u]
             transmissions += len(links)
-            if gate_first:
-                for link, v in links:
-                    gate_open = state.get(v)
-                    if gate_open is None:
-                        z = (gate_key + v) & _MASK64
-                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                        gate_open = state[v] = z < gate_lo or z < gate_hi and z ^ (z >> 31) < gate_t
-                    if gate_open:
-                        z = (link_key + link) & _MASK64
-                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                        if z < link_lo or z < link_hi and z ^ (z >> 31) < link_t:
-                            state[v] = False
-                            nxt.append(v)
-            else:
-                for link, v in links:
-                    if v in state:
-                        continue
+            for link, v in links:
+                gate_open = state.get(v)
+                if gate_open is None:
+                    z = (gate_key + v) & _MASK64
+                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                    gate_open = state[v] = z < gate_lo or z < gate_hi and z ^ (z >> 31) < gate_t
+                if gate_open:
                     z = (link_key + link) & _MASK64
                     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
                     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
                     if z < link_lo or z < link_hi and z ^ (z >> 31) < link_t:
                         state[v] = False
-                        if lv:
-                            z = (gate_key + v) & _MASK64
-                            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                            if z >= gate_hi or z >= gate_lo and z ^ (z >> 31) >= gate_t:
-                                continue
                         nxt.append(v)
         if not nxt:
             return False, transmissions, None
@@ -335,7 +313,7 @@ def trial_outcomes(net: LeveledNetwork, cfg: GossipConfig, event_source):
             f"{len(cfg.level_probabilities)} level probabilities were given"
         )
     pos, level, downhill = _prepare(net)
-    # the base station has no gate; no draw reaches 2**64
+    # the base station's gate: no draw reaches 2**64, so it always passes
     gates = [_band(1 << 64)] + [_band(_threshold(p)) for p in cfg.level_probabilities]
     link_band = _band(_threshold(1.0 - cfg.q))
     source = pos[event_source]
@@ -349,15 +327,16 @@ def trial_outcomes(net: LeveledNetwork, cfg: GossipConfig, event_source):
 
 
 def summarize_trials(cfg: GossipConfig, outcomes) -> SimResult:
-    """Fold the per-trial outcomes of one run into its SimResult."""
-    delivered = 0
-    total_tx = 0
-    total_hops = 0
+    """Fold the outcomes of one run, exactly ``cfg.trials`` of them, into its SimResult."""
+    folded = delivered = total_tx = total_hops = 0
     for ok, tx, hops in outcomes:
+        folded += 1
         total_tx += tx
         if ok:
             delivered += 1
             total_hops += hops
+    if folded != cfg.trials:
+        raise ValueError(f"folded {folded} outcomes, but the config has {cfg.trials} trials")
     return SimResult(
         trials=cfg.trials,
         delivered=delivered,

@@ -6,10 +6,11 @@ interpreter.
 prints one row per interpreter: how many documents ``cli.json_text`` wrote
 differently from ``json.dumps(obj, indent=2)``, how many of the demos exit 0
 and print the digest ``DEMO_SHA256`` pins in ``tests/test_demos_golden.py``,
-and the correctness, failed share and p50 latency of a 2 s seed-1 ``fuse``
-and ``plan`` benchmark run. It needs only the standard library, so it runs
-on interpreters that have no pytest. ``python3 tests/interpreters.py
---check`` runs the byte check alone under the current interpreter.
+and the correctness, failed share and p50 latency of a 2 s seed-1 benchmark
+run of each workload in ``WORKLOADS``. It needs only the standard library,
+so it runs on interpreters that have no pytest. ``python3
+tests/interpreters.py --check`` runs the byte check alone under the current
+interpreter.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ INVOCATIONS = [
     ["fuse", "--intervals", f"{DATA}/readings.intervals", "--f", "1", "--function", "omega"],
     ["code-from-lengths", "--lengths", "1,2,3,3"],
 ]
+WORKLOADS = ("plan", "enumerate", "gossip", "fuse")
 
 
 def random_value(rng: random.Random, depth: int):
@@ -147,10 +149,10 @@ def main(argv: list) -> int:
                                  capture_output=True, text=True).stdout.strip()
         check = subprocess.run([python, __file__, "--check"], capture_output=True, text=True)
         demos_ok, shown = demos(python)
-        (fuse_ok, fuse), (plan_ok, plan) = smoke(python, "fuse"), smoke(python, "plan")
-        passed &= not check.returncode and demos_ok and fuse_ok and plan_ok
-        print(" | ".join([version, (check.stdout or check.stderr).splitlines()[0], shown, fuse,
-                          plan]), flush=True)
+        runs = [smoke(python, workload) for workload in WORKLOADS]
+        passed &= not check.returncode and demos_ok and all(ok for ok, _ in runs)
+        print(" | ".join([version, (check.stdout or check.stderr).splitlines()[0], shown]
+                         + [summary for _, summary in runs]), flush=True)
     return 0 if passed else 1
 
 

@@ -117,11 +117,13 @@ RULES = {
     # loop over a stack of branches is a second copy of it
     "spanning trees are searched one way": (
         (LIB + "graphs.py",), loops_on("stack"), True, ["graphs.py:_spanning_search"]),
-    # every draw is mixed by _splitmix64 or inlined in _run_trial; a
-    # splitmix64 multiplier anywhere else is a second copy of the trial loop
+    # every draw is mixed by _splitmix64 or inlined in _run_trial's one
+    # per-level loop, once for a gate and once for a link, two multipliers
+    # each; a splitmix64 multiplier anywhere else, or a second inlined mix,
+    # is a second copy of the trial loop
     "draws are mixed in one trial loop": (PKG, lambda n, c: isinstance(n, ast.Constant) and type(
-        n.value) is int and n.value in {0xBF58476D1CE4E5B9, 0x94D049BB133111EB}, False, [
-        "gossip.py:_splitmix64", "gossip.py:_run_trial"]),
+        n.value) is int and n.value in {0xBF58476D1CE4E5B9, 0x94D049BB133111EB}, True, [
+        "gossip.py:_splitmix64"] * 2 + ["gossip.py:_run_trial"] * 4),
     # _digit_paths is the one check of a code's codewords and a placement's
     # paths, and makes the one prefix_violations scan; PrefixCode and
     # LeaderAssignment call it, each once, when they are built. Any other
@@ -358,6 +360,10 @@ PLANTS = [
     ("union-find is written out at three sites only", "graphs.py",
      "def _find(parent: list, x: int) -> int:\n    while parent[x] != x:",
      "def _find(parent: list, x: int) -> int:\n    while x != parent[x]:"),
+    ("draws are mixed in one trial loop", "gossip.py", (
+        "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64\n"
+        "                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64\n"
+        "                    gate_open = "), "gate_open = "),
 ]
 
 

@@ -3,11 +3,12 @@
 ``oracles.gossip_trials_queue`` walks each trial with a FIFO queue and a
 per-node hop map, drawing every decision through the full four-stage
 splitmix64 chain and comparing it as a float. ``trial_outcomes`` evaluates
-trials level by level, drawing each candidate's likelier failure first,
-with the chain's first three stages hoisted and each draw settled by its
-top bits or compared as an integer against a threshold, so it must agree
-with the oracle trial by trial on any connected graph, id type, source and
-parameters, including the probabilities 0 and 1.
+trials level by level, drawing each candidate's gate once and its links only
+while the gate is open, with the chain's first three stages hoisted and each
+draw settled by its top bits or compared as an integer against a threshold,
+so it must agree with the oracle trial by trial on any connected graph, id
+type, source and parameters, including the probabilities 0 and 1, and p
+below, at and above 1 - q.
 """
 
 import math
@@ -89,7 +90,7 @@ def gossip_cases(draw, probs=UNIT, qs=UNIT):
         (st.floats(0.8, 1.0), st.floats(0.5, 1.0)),
         (st.just(0.75), st.just(0.25)),
     ],
-    ids=["any", "q=0", "q=1", "p=1", "some p=1, q=0", "gates first", "links first", "p=1-q"],
+    ids=["any", "q=0", "q=1", "p=1", "some p=1, q=0", "p below 1-q", "p above 1-q", "p at 1-q"],
 )
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -217,12 +218,14 @@ def test_threshold_decides_each_draw_as_the_float_compare_does(p, other):
 def test_band_decides_each_draw_as_the_last_stage_does(p, inside, near):
     # z is the value before the last xor-shift; the trial loop settles it by
     # lo and hi alone outside the band, which an oracle draw lands in with
-    # probability 2**-31, so the band's edges are tested here directly
-    t = _threshold(p)
-    lo, hi, band_t = _band(t)
-    for z in (lo - 1, lo, hi - 1, hi, t - 1, t, 0, 2**64 - 1, lo + inside, t + near):
-        if 0 <= z < 2**64:
-            assert (z < lo or z < hi and z ^ (z >> 31) < band_t) == (z ^ (z >> 31) < t)
+    # probability 2**-31, so the band's edges are tested here directly. The
+    # base station's gate has t = 2**64: every z passes, by z < lo alone
+    for t in (_threshold(p), 1 << 64):
+        lo, hi, band_t = _band(t)
+        for z in (lo - 1, lo, hi - 1, hi, t - 1, t, 0, 2**64 - 1, lo + inside, t + near):
+            if 0 <= z < 2**64:
+                assert (z < lo or z < hi and z ^ (z >> 31) < band_t) == (z ^ (z >> 31) < t)
+                assert z < lo or t < 1 << 64
 
 
 def test_summarize_trials_folds_outcomes():
@@ -236,6 +239,15 @@ def test_summarize_trials_folds_outcomes():
         mean_hops=2.0,
         seed=3,
     )
+
+
+@pytest.mark.parametrize("count", [0, 3, 9])
+def test_summarize_trials_refuses_a_count_other_than_the_trials(count):
+    # trial_outcomes may be consumed partially; folding a part, or more than
+    # one run, must not scale the ratios by the wrong trial count
+    cfg = GossipConfig((1.0, 0.5), 0.0, 4, 3)
+    with pytest.raises(ValueError, match=rf"^folded {count} outcomes, but the config has 4 trials$"):
+        summarize_trials(cfg, [(True, 3, 2)] * count)
 
 
 # ---------------------------------------------------- validation when called
